@@ -11,10 +11,8 @@ from .baselines import (
     FullGp,
     SparseGp,
     fit_local_experts,
-    full_gp_fit_predict,
     poe_lml,
     poe_predict,
-    sgp_fit_predict,
 )
 from .block_sparse import (
     BlockCholesky,
@@ -53,8 +51,6 @@ from .kernels import (
     SpectralMixture,
     SquaredExponential,
     SumKernel,
-    eval_kernel,
-    eval_kernel_diag,
     full_params,
     kernel_grad,
     kernel_grad_diag,
@@ -94,7 +90,7 @@ _thread_limiter = None
 
 
 def set_num_threads(n: int | None = None):
-    """Cap the BLAS thread pools (and the internal worker pool) at ``n``.
+    """Cap the BLAS thread pools at ``n``.
 
     The block-sparse pipeline spends its time in many small dense
     factorizations; oversubscribed multithreaded BLAS is an order of magnitude

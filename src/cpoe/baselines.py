@@ -25,8 +25,6 @@ __all__ = [
     "fit_local_experts",
     "poe_predict",
     "poe_lml",
-    "full_gp_fit_predict",
-    "sgp_fit_predict",
 ]
 
 DENSE_CAP = 8192  # default guard for dense factorization
@@ -250,19 +248,3 @@ def poe_predict(experts: list[LocalExpertFit], kernel: Kernel, Xs,
             raise ValueError("add_noise requires the noise spec")
         var = var + noise.variance
     return mean, var
-
-
-def full_gp_fit_predict(X, y, kernel: Kernel, noise: NoiseSpec, Xs,
-                        add_noise: bool = False, cap: int = DENSE_CAP):
-    """Convenience wrapper: fit an exact GP and predict; returns (mean, var, lml)."""
-    model = FullGp(kernel, noise, cap=cap).fit(X, y)
-    mean, var = model.predict(Xs, add_noise=add_noise)
-    return mean, var, model.lml()
-
-
-def sgp_fit_predict(X, y, inducing, kernel: Kernel, noise: NoiseSpec, Xs,
-                    add_noise: bool = False):
-    """Convenience wrapper for the FITC baseline; returns (mean, var, lml)."""
-    model = SparseGp(kernel, noise, inducing).fit(X, y)
-    mean, var = model.predict(Xs, add_noise=add_noise)
-    return mean, var, model.lml()

@@ -255,6 +255,15 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
+def _generator_kernel(name: str, D: int) -> Kernel:
+    """Fixed kernel of a synthetic dataset: ``two_se`` (or ``se+se``), else SE."""
+    if name in ("se+se", "two_se"):
+        # two SE components with shorter/longer lengthscales
+        return (SquaredExponential.create(0.2, [0.125] * D)
+                + SquaredExponential.create(1.1, [0.5] * D))
+    return SquaredExponential.create(1.0, [0.2] * D)
+
+
 def build_kernel(cfg: ExperimentConfig, D: int) -> Kernel:
     """Kernel structure from the config; initial scales from the config values."""
     name = cfg["kernel"].strip().lower()
@@ -263,9 +272,7 @@ def build_kernel(cfg: ExperimentConfig, D: int) -> Kernel:
     if name == "se":
         return SquaredExponential.create(v0, [l0] * D)
     if name in ("se+se", "two_se"):
-        # two SE components with shorter/longer initial lengthscales
-        return (SquaredExponential.create(0.2, [0.125] * D)
-                + SquaredExponential.create(1.1, [0.5] * D))
+        return _generator_kernel(name, D)
     if name == "composite":
         # two periodic components, a spectral mixture and an SE over all inputs;
         # the first three act on the first (time) column
@@ -287,13 +294,8 @@ def _dataset_for_rep(cfg: ExperimentConfig, rep_seed: int) -> Dataset:
     if cfg["data"]:
         return load_csv(cfg["data"], cfg["target"], cfg.num("test_fraction"),
                         seed=rep_seed, standardize=cfg.flag("standardize"))
-    name = cfg["synthetic"].strip().lower() or "se"
     D = cfg.integer("d")
-    if name in ("two_se", "se+se"):
-        gen = (SquaredExponential.create(0.2, [0.125] * D)
-               + SquaredExponential.create(1.1, [0.5] * D))
-    else:
-        gen = SquaredExponential.create(1.0, [0.2] * D)
+    gen = _generator_kernel(cfg["synthetic"].strip().lower(), D)
     return synth_gp_data(gen, cfg.integer("n"), D, cfg.num("gen_noise_variance"),
                          seed=rep_seed, n_test=cfg.integer("n_test"),
                          cap=cfg.integer("dense_cap"))
@@ -327,10 +329,10 @@ def _fit_cpoe(cfg: ExperimentConfig, data: Dataset, C: int, rep_seed: int,
     elif mode == "stochastic":
         graph = model.graph
 
-        def term(j, theta):
+        def term(j, theta, with_grad):
             k2, n2 = split_params(kernel, theta)
             return stochastic_lml_term(graph, k2, n2, j, data.y[graph.row_indices[j]],
-                                       variant=variant)
+                                       variant=variant, with_grad=with_grad)
 
         res = fit_stochastic(term, graph.J, model.get_params(),
                              _optimizer_config(cfg, "stochastic", rep_seed), prior,
@@ -627,11 +629,8 @@ def main(argv=None) -> int:
     if args.command == "synth":
         if Path(args.kernel).is_file():
             gen = build_kernel(ExperimentConfig.from_file(args.kernel), args.d)
-        elif args.kernel == "two_se":
-            gen = (SquaredExponential.create(0.2, [0.125] * args.d)
-                   + SquaredExponential.create(1.1, [0.5] * args.d))
         else:
-            gen = SquaredExponential.create(1.0, [0.2] * args.d)
+            gen = _generator_kernel(args.kernel, args.d)
         data = synth_gp_data(gen, args.n, args.d, args.noise_variance, args.seed)
         with open(args.output, "w", newline="") as fh:
             w = csv.writer(fh)

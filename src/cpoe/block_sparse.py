@@ -28,8 +28,6 @@ __all__ = [
     "fill_reducing_permutation",
     "symbolic_factor",
     "block_cholesky",
-    "solve",
-    "logdet",
     "partial_inverse",
 ]
 
@@ -318,14 +316,6 @@ def block_cholesky(A: BlockSparseMatrix, perm: np.ndarray | None = None,
         except np.linalg.LinAlgError:
             raise FactorizationError(int(sym.perm[i])) from None
     return BlockCholesky(symbolic=sym, block_size=bs, blocks=blocks)
-
-
-def solve(chol: BlockCholesky, b: np.ndarray) -> np.ndarray:
-    return chol.solve(b)
-
-
-def logdet(chol: BlockCholesky) -> float:
-    return chol.logdet()
 
 
 @dataclass

@@ -23,8 +23,6 @@ hyperparameter setting; the symbolic analysis is reused across refits.
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,10 +42,7 @@ from .kernels import (
     NoiseSpec,
     full_params,
     jittered_cholesky,
-    kernel_grad,
-    kernel_grad_diag,
     kernel_grad_diag_stack,
-    kernel_grad_stack,
     split_params,
 )
 
@@ -86,6 +81,13 @@ class VariantSpec:
         """Whether the residual covariance is a full block rather than diagonal."""
         return self.name in ("pitc", "pep_b")
 
+    @property
+    def residual_scale(self) -> float:
+        """Factor s in the residual covariance ``s * D_j`` the variant keeps."""
+        if self.name in ("dtc", "vfe"):
+            return 0.0
+        return self.alpha_pep if self.name in ("pep", "pep_b") else 1.0
+
 
 @dataclass
 class ExpertFactor:
@@ -109,6 +111,7 @@ class ExpertFactor:
     vbar_diag: np.ndarray | None        # diagonal residual + variant scaling
     vbar_full: np.ndarray | None
     lam: float
+    dlam: np.ndarray | float            # d lam / d D_j, shaped like the residual
     # prior side
     K_aa: np.ndarray
     K_api: np.ndarray | None
@@ -118,9 +121,6 @@ class ExpertFactor:
     Q: np.ndarray                       # effective (jitter included)
     chol_Q: np.ndarray
     logdet_Q: float
-
-    def Qinv(self) -> np.ndarray:
-        return cho_solve((self.chol_Q, True), np.eye(self.Q.shape[0]))
 
     def Ft(self) -> np.ndarray:
         """[-F_j, I], columns ordered like the sorted predecessor-plus-self set."""
@@ -151,32 +151,45 @@ class LocalFactors:
         return e.vbar_full + self.noise.variance * np.eye(e.X.shape[0])
 
 
-def _n_threads() -> int:
-    try:
-        return max(int(os.environ.get("CPOE_THREADS", "1")), 1)
-    except ValueError:
-        return 1
+def _variant_terms(variant: VariantSpec, D: np.ndarray, noise_var: float):
+    """``(vbar, lam, dlam)`` for one expert: the residual covariance the variant
+    keeps, its objective correction and ``d lam / d D``.
 
-
-def _residual(variant: VariantSpec, d_diag: np.ndarray, D_full: np.ndarray | None,
-              noise_var: float):
-    """(vbar_diag, vbar_full, lambda) for one expert under the given variant."""
+    ``D`` is the residual's diagonal for diagonal variants and its full block
+    for full-residual ones; ``vbar`` and ``dlam`` have its shape (or are scalars).
+    """
+    s = variant.residual_scale
+    vbar = D if s == 1.0 else s * D         # FITC and PITC share D's storage
     a = variant.alpha_pep
-    if variant.name == "fitc":
-        return d_diag, None, 0.0
-    if variant.name == "dtc":
-        return np.zeros_like(d_diag), None, 0.0
+    c = (1.0 - a) / (2.0 * a)
+    if variant.name in ("fitc", "dtc", "pitc"):
+        return vbar, 0.0, 0.0
     if variant.name == "vfe":
-        return np.zeros_like(d_diag), None, float(np.sum(d_diag)) / (2.0 * noise_var)
+        return vbar, float(np.sum(D)) / (2.0 * noise_var), 1.0 / (2.0 * noise_var)
     if variant.name == "pep":
-        lam = (1.0 - a) / (2.0 * a) * float(np.sum(np.log1p(a * d_diag / noise_var)))
-        return a * d_diag, None, lam
-    if variant.name == "pitc":
-        return None, D_full, 0.0
-    # pep_b
-    M = np.eye(D_full.shape[0]) + (a / noise_var) * D_full
-    lam = (1.0 - a) / (2.0 * a) * float(np.linalg.slogdet(M)[1])
-    return None, a * D_full, lam
+        lam = c * float(np.sum(np.log1p(a * D / noise_var)))
+        return vbar, lam, c * a / (noise_var + a * D)
+    # pep_b: lam = c log|M|, M = I + (a / noise_var) D
+    M = np.eye(D.shape[0]) + (a / noise_var) * D
+    lam = c * float(np.linalg.slogdet(M)[1])
+    return vbar, lam, (c * a / noise_var) * np.linalg.inv(M)
+
+
+def _projection(kernel: Kernel, X: np.ndarray, A: np.ndarray, full: bool):
+    """Projection of X on inducing inputs A and its residual covariance.
+
+    Returns ``(chol_A, K_xa, H, d_diag, D_full)`` with ``H = K(X, A) K(A, A)^-1``
+    and ``D = K(X, X) - H K(A, X)``; the full block only when ``full``.
+    """
+    chol_A, _ = jittered_cholesky(kernel(A))
+    K_xa = kernel(X, A)
+    H = cho_solve((chol_A, True), K_xa.T).T
+    d_diag = kernel.diag(X) - np.einsum("ij,ij->i", K_xa, H)
+    D_full = None
+    if full:
+        D_full = kernel(X) - K_xa @ H.T
+        D_full = 0.5 * (D_full + D_full.T)
+    return chol_A, K_xa, H, d_diag, D_full
 
 
 def _build_expert(j: int, graph: ExpertGraph, kernel: Kernel, noise: NoiseSpec,
@@ -192,16 +205,11 @@ def _build_expert(j: int, graph: ExpertGraph, kernel: Kernel, noise: NoiseSpec,
               if pred.size else np.zeros((0, graph.D)))
 
     # projection factors on the correlation region
-    K_psipsi = kernel(A_psi)
-    chol_psi, _ = jittered_cholesky(K_psipsi)
-    K_xpsi = kernel(X_j, A_psi)
-    H = cho_solve((chol_psi, True), K_xpsi.T).T
-    d_diag = kernel.diag(X_j) - np.einsum("ij,ij->i", K_xpsi, H)
-    D_full = None
-    if variant.full_residual:
-        D_full = kernel(X_j) - K_xpsi @ H.T
-        D_full = 0.5 * (D_full + D_full.T)
-    vbar_diag, vbar_full, lam = _residual(variant, d_diag, D_full, noise.variance)
+    chol_psi, K_xpsi, H, d_diag, D_full = _projection(kernel, X_j, A_psi,
+                                                      variant.full_residual)
+    D = d_diag if D_full is None else D_full
+    vbar, lam, dlam = _variant_terms(variant, D, noise.variance)
+    vbar_diag, vbar_full = (vbar, None) if D_full is None else (None, vbar)
 
     # prior transition factors on the predecessor set
     K_aa = kernel(A_self)
@@ -224,21 +232,15 @@ def _build_expert(j: int, graph: ExpertGraph, kernel: Kernel, noise: NoiseSpec,
                         A_self=A_self, A_pred=A_pred, A_psi=A_psi, X=X_j,
                         K_xpsi=K_xpsi, chol_psi=chol_psi, H=H, d_diag=d_diag,
                         D_full=D_full, vbar_diag=vbar_diag, vbar_full=vbar_full,
-                        lam=lam, K_aa=K_aa, K_api=K_api, K_pipi=K_pipi,
+                        lam=lam, dlam=dlam, K_aa=K_aa, K_api=K_api, K_pipi=K_pipi,
                         chol_pipi=chol_pipi, F=F, Q=Q_eff, chol_Q=chol_Q,
                         logdet_Q=logdet_Q)
 
 
 def build_local_factors(graph: ExpertGraph, kernel: Kernel, noise: NoiseSpec,
                         variant: VariantSpec = VariantSpec()) -> LocalFactors:
-    """Build every expert's factors; embarrassingly parallel over experts."""
-    threads = _n_threads()
-    if threads > 1 and graph.J > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            experts = list(pool.map(
-                lambda j: _build_expert(j, graph, kernel, noise, variant), range(graph.J)))
-    else:
-        experts = [_build_expert(j, graph, kernel, noise, variant) for j in range(graph.J)]
+    """Build every expert's factors, one expert at a time."""
+    experts = [_build_expert(j, graph, kernel, noise, variant) for j in range(graph.J)]
     return LocalFactors(graph=graph, kernel=kernel, noise=noise, variant=variant,
                         experts=experts)
 
@@ -411,42 +413,44 @@ def log_marginal_likelihood(posterior: CpoePosterior, y: np.ndarray | None = Non
     return posterior.log_marginal_likelihood_uncorrected
 
 
-def _variant_dvbar(variant: VariantSpec, ddiag: np.ndarray, dD_full: np.ndarray | None):
-    """Residual-covariance derivative under the variant (kernel parameters)."""
-    a = variant.alpha_pep
-    if variant.name == "fitc":
-        return ddiag, None
-    if variant.name in ("dtc", "vfe"):
-        return np.zeros_like(ddiag), None
-    if variant.name == "pep":
-        return a * ddiag, None
-    if variant.name == "pitc":
-        return None, dD_full
-    return None, a * dD_full  # pep_b
+def _projection_grads(kernel: Kernel, X: np.ndarray, A: np.ndarray, H: np.ndarray,
+                      chol_A: np.ndarray):
+    """Kernel-parameter derivatives of ``K(X, A)``, ``K(A, A)`` and of the
+    projection ``H = K(X, A) K(A, A)^-1``, stacked over parameters."""
+    dK_xa, dK_aa = kernel.grad_stack(X, A), kernel.grad_stack(A)
+    P, B, M = dK_xa.shape
+    rhs = (dK_xa - H @ dK_aa).reshape(P * B, M).T
+    dH = cho_solve((chol_A, True), rhs).T.reshape(P, B, M)
+    return dK_xa, dK_aa, dH
 
 
-def _dlam(variant: VariantSpec, e: ExpertFactor, noise_var: float,
-          ddiag: np.ndarray | None, dD_full: np.ndarray | None, is_noise: bool) -> float:
-    a = variant.alpha_pep
-    if variant.name in ("fitc", "dtc", "pitc"):
-        return 0.0
-    if variant.name == "vfe":
-        if is_noise:
-            return -float(np.sum(e.d_diag)) / (2.0 * noise_var)
-        return float(np.sum(ddiag)) / (2.0 * noise_var)
-    if variant.name == "pep":
-        w = 1.0 / (1.0 + a * e.d_diag / noise_var)
-        c = (1.0 - a) / (2.0 * a)
-        if is_noise:
-            return c * float(np.sum(w * (-a * e.d_diag / noise_var)))
-        return c * float(np.sum(w * a * ddiag / noise_var))
-    # pep_b
-    M = np.eye(e.D_full.shape[0]) + (a / noise_var) * e.D_full
-    Minv = np.linalg.inv(M)
-    c = (1.0 - a) / (2.0 * a)
-    if is_noise:
-        return c * float(np.sum(Minv * ((-a / noise_var) * e.D_full).T))
-    return c * float(np.sum(Minv * ((a / noise_var) * dD_full).T))
+def _contract_grad(kernel: Kernel, X: np.ndarray, A: np.ndarray, H: np.ndarray,
+                   chol_A: np.ndarray, U: np.ndarray, R: np.ndarray | None = None,
+                   G: np.ndarray | None = None) -> np.ndarray:
+    """``sum(dD o U) + sum(dN o R) + sum(dH o G)`` for every kernel parameter.
+
+    ``H = K(X, A) K(A, A)^-1`` projects X on A, ``N = H K(A, X)`` is the
+    Nystrom part of ``K(X, X)`` and ``D = K(X, X) - N`` the residual.  ``U`` is
+    a symmetric matrix or the diagonal of a diagonal one, ``R`` a symmetric
+    matrix, ``G`` has H's shape.  As ``dN = dK_xa H' + H dK_xa' - H dK_aa H'``,
+    ``sum(dN o W) = 2 sum(dK_xa o W H) - sum(dK_aa o H' W H)`` for symmetric W,
+    so no derivative of N or D is formed.  Its terms cancel only after the
+    contraction, so ``U`` and ``R`` must stay moderate in size.
+    """
+    if U.ndim == 1:
+        g = kernel_grad_diag_stack(kernel, X) @ U
+        WH = -U[:, None] * H
+    else:
+        g = np.tensordot(kernel.grad_stack(X), U, 2)
+        WH = -U @ H
+    if R is not None:
+        WH += R @ H
+    if G is None:
+        dK_xa, dK_aa = kernel.grad_stack(X, A), kernel.grad_stack(A)
+    else:
+        dK_xa, dK_aa, dH = _projection_grads(kernel, X, A, H, chol_A)
+        g += np.tensordot(dH, G, 2)
+    return g + 2.0 * np.tensordot(dK_xa, WH, 2) - np.tensordot(dK_aa, H.T @ WH, 2)
 
 
 def lml_gradient(posterior: CpoePosterior, y: np.ndarray | None = None) -> np.ndarray:
@@ -455,214 +459,64 @@ def lml_gradient(posterior: CpoePosterior, y: np.ndarray | None = None) -> np.nd
     Vector layout: kernel parameters in spec order, then the log noise
     variance.  The trace against the posterior covariance only touches blocks
     inside the precision pattern, which is exactly what the partial inverse
-    provides.  Diagonal-residual variants take a batched path that shares the
-    kernel evaluations across parameters; the rarely-optimized full-residual
-    variants keep the straightforward per-parameter loop.
+    provides.  One pass over the experts serves all six variants.  Per expert
+    the transition side forms dF and dQ; the projection side collects the
+    objective's derivative in the residual covariance into one coefficient T
+    (a vector for diagonal residuals, a matrix for full ones) and contracts it
+    with the kernel derivatives in ``_contract_grad``, which
+    :func:`stochastic_lml_term` shares.
     """
     if y is not None and not np.array_equal(np.asarray(y).ravel(), posterior.y):
         raise ValueError("posterior was assembled for a different target vector")
-    if not posterior.factors.variant.full_residual:
-        return _lml_gradient_batched(posterior)
-    return _lml_gradient_loop(posterior)
-
-
-def _lml_gradient_batched(posterior: CpoePosterior) -> np.ndarray:
-    """Gradient for diagonal-residual variants with stacked kernel derivatives."""
     factors = posterior.factors
-    kernel, noise, variant = factors.kernel, factors.noise, factors.variant
-    graph = factors.graph
-    L = graph.L
-    n_kernel = kernel.n_params
-    grad = np.zeros(n_kernel + 1)
-    sigma2 = noise.variance
-    a = variant.alpha_pep
+    kernel, sigma2 = factors.kernel, factors.noise.variance
+    scale = factors.variant.residual_scale
+    grad = np.zeros(kernel.n_params + 1)
 
     for j, e in enumerate(factors.experts):
         mu_psi = posterior.mu_at(e.psi)
         mu_pp = posterior.mu_at(e.pred_plus)
         W_T = posterior.sigma_at(e.psi) + np.outer(mu_psi, mu_psi)
         W_S = posterior.sigma_at(e.pred_plus) + np.outer(mu_pp, mu_pp)
+
+        # prior side, S = Ft' Q^-1 Ft: -1/2 sum(W_S o dS) - 1/2 dlog|Q|.  Q^-1 is
+        # huge where Q is nearly singular (jittered), so dQ is formed first;
+        # contracting its terms separately cancels huge numbers (a 30% error in
+        # d/d log lengthscale at acceptance criterion 6's starting point)
         QinvFt = cho_solve((e.chol_Q, True), e.Ft())
         Qinv = cho_solve((e.chol_Q, True), np.eye(e.Q.shape[0]))
+        G_S = QinvFt @ W_S
+        dQ = kernel.grad_stack(e.A_self)
+        if e.F is not None:
+            dKapi, dKpipi, dF = _projection_grads(kernel, e.A_self, e.A_pred, e.F,
+                                                  e.chol_pipi)
+            dKF = dKapi @ e.F.T
+            dQ = dQ - dKF - dKF.transpose(0, 2, 1) + e.F @ dKpipi @ e.F.T
+            grad[:-1] += np.tensordot(dF, G_S[:, :e.F.shape[1]], 2)
+        grad[:-1] += 0.5 * np.tensordot(dQ, G_S @ QinvFt.T - Qinv, 2)
+
+        # projection side: data fit, log|V|, -1/2 sum(W_T o dT) and db' mu; T is
+        # their derivative in V = scale * D + sigma2 I
         a_j = posterior.vinv_y[j]
         VinvH = posterior.vinv_H[j]
-        y_j = posterior.y[e.rows]
-        v = factors.v_diag(j)
-        B = y_j.size
-        LC = e.H.shape[1]
-
-        # stacked kernel derivatives for this expert
-        dKpsi = kernel_grad_stack(kernel, e.A_psi)                  # (P, LC, LC)
-        dKxpsi = kernel_grad_stack(kernel, e.X, e.A_psi)            # (P, B, LC)
-        ddiag = (kernel_grad_diag_stack(kernel, e.X)
-                 - 2.0 * np.einsum("pbl,bl->pb", dKxpsi, e.H)
-                 + np.einsum("bl,plm,bm->pb", e.H, dKpsi, e.H, optimize=True))
-        # dH = (dKxpsi - H dKpsi) Kpsi^{-1}, batched over parameters
-        rhs = dKxpsi - np.einsum("bl,plm->pbm", e.H, dKpsi)
-        flat = rhs.reshape(n_kernel * B, LC).T
-        dH = cho_solve((e.chol_psi, True), flat).T.reshape(n_kernel, B, LC)
-
-        if variant.name == "fitc":
-            dv = ddiag
-        elif variant.name == "pep":
-            dv = a * ddiag
-        else:  # dtc, vfe: deterministic projection
-            dv = None
-
-        dKaa = kernel_grad_stack(kernel, e.A_self)                  # (P, L, L)
-        if e.pred.size:
-            LI = e.F.shape[1]
-            dKapi = kernel_grad_stack(kernel, e.A_self, e.A_pred)   # (P, L, LI)
-            dKpipi = kernel_grad_stack(kernel, e.A_pred)            # (P, LI, LI)
-            rhs = dKapi - np.einsum("li,pim->plm", e.F, dKpipi)
-            flat = rhs.reshape(n_kernel * L, LI).T
-            dF = cho_solve((e.chol_pipi, True), flat).T.reshape(n_kernel, L, LI)
-            dQ = (dKaa - np.einsum("pli,mi->plm", dKapi, e.F)
-                  - np.einsum("li,pmi->plm", e.F, dKapi)
-                  + np.einsum("li,pim,nm->pln", e.F, dKpipi, e.F, optimize=True))
-        else:
-            dF, dQ = None, dKaa
-
-        # prior side: -1/2 sum(W_S o dS) - 1/2 sum(Qinv o dQ)
-        G_S = QinvFt @ W_S                                           # (L, LCp)
-        M_S = G_S @ QinvFt.T                                         # (L, L)
-        if dF is not None:
-            grad[:n_kernel] += np.einsum("pli,li->p", dF, G_S[:, :dF.shape[2]])
-        grad[:n_kernel] += 0.5 * np.einsum("plm,lm->p", dQ, M_S)
-        grad[:n_kernel] -= 0.5 * np.einsum("plm,lm->p", dQ, Qinv)
-
-        # projection side: -1/2 sum(W_T o dT) + db' mu
-        G_T = VinvH @ W_T                                            # (B, LC)
-        grad[:n_kernel] -= np.einsum("pbl,bl->p", dH, G_T)
-        grad[:n_kernel] += np.einsum("pbl,bl->p", dH, np.outer(a_j, mu_psi))
-        w_t = np.einsum("bl,bl->b", G_T, VinvH)                      # diag(VinvH W VinvH')
+        G_T = VinvH @ W_T
         u = VinvH @ mu_psi
-        # the four V-derivative terms: data fit, log|V|, trace of dT, db' mu
-        v_terms = 0.5 * a_j * a_j - 0.5 / v + 0.5 * w_t - u * a_j
-        if dv is not None:
-            grad[:n_kernel] += np.einsum("pb,b->p", dv, v_terms)
-        grad[n_kernel] += sigma2 * float(np.sum(v_terms))  # noise column: dv = sigma2
-
-        # variant corrections
-        if variant.name == "vfe":
-            grad[:n_kernel] -= np.sum(ddiag, axis=1) / (2.0 * sigma2)
-            grad[n_kernel] += float(np.sum(e.d_diag)) / (2.0 * sigma2)
-        elif variant.name == "pep":
-            c = (1.0 - a) / (2.0 * a)
-            w = 1.0 / (1.0 + a * e.d_diag / sigma2)
-            grad[:n_kernel] -= c * np.einsum("pb,b->p", ddiag, w * a / sigma2)
-            grad[n_kernel] += c * float(np.sum(w * a * e.d_diag / sigma2))
-    return grad
-
-
-def _lml_gradient_loop(posterior: CpoePosterior) -> np.ndarray:
-    factors = posterior.factors
-    kernel, noise, variant = factors.kernel, factors.noise, factors.variant
-    graph = factors.graph
-    L = graph.L
-    n_kernel = kernel.n_params
-    n_params = n_kernel + 1
-    grad = np.zeros(n_params)
-    sigma2 = noise.variance
-
-    # parameter-independent per-expert pieces
-    cache = []
-    for j, e in enumerate(factors.experts):
-        mu_psi = posterior.mu_at(e.psi)
-        mu_pp = posterior.mu_at(e.pred_plus)
-        W_T = posterior.sigma_at(e.psi) + np.outer(mu_psi, mu_psi)
-        W_S = posterior.sigma_at(e.pred_plus) + np.outer(mu_pp, mu_pp)
-        QinvFt = cho_solve((e.chol_Q, True), e.Ft())
-        Qinv = cho_solve((e.chol_Q, True), np.eye(e.Q.shape[0]))
-        cache.append((mu_psi, W_T, W_S, QinvFt, Qinv))
-
-    for i in range(n_params):
-        is_noise = i == n_kernel
-        g = 0.0
-        for j, e in enumerate(factors.experts):
-            mu_psi, W_T, W_S, QinvFt, Qinv = cache[j]
-            a_j = posterior.vinv_y[j]
-            VinvH = posterior.vinv_H[j]
-            y_j = posterior.y[e.rows]
-
-            if is_noise:
-                dH = None
-                dv_diag = np.full(y_j.size, sigma2) if e.vbar_full is None else None
-                dV_full = sigma2 * np.eye(y_j.size) if e.vbar_full is not None else None
-                dQ = None
-                dFt = None
-                ddiag = None
-                dD_full = None
-            else:
-                dKpsi = kernel_grad(kernel, e.A_psi, e.A_psi, i)
-                dKxpsi = kernel_grad(kernel, e.X, e.A_psi, i)
-                dH = cho_solve((e.chol_psi, True), (dKxpsi - e.H @ dKpsi).T).T
-                ddiag = (kernel_grad_diag(kernel, e.X, i)
-                         - 2.0 * np.einsum("ij,ij->i", dKxpsi, e.H)
-                         + np.einsum("ij,ij->i", e.H @ dKpsi, e.H))
-                dD_full = None
-                if variant.full_residual:
-                    dKxx = kernel_grad(kernel, e.X, e.X, i)
-                    dD_full = dKxx - dKxpsi @ e.H.T - e.H @ dKxpsi.T + e.H @ dKpsi @ e.H.T
-                dv_diag, dV_full = _variant_dvbar(variant, ddiag, dD_full)
-                dKaa = kernel_grad(kernel, e.A_self, e.A_self, i)
-                if e.pred.size:
-                    dKapi = kernel_grad(kernel, e.A_self, e.A_pred, i)
-                    dKpipi = kernel_grad(kernel, e.A_pred, e.A_pred, i)
-                    dF = cho_solve((e.chol_pipi, True), (dKapi - e.F @ dKpipi).T).T
-                    dQ = dKaa - dKapi @ e.F.T - e.F @ dKapi.T + e.F @ dKpipi @ e.F.T
-                    dFt = np.hstack([-dF, np.zeros((L, L))])
-                else:
-                    dQ = dKaa
-                    dFt = np.zeros((L, L))
-
-            # data-fit and log|V| terms
-            if e.vbar_full is None:
-                dv = dv_diag
-                if dv is not None and np.any(dv):
-                    v = factors.v_diag(j)
-                    g += 0.5 * float((a_j * a_j) @ dv)            # y' V^-1 y term
-                    g -= 0.5 * float(np.sum(dv / v))               # log|V| term
-                    dV_aj = dv * a_j
-                else:
-                    dV_aj = None
-            else:
-                dV = dV_full
-                if dV is not None and np.any(dV):
-                    V = factors.v_full(j)
-                    cv = np.linalg.cholesky(V)
-                    Vinv = cho_solve((cv, True), np.eye(V.shape[0]))
-                    g += 0.5 * float(a_j @ dV @ a_j)
-                    g -= 0.5 * float(np.sum(Vinv * dV.T))
-                    dV_aj = dV @ a_j
-                else:
-                    dV_aj = None
-
-            # prior-precision contribution: -1/2 sum(W_S o dS)
-            if not is_noise:
-                dS = dFt.T @ QinvFt + QinvFt.T @ dFt - QinvFt.T @ dQ @ QinvFt
-                g -= 0.5 * float(np.sum(W_S * dS))
-                g -= 0.5 * float(np.sum(Qinv * dQ.T))              # log|Q| term
-
-            # projection-precision contribution: -1/2 sum(W_T o dT) and db' mu
-            dT = np.zeros((L * e.psi.size,) * 2)
-            db = np.zeros(L * e.psi.size)
-            if dH is not None and np.any(dH):
-                dT += dH.T @ VinvH + VinvH.T @ dH
-                db += dH.T @ a_j
-            if dV_aj is not None:
-                if e.vbar_full is None:
-                    dT -= VinvH.T @ (dv[:, None] * VinvH)
-                else:
-                    dT -= VinvH.T @ dV @ VinvH
-                db -= VinvH.T @ dV_aj
-            if np.any(dT):
-                g -= 0.5 * float(np.sum(W_T * dT))
-            if np.any(db):
-                g += float(db @ mu_psi)
-
-            g -= _dlam(variant, e, sigma2, ddiag, dD_full, is_noise)
-        grad[i] = g
+        if e.D_full is None:
+            D = e.d_diag
+            T = (0.5 * a_j * a_j - 0.5 / factors.v_diag(j)
+                 + 0.5 * np.einsum("bl,bl->b", G_T, VinvH) - u * a_j)
+            trace_T = float(np.sum(T))
+        else:
+            D = e.D_full
+            cv = np.linalg.cholesky(factors.v_full(j))
+            Vinv = cho_solve((cv, True), np.eye(a_j.size))
+            T = 0.5 * (np.outer(a_j, a_j) - Vinv + G_T @ VinvH.T
+                       - np.outer(u, a_j) - np.outer(a_j, u))
+            trace_T = float(np.trace(T))
+        grad[:-1] += _contract_grad(kernel, e.X, e.A_psi, e.H, e.chol_psi,
+                                    scale * T - e.dlam, G=np.outer(a_j, mu_psi) - G_T)
+        # noise slot: dV = sigma2 I, and d lam / d log sigma2 = -sum(dlam o D)
+        grad[-1] += sigma2 * trace_T + float(np.sum(e.dlam * D))
     return grad
 
 
@@ -685,22 +539,11 @@ def stochastic_lml_term(graph: ExpertGraph, kernel: Kernel, noise: NoiseSpec, j:
     A = graph.inducing_inputs[j]
     sigma2 = noise.variance
 
-    K_aa = kernel(A)
-    chol_aa, _ = jittered_cholesky(K_aa)
-    K_xa = kernel(X_j, A)
-    H = cho_solve((chol_aa, True), K_xa.T).T
-    d_diag = kernel.diag(X_j) - np.einsum("ij,ij->i", K_xa, H)
-    D_full = None
-    if variant.full_residual:
-        D_full = kernel(X_j) - K_xa @ H.T
-        D_full = 0.5 * (D_full + D_full.T)
-    vbar_diag, vbar_full, lam = _residual(variant, d_diag, D_full, sigma2)
+    chol_aa, K_xa, H, d_diag, D_full = _projection(kernel, X_j, A, variant.full_residual)
+    D = d_diag if D_full is None else D_full
+    vbar, lam, dlam = _variant_terms(variant, D, sigma2)
 
-    P = K_xa @ H.T
-    if vbar_full is None:
-        P = P + np.diag(vbar_diag)
-    else:
-        P = P + vbar_full
+    P = K_xa @ H.T + (np.diag(vbar) if D_full is None else vbar)
     P = 0.5 * (P + P.T) + sigma2 * np.eye(y_j.size)
     cp = np.linalg.cholesky(P)
     alpha = cho_solve((cp, True), y_j)
@@ -711,36 +554,13 @@ def stochastic_lml_term(graph: ExpertGraph, kernel: Kernel, noise: NoiseSpec, j:
     if not with_grad:
         return value, None
 
-    n_kernel = kernel.n_params
-    grad = np.zeros(n_kernel + 1)
-    Pinv = cho_solve((cp, True), np.eye(y_j.size))
-    G = np.outer(alpha, alpha) - Pinv  # d l / d P = G / 2
-    fake = ExpertFactor(index=j, rows=rows, psi=None, pred=None, pred_plus=None,
-                        A_self=A, A_pred=None, A_psi=None, X=X_j, K_xpsi=K_xa,
-                        chol_psi=chol_aa, H=H, d_diag=d_diag, D_full=D_full,
-                        vbar_diag=vbar_diag, vbar_full=vbar_full, lam=lam,
-                        K_aa=K_aa, K_api=None, K_pipi=None, chol_pipi=None, F=None,
-                        Q=K_aa, chol_Q=chol_aa, logdet_Q=0.0)
-    for i in range(n_kernel + 1):
-        is_noise = i == n_kernel
-        if is_noise:
-            dP = sigma2 * np.eye(y_j.size)
-            ddiag = dD_full = None
-        else:
-            dKaa = kernel_grad(kernel, A, A, i)
-            dKxa = kernel_grad(kernel, X_j, A, i)
-            dQff = dKxa @ H.T + H @ dKxa.T - H @ dKaa @ H.T
-            ddiag = (kernel_grad_diag(kernel, X_j, i)
-                     - 2.0 * np.einsum("ij,ij->i", dKxa, H)
-                     + np.einsum("ij,ij->i", H @ dKaa, H))
-            dD_full = None
-            if variant.full_residual:
-                dKxx = kernel_grad(kernel, X_j, X_j, i)
-                dD_full = dKxx - dQff
-            dvbar_diag, dvbar_full = _variant_dvbar(variant, ddiag, dD_full)
-            dP = dQff + (np.diag(dvbar_diag) if dvbar_full is None else dvbar_full)
-        grad[i] = 0.5 * float(np.sum(G * dP.T))
-        grad[i] -= _dlam(variant, fake, sigma2, ddiag, dD_full, is_noise)
+    # d value / d P = T, with P = N + scale * D + sigma2 I
+    T = 0.5 * (np.outer(alpha, alpha) - cho_solve((cp, True), np.eye(y_j.size)))
+    T_D = np.diag(T) if D_full is None else T
+    grad = np.empty(kernel.n_params + 1)
+    grad[:-1] = _contract_grad(kernel, X_j, A, H, chol_aa, variant.residual_scale * T_D - dlam,
+                               R=T)
+    grad[-1] = sigma2 * float(np.trace(T)) + float(np.sum(dlam * D))
     return value, grad
 
 

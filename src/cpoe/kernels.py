@@ -25,8 +25,6 @@ __all__ = [
     "SpectralMixture",
     "SumKernel",
     "NoiseSpec",
-    "eval_kernel",
-    "eval_kernel_diag",
     "kernel_grad",
     "jittered_cholesky",
     "JitterError",
@@ -537,16 +535,6 @@ class NoiseSpec:
         return NoiseSpec(float(log_variance))
 
 
-def eval_kernel(spec: Kernel, X1, X2=None) -> np.ndarray:
-    """Kernel matrix with entries k(X1_i, X2_j)."""
-    return spec(X1, X2)
-
-
-def eval_kernel_diag(spec: Kernel, X) -> np.ndarray:
-    """Diagonal of ``eval_kernel(spec, X, X)`` without forming the matrix."""
-    return spec.diag(X)
-
-
 def kernel_grad(spec: Kernel, X1, X2, param_index: int) -> np.ndarray:
     """Derivative of the kernel matrix w.r.t. one unconstrained parameter.
 
@@ -586,11 +574,6 @@ def kernel_grad_diag(spec: Kernel, X, param_index: int) -> np.ndarray:
             return np.full(n, spec.weights[q])
         return np.zeros(n)  # at tau = 0 the mean/variance factors are flat
     return np.diag(spec.grad(X, X, param_index)).copy()
-
-
-def kernel_grad_stack(spec: Kernel, X1, X2=None) -> np.ndarray:
-    """All kernel-parameter gradients stacked, shape (n_params, n1, n2)."""
-    return spec.grad_stack(X1, X2)
 
 
 def kernel_grad_diag_stack(spec: Kernel, X) -> np.ndarray:

@@ -185,9 +185,10 @@ def fit_stochastic(term_fn, n_terms: int, theta0: np.ndarray, config: OptimizerC
                    prior: PriorSpec | None = None, constant: float = 0.0) -> FitResult:
     """Adam over shuffled per-expert terms, one term per step.
 
-    ``term_fn(j, theta) -> (value, gradient)`` evaluates one term of the
-    factorized objective.  The recorded epoch objective is the full factorized
-    sum plus ``constant`` (the caller passes the Gaussian normalizer).  A MAP
+    ``term_fn(j, theta, with_grad) -> (value, gradient or None)`` evaluates
+    one term of the factorized objective.  The recorded epoch objective is the
+    full factorized sum plus ``constant`` (the caller passes the Gaussian
+    normalizer); it asks the terms for values only.  A MAP
     prior contributes ``1/n_terms`` of its gradient to every step.  Training
     stops at the epoch budget, on a relative objective change below the
     tolerance, or after five consecutively worsening epochs (reverting to the
@@ -202,7 +203,7 @@ def fit_stochastic(term_fn, n_terms: int, theta0: np.ndarray, config: OptimizerC
     def full_objective(th):
         total = constant
         for j in range(n_terms):
-            total += term_fn(j, th)[0]
+            total += term_fn(j, th, False)[0]
         if use_prior:
             total += log_prior(th, prior)[0]
         return float(total)
@@ -218,7 +219,7 @@ def fit_stochastic(term_fn, n_terms: int, theta0: np.ndarray, config: OptimizerC
 
     for epoch in range(1, config.max_epochs + 1):
         for j in rng.permutation(n_terms):
-            _, grad = term_fn(int(j), adam.theta)
+            _, grad = term_fn(int(j), adam.theta, True)
             if use_prior:
                 grad = grad + log_prior(adam.theta, prior)[1] / n_terms
             adam.step(grad)

@@ -279,9 +279,10 @@ def test_criterion_6_stochastic_deterministic_agreement():
         model.set_params(det.theta)
         lml_det = model.log_marginal_likelihood()
 
-        def term(j, theta):
+        def term(j, theta, with_grad):
             k2, n2 = split_params(kern0, theta)
-            return stochastic_lml_term(graph, k2, n2, j, y[graph.row_indices[j]])
+            return stochastic_lml_term(graph, k2, n2, j, y[graph.row_indices[j]],
+                                       with_grad=with_grad)
 
         sto = fit_stochastic(term, 16, theta0,
                              OptimizerConfig(mode="stochastic", learning_rate=0.02,

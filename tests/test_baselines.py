@@ -12,11 +12,9 @@ from cpoe import (
     SparseGp,
     SquaredExponential,
     fit_local_experts,
-    full_gp_fit_predict,
     full_params,
     poe_lml,
     poe_predict,
-    sgp_fit_predict,
     split_params,
 )
 
@@ -52,7 +50,9 @@ class TestFullGp:
         noise = NoiseSpec.create(0.1)
         y, _ = gp_sample(kern, X, 0.1, r2)
         Xs = r2.uniform(0, 1, (15, 2))
-        mean, var, lml = full_gp_fit_predict(X, y, kern, noise, Xs)
+        full = FullGp(kern, noise).fit(X, y)
+        mean, var = full.predict(Xs)
+        lml = full.lml()
         model = CpoeModel(kern, noise, J=1, C=1, gamma=1.0, seed=0).fit(X, y)
         cm, cv = model.predict(Xs)
         np.testing.assert_allclose(cm, mean, atol=1e-8)
@@ -85,8 +85,10 @@ class TestSparseGp:
         noise = NoiseSpec.create(0.1)
         y = rng.normal(size=30)
         Xs = rng.uniform(0, 1, (12, 2))
-        sm, sv, slml = sgp_fit_predict(X, y, X, kern, noise, Xs)
-        fm, fv, flml = full_gp_fit_predict(X, y, kern, noise, Xs)
+        sparse = SparseGp(kern, noise, X).fit(X, y)
+        full = FullGp(kern, noise).fit(X, y)
+        (sm, sv), slml = sparse.predict(Xs), sparse.lml()
+        (fm, fv), flml = full.predict(Xs), full.lml()
         np.testing.assert_allclose(sm, fm, atol=1e-8)
         np.testing.assert_allclose(sv, fv, atol=1e-8)
         assert slml == pytest.approx(flml, abs=1e-8)

@@ -263,10 +263,12 @@ def fd_gradient(model, kern, noise, X, y, graph, variant, h=1e-5):
     return out
 
 
+ALL_VARIANTS = pytest.mark.parametrize("variant,alpha", [
+    ("fitc", 1.0), ("dtc", 1.0), ("pitc", 1.0), ("vfe", 1.0), ("pep", 0.5), ("pep_b", 0.5)])
+
+
 class TestGradient:
-    @pytest.mark.parametrize("variant,alpha", [("fitc", 1.0), ("dtc", 1.0),
-                                               ("pitc", 1.0), ("vfe", 1.0),
-                                               ("pep", 0.5), ("pep_b", 0.5)])
+    @ALL_VARIANTS
     def test_matches_finite_differences(self, variant, alpha, rng):
         r2 = np.random.default_rng(17)
         X = spread_points(40, 2, r2)
@@ -280,13 +282,15 @@ class TestGradient:
         rel = np.abs(ga - gfd) / np.maximum(np.abs(gfd), 1e-6)
         assert rel.max() < 1e-4
 
-    def test_full_degree_matches_exact_gp_gradient(self, rng):
+    @ALL_VARIANTS
+    def test_full_degree_matches_exact_gp_gradient(self, variant, alpha, rng):
         r2 = np.random.default_rng(21)
         X = spread_points(36, 2, r2)
         kern = SquaredExponential.create(1.0, [0.08, 0.08])
         noise = NoiseSpec.create(0.15)
         y, _ = gp_sample(kern, X, 0.15, r2)
-        m = CpoeModel(kern, noise, J=4, C=4, gamma=1.0, seed=0).fit(X, y)
+        m = CpoeModel(kern, noise, J=4, C=4, gamma=1.0, variant=VariantSpec(variant, alpha),
+                      seed=0).fit(X, y)
         full = FullGp(kern, noise).fit(X, y)
         np.testing.assert_allclose(m.lml_gradient(), full.lml_gradient(), atol=1e-6)
 
@@ -356,7 +360,8 @@ class TestStochasticTerm:
                             + np.linalg.slogdet(P)[1] + rows.size * np.log(2 * np.pi)))
         assert objective == pytest.approx(ref, abs=1e-8)
 
-    def test_gradient_matches_fd(self, rng):
+    @ALL_VARIANTS
+    def test_gradient_matches_fd(self, variant, alpha, rng):
         r2 = np.random.default_rng(6)
         X = spread_points(24, 2, r2)
         kern = SquaredExponential.create(1.1, [0.1, 0.12])
@@ -364,18 +369,18 @@ class TestStochasticTerm:
         y = r2.normal(size=24)
         g = ExpertGraph.build(X, 2, C=1, gamma=0.5, seed=0)
         theta0 = full_params(kern, noise)
-        for variant in (VariantSpec("fitc"), VariantSpec("vfe"), VariantSpec("pep", 0.5)):
-            _, ga = stochastic_lml_term(g, kern, noise, 1, y[g.row_indices[1]], variant)
-            h, I = 1e-5, np.eye(theta0.size)
+        variant = VariantSpec(variant, alpha)
+        _, ga = stochastic_lml_term(g, kern, noise, 1, y[g.row_indices[1]], variant)
+        h, I = 1e-5, np.eye(theta0.size)
 
-            def val(t):
-                k2, n2 = split_params(kern, t)
-                return stochastic_lml_term(g, k2, n2, 1, y[g.row_indices[1]], variant,
-                                           with_grad=False)[0]
+        def val(t):
+            k2, n2 = split_params(kern, t)
+            return stochastic_lml_term(g, k2, n2, 1, y[g.row_indices[1]], variant,
+                                       with_grad=False)[0]
 
-            gfd = np.array([(val(theta0 + h * I[i]) - val(theta0 - h * I[i])) / (2 * h)
-                            for i in range(theta0.size)])
-            assert np.abs(ga - gfd).max() / np.maximum(np.abs(gfd).max(), 1e-8) < 1e-5
+        gfd = np.array([(val(theta0 + h * I[i]) - val(theta0 - h * I[i])) / (2 * h)
+                        for i in range(theta0.size)])
+        assert np.abs(ga - gfd).max() / np.maximum(np.abs(gfd).max(), 1e-8) < 1e-5
 
 
 class TestPriorKl:

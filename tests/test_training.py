@@ -127,7 +127,7 @@ class TestStochastic:
     def test_single_term_reduces_to_full_batch(self):
         target = 1.5
 
-        def term(j, theta):
+        def term(j, theta, with_grad):
             d = theta[0] - target
             return -d * d, np.array([-2 * d])
 
@@ -144,20 +144,34 @@ class TestStochastic:
         model = CpoeModel(kern, noise, J=4, C=2, gamma=1.0, seed=0).fit(X, y)
         graph = model.graph
 
-        def term(j, theta):
+        def term(j, theta, with_grad):
             k2, n2 = split_params(kern, theta)
-            return stochastic_lml_term(graph, k2, n2, j, y[graph.row_indices[j]])
+            return stochastic_lml_term(graph, k2, n2, j, y[graph.row_indices[j]],
+                                       with_grad=with_grad)
 
         const = -0.5 * 40 * np.log(2 * np.pi)
         res = fit_stochastic(term, 4, full_params(kern, noise),
                              OptimizerConfig(mode="stochastic", max_epochs=3,
                                              tolerance=1e-12), constant=const)
         for _, obj, _, theta in res.trace:
-            direct = const + sum(term(j, theta)[0] for j in range(4))
+            direct = const + sum(term(j, theta, False)[0] for j in range(4))
             assert obj == pytest.approx(direct, abs=1e-9)
 
+    def test_epoch_objective_asks_for_values_only(self):
+        asked = []
+
+        def term(j, theta, with_grad):
+            asked.append(with_grad)
+            d = theta[0] - j
+            return -d * d, np.array([-2 * d]) if with_grad else None
+
+        fit_stochastic(term, 3, np.zeros(1),
+                       OptimizerConfig(mode="stochastic", max_epochs=2, tolerance=1e-15))
+        # the start objective, then per epoch three steps and the epoch objective
+        assert asked == [False] * 3 + ([True] * 3 + [False] * 3) * 2
+
     def test_seeded_runs_bit_reproducible(self):
-        def term(j, theta):
+        def term(j, theta, with_grad):
             d = theta[0] - j
             return -d * d, np.array([-2 * d])
 
@@ -170,7 +184,7 @@ class TestStochastic:
     def test_divergence_reverts_to_best(self):
         calls = {"n": 0}
 
-        def term(j, theta):
+        def term(j, theta, with_grad):
             calls["n"] += 1
             return -float(theta[0] ** 2), np.array([100.0])  # gradient pushes away
 
@@ -183,7 +197,7 @@ class TestStochastic:
     def test_prior_contributes_per_term(self):
         prior = PriorSpec({0: (0.0, 0.05)})
 
-        def term(j, theta):
+        def term(j, theta, with_grad):
             return float(theta[0]), np.array([1.0])  # always push up
 
         res = fit_stochastic(term, 4, np.zeros(1),
