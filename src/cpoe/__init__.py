@@ -89,13 +89,49 @@ __version__ = "0.1.0"
 _thread_limiter = None
 
 
+def _openblas_set_num_threads(n: int) -> int | None:
+    """Set the thread count of every OpenBLAS loaded in this process.
+
+    Each library is found in the process's memory map and called through its
+    own ``*_set_num_threads`` entry point.  Returns the largest count the
+    libraries report afterwards, or ``None`` if no library answers.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:  # no memory map to read on this platform
+        return None
+    counts = []
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")):
+            setter = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            getter = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter(n)
+                counts.append(int(getter()))
+                break
+    return max(counts) if counts else None
+
+
 def set_num_threads(n: int | None = None):
-    """Cap the BLAS thread pools at ``n``.
+    """Cap the BLAS thread pools at ``n`` (default: ``CPOE_THREADS``, else 1).
 
     The block-sparse pipeline spends its time in many small dense
     factorizations; oversubscribed multithreaded BLAS is an order of magnitude
     slower there, so the bench harness and tests pin this to ``CPOE_THREADS``
-    (default 1).  Returns the applied limit.
+    (default 1).  Uses ``threadpoolctl`` when it is installed and returns
+    ``n``; otherwise sets the limit on each loaded OpenBLAS directly and
+    returns the thread count those libraries report afterwards, or ``None``
+    if none was found.
     """
     import os
 
@@ -108,8 +144,7 @@ def set_num_threads(n: int | None = None):
     os.environ["CPOE_THREADS"] = str(n)
     try:
         from threadpoolctl import threadpool_limits
-
-        _thread_limiter = threadpool_limits(limits=n)
-    except ImportError:  # fall back to hoping the env vars were set early
-        pass
+    except ImportError:
+        return _openblas_set_num_threads(n)
+    _thread_limiter = threadpool_limits(limits=n)
     return n

@@ -202,40 +202,51 @@ class SquaredExponential(Kernel):
         return dataclasses.replace(self, log_variance=float(params[0]),
                                    log_lengthscales=params[1:].copy())
 
-    def _scaled_sq_dists(self, X1, X2):
-        # per-dimension squared distances, scaled by 1/l_d^2; kept separate for grads
+    def _sq_dist(self, X1, X2, terms=None):
+        """sum_d (x_d - x'_d)^2 / l_d^2, accumulated one input dimension at a time.
+
+        Builds no (n1, n2, D) difference tensor.  Dimension d's term is also
+        copied into ``terms[d]`` when given.  For D <= 7 the sum is bitwise
+        numpy's sum over the last axis of that tensor, which adds fewer than 8
+        elements in order; from D = 8 on they differ at rounding level.
+        """
         Z1 = _select_dims(X1, self.active_dims) / self.lengthscales
         Z2 = _select_dims(X2, self.active_dims) / self.lengthscales
-        return (Z1[:, None, :] - Z2[None, :, :]) ** 2
+        total = None
+        for d in range(Z1.shape[1]):
+            sq = np.subtract.outer(Z1[:, d], Z2[:, d])
+            np.square(sq, out=sq)
+            if terms is not None:
+                terms[d] = sq
+            if total is None:
+                total = sq
+            else:
+                total += sq
+        return total
 
     def __call__(self, X1, X2=None):
         X1, X2 = _check_pair(X1, X2)
-        sq = self._scaled_sq_dists(X1, X2)
-        return self.variance * np.exp(-0.5 * sq.sum(axis=-1))
+        return self.variance * np.exp(-0.5 * self._sq_dist(X1, X2))
 
     def diag(self, X):
         X = _as2d(X)
         return np.full(X.shape[0], self.variance)
 
+    def _stack(self, X1, X2):
+        out = np.empty((self.n_params, X1.shape[0], X2.shape[0]))
+        out[0] = self.variance * np.exp(-0.5 * self._sq_dist(X1, X2, terms=out[1:]))
+        out[1:] *= out[0]  # d K / d log l_d = K * (x_d - x'_d)^2 / l_d^2
+        return out
+
     def grad(self, X1, X2, index):
         X1, X2 = _check_pair(X1, X2)
         if not 0 <= index < self.n_params:
             raise IndexError(f"parameter index {index} out of range")
-        sq = self._scaled_sq_dists(X1, X2)
-        K = self.variance * np.exp(-0.5 * sq.sum(axis=-1))
-        if index == 0:
-            return K  # K is proportional to exp(log_variance)
-        return K * sq[:, :, index - 1]
+        return self._stack(X1, X2)[index]
 
     def grad_stack(self, X1, X2=None):
         X1, X2 = _check_pair(X1, X2)
-        sq = self._scaled_sq_dists(X1, X2)
-        K = self.variance * np.exp(-0.5 * sq.sum(axis=-1))
-        out = np.empty((self.n_params, X1.shape[0], X2.shape[0]))
-        out[0] = K
-        for d in range(self.log_lengthscales.size):
-            out[1 + d] = K * sq[:, :, d]
-        return out
+        return self._stack(X1, X2)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrsm
 
 __all__ = [
     "PredictiveGaussian",
@@ -30,6 +31,10 @@ __all__ = [
 ]
 
 WEIGHT_CLAMP = 1e-12  # floor for non-positive entropy differences before sharpening
+# Kernel-block entries per query chunk: queries are evaluated in chunks of
+# CHUNK_ENTRIES // (J * L) rows, so one chunk's K(X, A_all) stays near 4 MB
+# whatever the batch size.
+CHUNK_ENTRIES = 2 ** 19
 
 
 @dataclass(frozen=True)
@@ -91,17 +96,34 @@ def aggregate(local_predictions) -> PredictiveGaussian:
     return PredictiveGaussian(mean=float(m), variance=float(v))
 
 
-def _local_batch(model, j: int, Xs: np.ndarray):
-    """Mean/variance of expert j's prediction at every query row."""
+def _whitened_region(model, j: int):
+    """Expert j's posterior over its correlation region, whitened by its factor.
+
+    With ``K(A_psi, A_psi) = L L'``: returns ``L``, ``a = L^-1 mu_psi`` and
+    ``S = L^-1 Sigma_psi L^-T`` (symmetrized).  Formed once per expert and call.
+    """
     e = model.factors.experts[j]
     post = model.posterior
-    K_xpsi = model.kernel(Xs, e.A_psi)
-    Hs = cho_solve((e.chol_psi, True), K_xpsi.T).T
-    v_cond = model.kernel.diag(Xs) - np.einsum("ij,ij->i", K_xpsi, Hs)
-    mu_psi = post.mu_at(e.psi)
-    Sig_psi = post.sigma_at(e.psi)
-    m = Hs @ mu_psi
-    v = np.einsum("ij,ij->i", Hs @ Sig_psi, Hs) + v_cond
+    chol = e.chol_psi
+    a = solve_triangular(chol, post.mu_at(e.psi), lower=True)
+    S = solve_triangular(chol, solve_triangular(chol, post.sigma_at(e.psi), lower=True).T,
+                         lower=True)
+    return chol, a, 0.5 * (S + S.T)
+
+
+def _local_moments(K_xpsi: np.ndarray, kxx: np.ndarray, chol: np.ndarray,
+                   a: np.ndarray, S: np.ndarray):
+    """Mean/variance of one expert's prediction at each row of ``K_xpsi``.
+
+    ``W = K_xpsi L^-T`` comes from one triangular solve, made in place on
+    ``K_xpsi`` (``chol.T`` and ``K_xpsi.T`` are Fortran-ordered views, so BLAS
+    copies neither); then ``m = W a`` and ``v = k(x, x) - |W|^2 + W S W'``.
+    ``K^-1 - K^-1 Sigma K^-1`` is never formed: it loses the variance to
+    cancellation where the kernel matrix is ill-conditioned.
+    """
+    W = dtrsm(1.0, chol.T, K_xpsi.T, lower=0, trans_a=1, overwrite_b=1).T
+    m = W @ a
+    v = kxx - np.einsum("ij,ij->i", W, W) + np.einsum("ij,ij->i", W @ S, W)
     return m, v
 
 
@@ -111,7 +133,8 @@ def local_predict(model, j: int, x_star) -> tuple[float, float]:
     _check_query(model, Xs)
     if not model.graph.C - 1 <= j < model.graph.J:
         raise ValueError(f"expert {j} is not a predictive expert")
-    m, v = _local_batch(model, j, Xs)
+    K_xpsi = model.kernel(Xs, model.factors.experts[j].A_psi)
+    m, v = _local_moments(K_xpsi, model.kernel.diag(Xs), *_whitened_region(model, j))
     return float(m[0]), float(v[0])
 
 
@@ -129,12 +152,23 @@ def predict_arrays(model, Xs, add_noise: bool = False,
         Xs = Xs[:, None]
     _check_query(model, Xs)
     graph = model.graph
+    L = graph.L
     experts = list(range(graph.C - 1, graph.J))
+    regions = [_whitened_region(model, j) for j in experts]
+    # expert j's columns of K(X, A_all): the blocks of its correlation set
+    columns = [np.concatenate([np.arange(p * L, (p + 1) * L) for p in graph.correlation[j]])
+               for j in experts]
+    A_all = np.vstack(graph.inducing_inputs)
+    v0 = model.kernel.diag(Xs)
     means = np.empty((len(experts), Xs.shape[0]))
     variances = np.empty_like(means)
-    for row, j in enumerate(experts):
-        means[row], variances[row] = _local_batch(model, j, Xs)
-    v0 = model.kernel.diag(Xs)
+    step = max(1, CHUNK_ENTRIES // A_all.shape[0])
+    for start in range(0, Xs.shape[0], step):
+        rows = slice(start, start + step)
+        K = model.kernel(Xs[rows], A_all)
+        for row, (cols, region) in enumerate(zip(columns, regions)):
+            means[row, rows], variances[row, rows] = _local_moments(K[:, cols], v0[rows],
+                                                                    *region)
     variances = np.maximum(variances, 1e-12 * v0)  # numerical floor, keeps v > 0
     weights = aggregation_weights(v0[None, :], variances, N=graph.N, C=graph.C,
                                   exponent=weight_exponent)

@@ -53,6 +53,30 @@ class TestSquaredExponential:
         with pytest.raises(ValueError):
             k(np.zeros((3, 2)), np.zeros((3, 3)))
 
+    @staticmethod
+    def _difference_tensor(k, X1, X2):
+        # the written-out formula: an (n1, n2, D) tensor reduced over its last axis
+        sq = ((X1 / k.lengthscales)[:, None, :] - (X2 / k.lengthscales)[None, :, :]) ** 2
+        K = k.variance * np.exp(-0.5 * sq.sum(axis=-1))
+        return K, np.concatenate([K[None], K[None] * np.moveaxis(sq, -1, 0)])
+
+    @pytest.mark.parametrize("D", range(1, 8))
+    def test_bitwise_difference_tensor_below_eight_dims(self, D):
+        r = np.random.default_rng(D)
+        k = SquaredExponential.create(1.3, r.uniform(0.2, 2.0, D))
+        X1, X2 = r.normal(size=(7, D)), r.normal(size=(5, D))
+        K, stack = self._difference_tensor(k, X1, X2)
+        np.testing.assert_array_equal(k(X1, X2), K)
+        np.testing.assert_array_equal(k.grad_stack(X1, X2), stack)
+
+    def test_nine_dims_match_difference_tensor(self):
+        r = np.random.default_rng(9)
+        k = SquaredExponential.create(1.3, r.uniform(0.2, 2.0, 9))
+        X1, X2 = r.normal(size=(7, 9)), r.normal(size=(5, 9))
+        K, stack = self._difference_tensor(k, X1, X2)
+        np.testing.assert_allclose(k(X1, X2), K)
+        np.testing.assert_allclose(k.grad_stack(X1, X2), stack)
+
 
 class TestSpectralMixture:
     def test_matches_spectral_density_quadrature(self):

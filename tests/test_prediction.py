@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.linalg import cho_solve
+
 from conftest import dense_posterior, gp_sample, spread_points
+from cpoe import prediction
 from cpoe import (
     CpoeModel,
     FullGp,
@@ -184,6 +187,33 @@ class TestPredict:
         gm, gv = poe_predict(experts, model.kernel, Xs, mode="gpoe_z1")
         np.testing.assert_allclose(m, gm, atol=1e-8)
         np.testing.assert_allclose(v, gv, atol=1e-8)
+
+    def test_chunks_match_single_chunk(self, rng, monkeypatch):
+        model, _, _ = small_model(rng, N=64, J=8, C=3)
+        Xs = np.random.default_rng(5).uniform(0, 1, (300, 2))
+        whole = predict_arrays(model, Xs, return_locals=True)
+        assert prediction.CHUNK_ENTRIES // model.graph.M >= 300  # one chunk by default
+        monkeypatch.setattr(prediction, "CHUNK_ENTRIES", 100 * model.graph.M)
+        chunked = predict_arrays(model, Xs, return_locals=True)
+        for a, b in [(whole[0], chunked[0]), (whole[1], chunked[1])] + list(
+                zip(whole[2], chunked[2])):
+            np.testing.assert_allclose(b, a, rtol=1e-12, atol=0)
+
+    def test_locals_match_cho_solve_formula(self, rng):
+        # the unwhitened form: H = K_xpsi K_psi^-1, m = H mu, v = k - K_xpsi H' + H Sigma H'
+        model, _, _ = small_model(rng, N=64, J=8, C=3)
+        Xs = np.random.default_rng(6).uniform(0, 1, (40, 2))
+        experts, means, variances, _ = predict_arrays(model, Xs, return_locals=True)[2]
+        post = model.posterior
+        for row, j in enumerate(experts):
+            e = model.factors.experts[j]
+            K_xpsi = model.kernel(Xs, e.A_psi)
+            H = cho_solve((e.chol_psi, True), K_xpsi.T).T
+            m = H @ post.mu_at(e.psi)
+            v = (np.einsum("ij,ij->i", H @ post.sigma_at(e.psi), H)
+                 + model.kernel.diag(Xs) - np.einsum("ij,ij->i", K_xpsi, H))
+            np.testing.assert_allclose(means[row], m, rtol=1e-9, atol=1e-9 * np.abs(m).max())
+            np.testing.assert_allclose(variances[row], v, rtol=1e-9)
 
     def test_noise_flag_adds_variance(self, rng):
         model, _, _ = small_model(rng)
