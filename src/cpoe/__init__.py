@@ -52,8 +52,6 @@ from .kernels import (
     SquaredExponential,
     SumKernel,
     full_params,
-    kernel_grad,
-    kernel_grad_diag,
     split_params,
 )
 from .metrics import (

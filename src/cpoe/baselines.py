@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from .expert_graph import ExpertGraph
-from .kernels import Kernel, NoiseSpec, jittered_cholesky, kernel_grad, kernel_grad_diag
+from .kernels import Kernel, NoiseSpec, jittered_cholesky
 from .prediction import aggregation_weights
 
 __all__ = [
@@ -71,8 +71,7 @@ class FullGp:
         Kinv = cho_solve((self._chol, True), np.eye(n))
         A = np.outer(self._alpha, self._alpha) - Kinv
         grad = np.empty(self.kernel.n_params + 1)
-        for i in range(self.kernel.n_params):
-            dK = kernel_grad(self.kernel, self.X, self.X, i)
+        for i, dK in enumerate(self.kernel.grad_stack(self.X)):
             grad[i] = 0.5 * float(np.sum(A * dK))
         grad[-1] = 0.5 * self.noise.variance * float(np.trace(A))
         return grad
@@ -144,6 +143,8 @@ class SparseGp:
                 self._Lu.T, np.eye(M) - cho_solve((self._LB, True), np.eye(M)),
                 lower=False).T, lower=False)                          # H Ktilde^{-1} H^T
         diag_Kinv = 1.0 / self._d - np.einsum("ij,ij->j", self._Wd, Binv_Wd)
+        dKuu_all, dKuf_all = self.kernel.grad_stack(A), self.kernel.grad_stack(A, X)
+        ddiag_all = self.kernel.grad_diag_stack(X)
 
         grad = np.empty(self.kernel.n_params + 1)
         for i in range(self.kernel.n_params + 1):
@@ -152,11 +153,10 @@ class SparseGp:
                 quad = float(alpha @ (dd * alpha))
                 tr = float(diag_Kinv @ dd)
             else:
-                dKuu = kernel_grad(self.kernel, A, A, i)
-                dKuf = kernel_grad(self.kernel, A, X, i)
+                dKuu, dKuf = dKuu_all[i], dKuf_all[i]
                 dqff = (2.0 * np.einsum("ij,ij->j", dKuf, H)
                         - np.einsum("ij,ij->j", dKuu @ H, H))
-                dd = kernel_grad_diag(self.kernel, X, i) - dqff
+                dd = ddiag_all[i] - dqff
                 quad = (2.0 * float((dKuf @ alpha) @ Ha) - float(Ha @ dKuu @ Ha)
                         + float(alpha @ (dd * alpha)))
                 tr = (2.0 * float(np.sum(R * dKuf)) - float(np.sum(HKH * dKuu))

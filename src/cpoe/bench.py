@@ -308,48 +308,81 @@ def _optimizer_config(cfg: ExperimentConfig, mode: str, rep_seed: int) -> Optimi
                            max_iter=cfg.integer("max_iter"))
 
 
-def _fit_cpoe(cfg: ExperimentConfig, data: Dataset, C: int, rep_seed: int,
-              prior: PriorSpec | None, traces: dict):
-    variant = VariantSpec(cfg["variant"], cfg.num("alpha_pep"))
-    kernel = build_kernel(cfg, data.D)
-    noise = NoiseSpec.create(cfg.num("noise_init"))
-    model = CpoeModel(kernel, noise, J=cfg.integer("j"), C=C, gamma=cfg.num("gamma"),
-                      variant=variant, seed=rep_seed)
-    mode = cfg["optimize"].strip().lower()
-    model.fit(data.X, data.y)
-    if mode == "deterministic":
+def _expert_term(graph: ExpertGraph, kernel: Kernel, y: np.ndarray,
+                 variant: VariantSpec = VariantSpec()):
+    """``term(j, theta, with_grad)``: expert j's factorized likelihood term."""
+    def term(j, theta, with_grad=True):
+        k2, n2 = split_params(kernel, theta)
+        return stochastic_lml_term(graph, k2, n2, j, y[graph.row_indices[j]],
+                                   variant=variant, with_grad=with_grad)
+    return term
+
+
+def _rebuilt(label: str, build):
+    """Adapter for a model fitted from scratch at every theta by ``build(theta)``."""
+    def objective(theta):
+        m = build(theta)
+        return m.lml(), m.lml_gradient()
+
+    def fit(theta):
+        m = build(theta)
+        return m.predict, m.lml()
+    return label, objective, fit, None
+
+
+def _method(name: str, arg: int | None, cfg: ExperimentConfig, data: Dataset,
+            kernel: Kernel, noise: NoiseSpec, rep_seed: int):
+    """``(label, objective, fit, terms)`` for one method.
+
+    ``objective(theta)`` returns the value and gradient L-BFGS maximizes,
+    ``fit(theta)`` the ``(predict, lml)`` of the model that is evaluated, and
+    ``terms`` is ``(term_fn, J)`` for Adam, or None for methods that train with
+    L-BFGS in either optimize mode.  The label names the optimizer trace.
+    """
+    if name == "fullgp":
+        cap = cfg.integer("dense_cap")
+        return _rebuilt("fullgp", lambda theta: FullGp(*split_params(kernel, theta),
+                                                       cap=cap).fit(data.X, data.y))
+    if name == "sgp":
+        M = arg or min(100, data.N)
+        A = data.X[np.random.default_rng(rep_seed).choice(data.N, size=M, replace=False)]
+        return _rebuilt(f"sgp_{M}", lambda theta: SparseGp(*split_params(kernel, theta),
+                                                           A).fit(data.X, data.y))
+    if name in ("minvar", "gpoe", "gpoe_z1"):
+        graph = ExpertGraph.build(data.X, cfg.integer("j"), C=1, gamma=1.0, seed=rep_seed)
+        term = _expert_term(graph, kernel, data.y)
+
+        def objective(theta):  # sum of the experts' own marginal likelihoods
+            val, grad = 0.0, np.zeros_like(theta)
+            for j in range(graph.J):
+                v, g = term(j, theta)
+                val += v
+                grad += g
+            return val, grad
+
+        def fit(theta):
+            k2, n2 = split_params(kernel, theta)
+            experts = fit_local_experts(graph, k2, n2, data.y)
+            return (lambda Xs: poe_predict(experts, k2, Xs, mode=name)), poe_lml(experts)
+        return name, objective, fit, None
+    if name == "cpoe":
+        C = arg or 2
+        variant = VariantSpec(cfg["variant"], cfg.num("alpha_pep"))
+        # one model throughout: refits reuse its graph and symbolic analysis
+        model = CpoeModel(kernel, noise, J=cfg.integer("j"), C=C, gamma=cfg.num("gamma"),
+                          variant=variant, seed=rep_seed).fit(data.X, data.y)
+
         def objective(theta):
             model.set_params(theta)
             return model.log_marginal_likelihood(), model.lml_gradient()
 
-        res = fit_deterministic(objective, model.get_params(),
-                                _optimizer_config(cfg, "deterministic", rep_seed), prior)
-        model.set_params(res.theta)
-        traces[f"cpoe_{C}"] = res
-    elif mode == "stochastic":
-        graph = model.graph
-
-        def term(j, theta, with_grad):
-            k2, n2 = split_params(kernel, theta)
-            return stochastic_lml_term(graph, k2, n2, j, data.y[graph.row_indices[j]],
-                                       variant=variant, with_grad=with_grad)
-
-        res = fit_stochastic(term, graph.J, model.get_params(),
-                             _optimizer_config(cfg, "stochastic", rep_seed), prior,
-                             constant=-0.5 * data.N * np.log(2 * np.pi))
-        model.set_params(res.theta)  # exact refit at the searched parameters
-        traces[f"cpoe_{C}"] = res
-    return model
-
-
-def _optimize_generic(cfg, rep_seed, theta0, objective, prior, traces, label):
-    mode = cfg["optimize"].strip().lower()
-    if mode == "none":
-        return theta0
-    res = fit_deterministic(objective, theta0,
-                            _optimizer_config(cfg, "deterministic", rep_seed), prior)
-    traces[label] = res
-    return res.theta
+        def fit(theta):
+            if not np.array_equal(theta, model.get_params()):  # optimize = none: fitted
+                model.set_params(theta)
+            return model.predict, model.log_marginal_likelihood()
+        terms = (_expert_term(model.graph, kernel, data.y, variant), model.graph.J)
+        return f"cpoe_{C}", objective, fit, terms
+    raise ValueError(f"unknown method {name!r}")
 
 
 def run_method(name: str, arg: int | None, cfg: ExperimentConfig, data: Dataset,
@@ -357,106 +390,42 @@ def run_method(name: str, arg: int | None, cfg: ExperimentConfig, data: Dataset,
     """Fit one method, predict on the test block, and evaluate.
 
     Returns (MetricReport, reference_predictions_or_None).  Reference is the
-    exact-GP latent prediction used for the KL column.
+    exact-GP latent prediction used for the KL column.  ``optimize =
+    stochastic`` trains the methods with per-expert terms by Adam and the
+    others by L-BFGS; the fit time includes the optimization.
     """
     kernel = build_kernel(cfg, data.D)
     noise = NoiseSpec.create(cfg.num("noise_init"))
-    theta0 = full_params(kernel, noise)
-    optimize = cfg["optimize"].strip().lower() != "none"
+    theta = full_params(kernel, noise)
+    mode = cfg["optimize"].strip().lower()
 
-    if name == "fullgp":
-        t0 = time.perf_counter()
-        if optimize:
-            def objective(theta):
-                k2, n2 = split_params(kernel, theta)
-                m = FullGp(k2, n2, cap=cfg.integer("dense_cap")).fit(data.X, data.y)
-                return m.lml(), m.lml_gradient()
-            theta = _optimize_generic(cfg, rep_seed, theta0, objective, prior, traces, "fullgp")
+    t0 = time.perf_counter()
+    label, objective, fit, terms = _method(name, arg, cfg, data, kernel, noise, rep_seed)
+    if mode != "none":
+        config = _optimizer_config(cfg, mode, rep_seed)  # rejects an unknown mode
+        if mode == "stochastic" and terms is not None:
+            res = fit_stochastic(*terms, theta, config, prior,
+                                 constant=-0.5 * data.N * np.log(2 * np.pi))
         else:
-            theta = theta0
-        k2, n2 = split_params(kernel, theta)
-        model = FullGp(k2, n2, cap=cfg.integer("dense_cap")).fit(data.X, data.y)
-        fit_time = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        mean, var = model.predict(data.X_test)
-        predict_time = time.perf_counter() - t0
-        report = evaluate_predictions(mean, var, data.y_test, n2.variance, model.lml(),
-                                      full_mean=mean, full_var=var,
-                                      fit_time=fit_time, predict_time=predict_time)
-        report.kl_to_full = 0.0
-        report.err_to_full = 0.0
-        return report, (mean, var)
+            res = fit_deterministic(objective, theta, config, prior)
+        traces[label] = res
+        theta = res.theta
+    predict, lml = fit(theta)
+    fit_time = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    mean, var = predict(data.X_test)
+    predict_time = time.perf_counter() - t0
 
-    if name == "sgp":
-        M = arg or min(100, data.N)
-        rng = np.random.default_rng(rep_seed)
-        A = data.X[rng.choice(data.N, size=M, replace=False)]
-        t0 = time.perf_counter()
-        if optimize:
-            def objective(theta):
-                k2, n2 = split_params(kernel, theta)
-                m = SparseGp(k2, n2, A).fit(data.X, data.y)
-                return m.lml(), m.lml_gradient()
-            theta = _optimize_generic(cfg, rep_seed, theta0, objective, prior, traces,
-                                      f"sgp_{M}")
-        else:
-            theta = theta0
-        k2, n2 = split_params(kernel, theta)
-        model = SparseGp(k2, n2, A).fit(data.X, data.y)
-        fit_time = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        mean, var = model.predict(data.X_test)
-        predict_time = time.perf_counter() - t0
-        ref = reference if reference else (None, None)
-        report = evaluate_predictions(mean, var, data.y_test, n2.variance, model.lml(),
-                                      full_mean=ref[0], full_var=ref[1],
-                                      fit_time=fit_time, predict_time=predict_time)
+    full = (mean, var) if name == "fullgp" else (reference or (None, None))
+    noise_variance = split_params(kernel, theta)[1].variance
+    report = evaluate_predictions(mean, var, data.y_test, noise_variance, lml,
+                                  full_mean=full[0], full_var=full[1],
+                                  fit_time=fit_time, predict_time=predict_time)
+    if name != "fullgp":
         return report, None
-
-    if name in ("minvar", "gpoe", "gpoe_z1"):
-        t0 = time.perf_counter()
-        graph = ExpertGraph.build(data.X, cfg.integer("j"), C=1, gamma=1.0, seed=rep_seed)
-        if optimize:
-            def objective(theta):
-                k2, n2 = split_params(kernel, theta)
-                val, grad = 0.0, np.zeros_like(theta)
-                for j in range(graph.J):
-                    v, g = stochastic_lml_term(graph, k2, n2, j,
-                                               data.y[graph.row_indices[j]])
-                    val += v
-                    grad += g
-                return val, grad
-            theta = _optimize_generic(cfg, rep_seed, theta0, objective, prior, traces, name)
-        else:
-            theta = theta0
-        k2, n2 = split_params(kernel, theta)
-        experts = fit_local_experts(graph, k2, n2, data.y)
-        fit_time = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        mean, var = poe_predict(experts, k2, data.X_test, mode=name)
-        predict_time = time.perf_counter() - t0
-        ref = reference if reference else (None, None)
-        report = evaluate_predictions(mean, var, data.y_test, n2.variance,
-                                      poe_lml(experts), full_mean=ref[0], full_var=ref[1],
-                                      fit_time=fit_time, predict_time=predict_time)
-        return report, None
-
-    if name == "cpoe":
-        C = arg or 2
-        t0 = time.perf_counter()
-        model = _fit_cpoe(cfg, data, C, rep_seed, prior, traces)
-        fit_time = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        mean, var = model.predict(data.X_test)
-        predict_time = time.perf_counter() - t0
-        ref = reference if reference else (None, None)
-        report = evaluate_predictions(mean, var, data.y_test, model.noise.variance,
-                                      model.log_marginal_likelihood(),
-                                      full_mean=ref[0], full_var=ref[1],
-                                      fit_time=fit_time, predict_time=predict_time)
-        return report, None
-
-    raise ValueError(f"unknown method {name!r}")
+    report.kl_to_full = 0.0
+    report.err_to_full = 0.0
+    return report, (mean, var)
 
 
 def run_experiment(config: ExperimentConfig | str, prior: PriorSpec | None = None):

@@ -23,6 +23,7 @@ hyperparameter setting; the symbolic analysis is reused across refits.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +43,6 @@ from .kernels import (
     NoiseSpec,
     full_params,
     jittered_cholesky,
-    kernel_grad_diag_stack,
     split_params,
 )
 
@@ -113,9 +113,6 @@ class ExpertFactor:
     lam: float
     dlam: np.ndarray | float            # d lam / d D_j, shaped like the residual
     # prior side
-    K_aa: np.ndarray
-    K_api: np.ndarray | None
-    K_pipi: np.ndarray | None
     chol_pipi: np.ndarray | None
     F: np.ndarray | None
     Q: np.ndarray                       # effective (jitter included)
@@ -221,7 +218,7 @@ def _build_expert(j: int, graph: ExpertGraph, kernel: Kernel, noise: NoiseSpec,
         Q = K_aa - K_api @ F.T
         Q = 0.5 * (Q + Q.T)
     else:
-        K_pipi = chol_pipi = K_api = F = None
+        chol_pipi = F = None
         Q = K_aa
     # jitter scale: the kernel amplitude, not Q's own (possibly tiny) diagonal
     chol_Q, q_jitter = jittered_cholesky(Q, scale=float(np.mean(np.diag(K_aa))))
@@ -232,9 +229,8 @@ def _build_expert(j: int, graph: ExpertGraph, kernel: Kernel, noise: NoiseSpec,
                         A_self=A_self, A_pred=A_pred, A_psi=A_psi, X=X_j,
                         K_xpsi=K_xpsi, chol_psi=chol_psi, H=H, d_diag=d_diag,
                         D_full=D_full, vbar_diag=vbar_diag, vbar_full=vbar_full,
-                        lam=lam, dlam=dlam, K_aa=K_aa, K_api=K_api, K_pipi=K_pipi,
-                        chol_pipi=chol_pipi, F=F, Q=Q_eff, chol_Q=chol_Q,
-                        logdet_Q=logdet_Q)
+                        lam=lam, dlam=dlam, chol_pipi=chol_pipi, F=F, Q=Q_eff,
+                        chol_Q=chol_Q, logdet_Q=logdet_Q)
 
 
 def build_local_factors(graph: ExpertGraph, kernel: Kernel, noise: NoiseSpec,
@@ -438,7 +434,7 @@ def _contract_grad(kernel: Kernel, X: np.ndarray, A: np.ndarray, H: np.ndarray,
     contraction, so ``U`` and ``R`` must stay moderate in size.
     """
     if U.ndim == 1:
-        g = kernel_grad_diag_stack(kernel, X) @ U
+        g = kernel.grad_diag_stack(X) @ U
         WH = -U[:, None] * H
     else:
         g = np.tensordot(kernel.grad_stack(X), U, 2)
@@ -619,6 +615,14 @@ def prior_kl_difference(model_C: "CpoeModel", model_C2: "CpoeModel"):
     return float(d_prior), float(d_proj)
 
 
+def _fingerprint(X: np.ndarray, y: np.ndarray) -> str:
+    """SHA-256 of the training inputs and targets: shapes and float64 bytes."""
+    h = hashlib.sha256(repr((X.shape, y.shape)).encode())
+    h.update(np.asarray(X, dtype=float).tobytes())
+    h.update(np.asarray(y, dtype=float).tobytes())
+    return h.hexdigest()
+
+
 class CpoeModel:
     """User-facing wrapper tying graph, factors and posterior together.
 
@@ -645,6 +649,9 @@ class CpoeModel:
     # -- fitting ---------------------------------------------------------------
 
     def fit(self, X: np.ndarray, y: np.ndarray, graph: ExpertGraph | None = None) -> "CpoeModel":
+        for name, values in (("X", X), ("y", y)):
+            if not np.all(np.isfinite(np.asarray(values, dtype=float))):
+                raise ValueError(f"{name} holds NaN or inf values")
         if graph is None:
             graph = ExpertGraph.build(X, self.J, self.C, self.gamma, seed=self.seed)
         self.graph = graph
@@ -687,11 +694,12 @@ class CpoeModel:
     # -- persistence -------------------------------------------------------------
 
     def save(self, path: str) -> None:
-        """Dump hyperparameters and the graph's defining indices.
+        """Dump hyperparameters, the graph's defining indices and a fingerprint
+        of the training data.
 
         Together with the original data this reproduces the model bit for bit;
-        the kernel structure itself must be rebuilt by the caller (it is part
-        of the experiment configuration).
+        :meth:`load` refuses any other data.  The kernel structure itself must
+        be rebuilt by the caller (it is part of the experiment configuration).
         """
         if self.graph is None:
             raise ValueError("fit the model before saving")
@@ -703,11 +711,22 @@ class CpoeModel:
             ordering=self.graph.ordering,
             assignment=self.graph.assignment,
             inducing_index=np.stack(self.graph.inducing_index),
+            fingerprint=_fingerprint(self.graph.X, self.y),
         )
 
     @classmethod
     def load(cls, path: str, X: np.ndarray, y: np.ndarray, kernel: Kernel) -> "CpoeModel":
+        """Rebuild a saved model on its training data; any other data is refused."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim == 1:
+            X = X[:, None]
+        y = np.asarray(y, dtype=float).ravel()
         with np.load(path, allow_pickle=False) as blob:
+            if "fingerprint" not in blob.files:
+                raise ValueError(f"{path} holds no training-data fingerprint; "
+                                 "save the model again")
+            if str(blob["fingerprint"]) != _fingerprint(X, y):
+                raise ValueError(f"X and y are not the training data {path} was saved with")
             theta = blob["theta"]
             J, C = int(blob["J"]), int(blob["C"])
             gamma, seed = float(blob["gamma"]), int(blob["seed"])
@@ -715,22 +734,10 @@ class CpoeModel:
             ordering = blob["ordering"]
             assignment = blob["assignment"]
             inducing_index = blob["inducing_index"]
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
         kernel2, noise = split_params(kernel, theta)
-        row_indices = [np.flatnonzero(assignment == j) for j in range(J)]
-        inducing_idx = [inducing_index[j] for j in range(J)]
-        inducing_inputs = [X[row_indices[j]][inducing_idx[j]] for j in range(J)]
-        centers = np.stack([A.mean(axis=0) for A in inducing_inputs])
-        from .expert_graph import build_predecessors, correlation_sets
-
-        preds = build_predecessors(centers, np.arange(J), C)
-        corr = correlation_sets(preds, C)
-        graph = ExpertGraph(X=X, J=J, C=C, gamma=gamma, seed=seed, ordering=ordering,
-                            assignment=assignment, row_indices=row_indices,
-                            inducing_index=inducing_idx, inducing_inputs=inducing_inputs,
-                            centers=centers, predecessors=preds, correlation=corr)
+        graph = ExpertGraph.from_layout(X, J, C, gamma, seed, ordering,
+                                        [np.flatnonzero(assignment == j) for j in range(J)],
+                                        [inducing_index[j] for j in range(J)])
         model = cls(kernel2, noise, J=J, C=C, gamma=gamma, variant=variant, seed=seed)
         model.fit(X, y, graph=graph)
         return model

@@ -188,13 +188,6 @@ class ExpertGraph:
         """Smallest cell size (cells differ by at most one row)."""
         return min(r.size for r in self.row_indices)
 
-    @property
-    def cell_sizes(self) -> np.ndarray:
-        return np.array([r.size for r in self.row_indices])
-
-    def expert_rows(self, j: int) -> np.ndarray:
-        return self.row_indices[j]
-
     def pred_plus(self, j: int) -> np.ndarray:
         """Predecessors of expert ``j`` together with ``j`` itself, sorted."""
         return np.sort(np.append(self.predecessors[j], j))
@@ -218,30 +211,37 @@ class ExpertGraph:
         if L == 0:
             raise ValueError(f"gamma={gamma} gives zero inducing points per expert")
 
-        cell_inducing_idx, cell_inducing = [], []
+        cell_inducing_idx = []
         for c in range(J):
-            A_c, idx = select_inducing(X[cells[c]], gamma, rng)
+            _, idx = select_inducing(X[cells[c]], gamma, rng)
             # equal inducing counts across experts: truncate cells one larger
-            A_c, idx = A_c[:L], idx[:L]
-            cell_inducing.append(A_c)
-            cell_inducing_idx.append(idx)
-        cell_centers = np.stack([A.mean(axis=0) for A in cell_inducing])
-
+            cell_inducing_idx.append(idx[:L])
+        cell_centers = np.stack([X[cells[c]][cell_inducing_idx[c]].mean(axis=0)
+                                 for c in range(J)])
         ordering = order_partitions(cell_centers, rng)
-        row_indices = [cells[c] for c in ordering]
-        inducing_index = [cell_inducing_idx[c] for c in ordering]
-        inducing_inputs = [cell_inducing[c] for c in ordering]
-        centers = cell_centers[ordering]
+        return cls.from_layout(X, J, C, gamma, seed, ordering, [cells[c] for c in ordering],
+                               [cell_inducing_idx[c] for c in ordering])
+
+    @classmethod
+    def from_layout(cls, X: np.ndarray, J: int, C: int, gamma: float, seed: int,
+                    ordering: np.ndarray, row_indices: list[np.ndarray],
+                    inducing_index: list[np.ndarray]) -> "ExpertGraph":
+        """Graph of an ordered layout: each position's rows and inducing subset.
+
+        ``row_indices[j]`` and ``inducing_index[j]`` belong to the expert at
+        ordering position ``j``.  Inducing inputs, centers, predecessor and
+        correlation sets follow from them.
+        """
+        inducing_inputs = [X[rows][idx] for rows, idx in zip(row_indices, inducing_index)]
+        centers = np.stack([A.mean(axis=0) for A in inducing_inputs])
         assignment = np.empty(X.shape[0], dtype=int)
         for j, rows in enumerate(row_indices):
             assignment[rows] = j
-
-        preds = build_predecessors(cell_centers, ordering, C)
-        corr = correlation_sets(preds, C)
+        preds = build_predecessors(centers, np.arange(J), C)
         return cls(X=X, J=J, C=C, gamma=gamma, seed=seed, ordering=ordering,
                    assignment=assignment, row_indices=row_indices,
                    inducing_index=inducing_index, inducing_inputs=inducing_inputs,
-                   centers=centers, predecessors=preds, correlation=corr)
+                   centers=centers, predecessors=preds, correlation=correlation_sets(preds, C))
 
     def with_correlation(self, C: int) -> "ExpertGraph":
         """Same partition, inducing points and ordering, different degree ``C``.

@@ -7,8 +7,9 @@ through the transform already applied.
 
 A model's full parameter vector is the kernel's unconstrained parameters
 followed by one reserved slot for the log observation-noise variance
-(:class:`NoiseSpec`).  ``kernel_grad`` accepts that reserved index and returns
-a zero matrix for it, since the noise never enters the kernel itself.
+(:class:`NoiseSpec`).  The noise never enters the kernel, so a kernel's
+derivatives cover its own parameters only; each kernel implements them once,
+stacked over parameters, in ``grad_stack``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "SpectralMixture",
     "SumKernel",
     "NoiseSpec",
-    "kernel_grad",
     "jittered_cholesky",
     "JitterError",
 ]
@@ -86,7 +86,7 @@ def _select_dims(X: np.ndarray, active_dims) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Base class: immutable spec, pure evaluation, per-parameter gradients."""
+    """Base class: immutable spec, pure evaluation, stacked parameter gradients."""
 
     @property
     def n_params(self) -> int:
@@ -110,21 +110,18 @@ class Kernel:
     def diag(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def grad(self, X1: np.ndarray, X2: np.ndarray | None, index: int) -> np.ndarray:
-        """d k(X1, X2) / d params[index] (unconstrained space)."""
+    def grad_stack(self, X1: np.ndarray, X2: np.ndarray | None = None) -> np.ndarray:
+        """d k(X1, X2) / d params (unconstrained space), shape (n_params, n1, n2)."""
         raise NotImplementedError
 
-    def grad_stack(self, X1: np.ndarray, X2: np.ndarray | None = None) -> np.ndarray:
-        """All parameter gradients at once, shape (n_params, n1, n2).
+    def grad_diag_stack(self, X: np.ndarray) -> np.ndarray:
+        """Derivatives of ``diag(k(X, X))``, shape (n_params, n).
 
-        Subclasses override this to share the base evaluation across
-        parameters; the fallback just stacks :meth:`grad` calls.
+        Every kernel here is stationary, so ``k(x, x)`` and its derivatives are
+        the same at every input: the stack at one point, repeated, is exact.
         """
-        X1c, X2c = _check_pair(X1, X2)
-        out = np.empty((self.n_params, X1c.shape[0], X2c.shape[0]))
-        for i in range(self.n_params):
-            out[i] = self.grad(X1c, X2c, i)
-        return out
+        X = _as2d(X)
+        return np.repeat(self.grad_stack(X[:1])[:, 0, :], X.shape[0], axis=1)
 
     def __add__(self, other: "Kernel") -> "SumKernel":
         left = list(self.terms) if isinstance(self, SumKernel) else [self]
@@ -232,21 +229,12 @@ class SquaredExponential(Kernel):
         X = _as2d(X)
         return np.full(X.shape[0], self.variance)
 
-    def _stack(self, X1, X2):
+    def grad_stack(self, X1, X2=None):
+        X1, X2 = _check_pair(X1, X2)
         out = np.empty((self.n_params, X1.shape[0], X2.shape[0]))
         out[0] = self.variance * np.exp(-0.5 * self._sq_dist(X1, X2, terms=out[1:]))
         out[1:] *= out[0]  # d K / d log l_d = K * (x_d - x'_d)^2 / l_d^2
         return out
-
-    def grad(self, X1, X2, index):
-        X1, X2 = _check_pair(X1, X2)
-        if not 0 <= index < self.n_params:
-            raise IndexError(f"parameter index {index} out of range")
-        return self._stack(X1, X2)[index]
-
-    def grad_stack(self, X1, X2=None):
-        X1, X2 = _check_pair(X1, X2)
-        return self._stack(X1, X2)
 
 
 @dataclass(frozen=True)
@@ -314,22 +302,6 @@ class Periodic(Kernel):
         X = _as2d(X)
         return np.full(X.shape[0], self.variance)
 
-    def grad(self, X1, X2, index):
-        X1, X2 = _check_pair(X1, X2)
-        if not 0 <= index < 3:
-            raise IndexError(f"parameter index {index} out of range")
-        r = self._diffs(X1, X2)
-        ell2 = self.lengthscale**2
-        arg = np.pi * r / self.period
-        s = np.sin(arg)
-        K = self.variance * np.exp(-2.0 * s * s / ell2)
-        if index == 0:
-            return K
-        if index == 1:
-            return K * 4.0 * s * s / ell2
-        # d/d log(period): d(arg)/d log p = -arg, so d(-2 sin^2(arg)/l^2) = 2 sin(2 arg) arg / l^2
-        return K * 2.0 * np.sin(2.0 * arg) * arg / ell2
-
     def grad_stack(self, X1, X2=None):
         X1, X2 = _check_pair(X1, X2)
         r = self._diffs(X1, X2)
@@ -337,6 +309,7 @@ class Periodic(Kernel):
         arg = np.pi * r / self.period
         s = np.sin(arg)
         K = self.variance * np.exp(-2.0 * s * s / ell2)
+        # d/d log(period): d(arg)/d log p = -arg, so d(-2 sin^2(arg)/l^2) = 2 sin(2 arg) arg / l^2
         return np.stack([K, K * 4.0 * s * s / ell2,
                          K * 2.0 * np.sin(2.0 * arg) * arg / ell2])
 
@@ -430,21 +403,6 @@ class SpectralMixture(Kernel):
         X = _as2d(X)
         return np.full(X.shape[0], float(self.weights.sum()))
 
-    def grad(self, X1, X2, index):
-        X1, X2 = _check_pair(X1, X2)
-        if not 0 <= index < self.n_params:
-            raise IndexError(f"parameter index {index} out of range")
-        tau = self._taus(X1, X2)
-        kind, q = divmod(index, self.n_components)
-        decay, cosine = self._component(tau, q)
-        w, mu, v = self.weights[q], self.means[q], self.variances[q]
-        if kind == 0:  # log weight
-            return w * decay * cosine
-        if kind == 1:  # log spectral mean
-            return -w * decay * np.sin(2.0 * np.pi * tau * mu) * 2.0 * np.pi * tau * mu
-        # log spectral variance
-        return w * decay * cosine * (-2.0 * np.pi**2 * tau**2 * v)
-
     def grad_stack(self, X1, X2=None):
         X1, X2 = _check_pair(X1, X2)
         tau = self._taus(X1, X2)
@@ -504,23 +462,12 @@ class SumKernel(Kernel):
             d = d + t.diag(X)
         return d
 
-    def grad(self, X1, X2, index):
-        X1, X2 = _check_pair(X1, X2)
-        if not 0 <= index < self.n_params:
-            raise IndexError(f"parameter index {index} out of range")
-        offset = 0
-        for t in self.terms:
-            if index < offset + t.n_params:
-                # parameters of other summands do not appear in this term
-                return t.grad(X1, X2, index - offset)
-            offset += t.n_params
-        raise IndexError(index)  # unreachable
-
     def grad_stack(self, X1, X2=None):
         X1, X2 = _check_pair(X1, X2)
         out = np.zeros((self.n_params, X1.shape[0], X2.shape[0]))
         offset = 0
         for t in self.terms:
+            # parameters of other summands do not appear in this term
             out[offset:offset + t.n_params] = t.grad_stack(X1, X2)
             offset += t.n_params
         return out
@@ -544,53 +491,6 @@ class NoiseSpec:
 
     def with_params(self, log_variance: float) -> "NoiseSpec":
         return NoiseSpec(float(log_variance))
-
-
-def kernel_grad(spec: Kernel, X1, X2, param_index: int) -> np.ndarray:
-    """Derivative of the kernel matrix w.r.t. one unconstrained parameter.
-
-    ``param_index == spec.n_params`` is the reserved noise slot and yields a
-    zero matrix; the noise variance never enters the kernel.
-    """
-    if param_index == spec.n_params:
-        X1, X2 = _check_pair(X1, X2)
-        return np.zeros((X1.shape[0], X2.shape[0]))
-    return spec.grad(X1, X2, param_index)
-
-
-def kernel_grad_diag(spec: Kernel, X, param_index: int) -> np.ndarray:
-    """Derivative of ``diag(k(X, X))`` w.r.t. one unconstrained parameter.
-
-    For the stationary kernels here only amplitude-like parameters move the
-    diagonal, so this avoids forming the full gradient matrix.
-    """
-    X = _as2d(X)
-    n = X.shape[0]
-    if param_index == spec.n_params:
-        return np.zeros(n)
-    if isinstance(spec, SumKernel):
-        offset = 0
-        for t in spec.terms:
-            if param_index < offset + t.n_params:
-                return kernel_grad_diag(t, X, param_index - offset)
-            offset += t.n_params
-        raise IndexError(param_index)
-    if isinstance(spec, (SquaredExponential, Periodic)):
-        if param_index == 0:
-            return np.full(n, spec.variance)
-        return np.zeros(n)
-    if isinstance(spec, SpectralMixture):
-        kind, q = divmod(param_index, spec.n_components)
-        if kind == 0:
-            return np.full(n, spec.weights[q])
-        return np.zeros(n)  # at tau = 0 the mean/variance factors are flat
-    return np.diag(spec.grad(X, X, param_index)).copy()
-
-
-def kernel_grad_diag_stack(spec: Kernel, X) -> np.ndarray:
-    """Diagonal gradients for every kernel parameter, shape (n_params, n)."""
-    X = _as2d(X)
-    return np.stack([kernel_grad_diag(spec, X, i) for i in range(spec.n_params)])
 
 
 def full_params(kernel: Kernel, noise: NoiseSpec) -> np.ndarray:

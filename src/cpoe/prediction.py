@@ -141,6 +141,8 @@ def local_predict(model, j: int, x_star) -> tuple[float, float]:
 def _check_query(model, Xs: np.ndarray) -> None:
     if Xs.shape[1] != model.graph.D:
         raise ValueError(f"query has {Xs.shape[1]} columns, training data has {model.graph.D}")
+    if not np.all(np.isfinite(Xs)):
+        raise ValueError("query holds NaN or inf values")
 
 
 def predict_arrays(model, Xs, add_noise: bool = False,

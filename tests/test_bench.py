@@ -229,6 +229,40 @@ class TestRunExperiment:
                 "cov95", "lml", "fit_time", "predict_time", "error"} <= set(rows[0])
         assert rows[0]["seed"] != rows[1]["seed"]
 
+    @pytest.mark.parametrize("optimize", ["none", "deterministic", "stochastic"])
+    def test_every_method_in_every_optimize_mode(self, tmp_path, optimize):
+        epochs = 2
+        cfg = self._config(tmp_path, f"""
+            synthetic = se
+            n = 256
+            d = 2
+            n_test = 40
+            j = 4
+            gamma = 0.5
+            optimize = {optimize}
+            max_iter = 5
+            epochs = {epochs}
+            tolerance = 1e-12
+            methods = fullgp, sgp:20, minvar, gpoe, gpoe_z1, cpoe:1, cpoe:2
+            output = {tmp_path}/out
+        """)
+        rows = run_experiment(cfg)
+        assert [r["method"] for r in rows] == ["fullgp", "sgp:20", "minvar", "gpoe",
+                                               "gpoe_z1", "cpoe:1", "cpoe:2"]
+        for r in rows:
+            assert r["error"] == "", r
+            assert np.isfinite(r["lml"]), r
+        traces = sorted(p.name for p in (tmp_path / "out").glob("trace_*.csv"))
+        labels = ["fullgp", "sgp_20", "minvar", "gpoe", "gpoe_z1", "cpoe_1", "cpoe_2"]
+        expected = [] if optimize == "none" else sorted(f"trace_{x}.csv" for x in labels)
+        assert traces == expected
+        if optimize == "stochastic":
+            # Adam trains the cpoe:* methods only; the others keep L-BFGS
+            for label in labels:
+                with open(tmp_path / "out" / f"trace_{label}.csv", newline="") as fh:
+                    n_rows = len(list(csv.reader(fh))) - 1
+                assert (n_rows == epochs + 1) == label.startswith("cpoe"), (label, n_rows)
+
 
 class TestCli:
     def test_synth_then_run_roundtrip(self, tmp_path):

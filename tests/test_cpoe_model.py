@@ -463,3 +463,48 @@ class TestModelLifecycle:
         m2, v2 = loaded.predict(Xs)
         np.testing.assert_array_equal(m1, m2)
         np.testing.assert_array_equal(v1, v2)
+
+    def _saved(self, rng, tmp_path):
+        model, kern, noise, X, y = make_setup(rng, seed=5)
+        path = tmp_path / "model.npz"
+        model.save(path)
+        return path, kern, X, y
+
+    def test_load_refuses_other_rows(self, rng, tmp_path):
+        path, kern, X, y = self._saved(rng, tmp_path)
+        X2 = X.copy()
+        X2[:4] = np.random.default_rng(1).uniform(0, 1, (4, 2))
+        with pytest.raises(ValueError, match="not the training data"):
+            CpoeModel.load(path, X2, y, kern)
+        with pytest.raises(ValueError, match="not the training data"):
+            CpoeModel.load(path, X, y + 1e-9, kern)
+
+    def test_load_refuses_longer_data(self, rng, tmp_path):
+        path, kern, X, y = self._saved(rng, tmp_path)
+        X2 = np.vstack([X, np.random.default_rng(1).uniform(0, 1, (10, 2))])
+        with pytest.raises(ValueError, match="not the training data"):
+            CpoeModel.load(path, X2, np.concatenate([y, np.zeros(10)]), kern)
+
+    def test_load_refuses_shorter_data(self, rng, tmp_path):
+        path, kern, X, y = self._saved(rng, tmp_path)
+        with pytest.raises(ValueError, match="not the training data"):
+            CpoeModel.load(path, X[:-10], y[:-10], kern)
+
+    def test_load_refuses_file_without_fingerprint(self, rng, tmp_path):
+        path, kern, X, y = self._saved(rng, tmp_path)
+        with np.load(path) as blob:
+            fields = {k: blob[k] for k in blob.files if k != "fingerprint"}
+        old = tmp_path / "old.npz"
+        np.savez(old, **fields)
+        with pytest.raises(ValueError, match="no training-data fingerprint"):
+            CpoeModel.load(old, X, y, kern)
+
+    @pytest.mark.parametrize("name", ["X", "y"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_fit_rejects_non_finite_data(self, rng, name, bad):
+        model, kern, noise, X, y = make_setup(rng)
+        data = {"X": X.copy(), "y": y.copy()}
+        data[name].flat[3] = bad
+        fresh = CpoeModel(kern, noise, J=4, C=2, gamma=0.5)
+        with pytest.raises(ValueError, match=f"^{name} holds NaN or inf"):
+            fresh.fit(data["X"], data["y"])

@@ -13,8 +13,6 @@ from cpoe.kernels import (
     SumKernel,
     full_params,
     jittered_cholesky,
-    kernel_grad,
-    kernel_grad_diag,
     split_params,
 )
 
@@ -121,7 +119,7 @@ class TestGradients:
     def test_log_variance_gradient_is_kernel(self, rng):
         k = SquaredExponential.create(1.4, [0.5, 0.6])
         X = rng.normal(size=(5, 2))
-        np.testing.assert_allclose(kernel_grad(k, X, X, 0), k(X, X),
+        np.testing.assert_allclose(k.grad_stack(X, X)[0], k(X, X),
                                    atol=1e-14)
 
     @pytest.mark.parametrize("k", random_kernels())
@@ -130,51 +128,35 @@ class TestGradients:
         X2 = rng.uniform(-1, 1, size=(5, 2))
         theta = k.get_params()
         h = 1e-5
+        stack = k.grad_stack(X1, X2)
+        assert stack.shape == (k.n_params, 5, 5)
         for i in range(k.n_params):
             e = np.zeros_like(theta)
             e[i] = h
             fd = (k.with_params(theta + e)(X1, X2)
                   - k.with_params(theta - e)(X1, X2)) / (2 * h)
-            an = kernel_grad(k, X1, X2, i)
+            an = stack[i]
             scale = max(np.abs(fd).max(), 1e-8)
             assert np.abs(an - fd).max() / scale < 1e-5
 
     @pytest.mark.parametrize("k", random_kernels())
     def test_grad_diag_matches_full(self, k, rng):
         X = rng.uniform(-1, 1, size=(6, 2))
-        for i in range(k.n_params):
-            np.testing.assert_allclose(kernel_grad_diag(k, X, i),
-                                       np.diag(kernel_grad(k, X, X, i)), atol=1e-12)
-
-    @pytest.mark.parametrize("k", random_kernels())
-    def test_grad_stack_matches_per_index(self, k, rng):
-        X1 = rng.uniform(-1, 1, size=(5, 2))
-        X2 = rng.uniform(-1, 1, size=(4, 2))
-        stack = k.grad_stack(X1, X2)
-        assert stack.shape == (k.n_params, 5, 4)
-        for i in range(k.n_params):
-            np.testing.assert_allclose(stack[i], kernel_grad(k, X1, X2, i), atol=1e-14)
+        diag = k.grad_diag_stack(X)
+        assert diag.shape == (k.n_params, 6)
+        np.testing.assert_allclose(diag, np.diagonal(k.grad_stack(X), axis1=1, axis2=2),
+                                   atol=1e-12)
 
     def test_sum_unused_parameter_yields_zero(self, rng):
         k = SumKernel((SquaredExponential.create(1.0, [0.5]),
                        SquaredExponential.create(0.8, [0.9])))
         X = rng.normal(size=(4, 1))
-        # parameter 0 belongs to the first summand; its gradient through the
-        # second summand is structurally zero, checked via the dispatch
-        g_first = k.grad(X, X, 0)
-        np.testing.assert_allclose(g_first, k.terms[0].grad(X, X, 0))
-        g_second = k.grad(X, X, k.terms[0].n_params)
-        np.testing.assert_allclose(g_second, k.terms[1].grad(X, X, 0))
-
-    def test_noise_slot_returns_zero_matrix(self, rng):
-        k = SquaredExponential.create(1.0, [0.5, 0.5])
-        X = rng.normal(size=(3, 2))
-        np.testing.assert_array_equal(kernel_grad(k, X, X, k.n_params), np.zeros((3, 3)))
-
-    def test_invalid_index(self, rng):
-        k = SquaredExponential.create(1.0, [0.5])
-        with pytest.raises(IndexError):
-            k.grad(np.zeros((2, 1)), np.zeros((2, 1)), 99)
+        # each summand's parameters move only that summand: the other summand
+        # contributes nothing to their slice of the stack
+        stack = k.grad_stack(X, X)
+        n_first = k.terms[0].n_params
+        np.testing.assert_allclose(stack[:n_first], k.terms[0].grad_stack(X, X))
+        np.testing.assert_allclose(stack[n_first:], k.terms[1].grad_stack(X, X))
 
 
 class TestSumKernel:

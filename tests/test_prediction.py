@@ -229,6 +229,14 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict_arrays(model, np.zeros((3, 5)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_rejected(self, rng, bad):
+        model, _, _ = small_model(rng)
+        Xs = np.full((3, 2), 0.5)
+        Xs[1, 0] = bad
+        with pytest.raises(ValueError, match="query holds NaN or inf"):
+            predict_arrays(model, Xs)
+
     def test_continuity_across_expert_boundary(self, rng):
         # the aggregated prediction must stay smooth where the minimal-variance
         # pick is allowed to jump
