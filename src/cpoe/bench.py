@@ -372,13 +372,16 @@ def _method(name: str, arg: int | None, cfg: ExperimentConfig, data: Dataset,
         model = CpoeModel(kernel, noise, J=cfg.integer("j"), C=C, gamma=cfg.num("gamma"),
                           variant=variant, seed=rep_seed).fit(data.X, data.y)
 
+        def at(theta):  # refit only where theta moved; the model starts fitted at theta0
+            if not np.array_equal(theta, model.get_params()):
+                model.set_params(theta)
+
         def objective(theta):
-            model.set_params(theta)
+            at(theta)
             return model.log_marginal_likelihood(), model.lml_gradient()
 
         def fit(theta):
-            if not np.array_equal(theta, model.get_params()):  # optimize = none: fitted
-                model.set_params(theta)
+            at(theta)
             return model.predict, model.log_marginal_likelihood()
         terms = (_expert_term(model.graph, kernel, data.y, variant), model.graph.J)
         return f"cpoe_{C}", objective, fit, terms

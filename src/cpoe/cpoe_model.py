@@ -45,6 +45,7 @@ from .kernels import (
     jittered_cholesky,
     split_params,
 )
+from .prediction import SERVING_ARRAYS, ServingState
 
 __all__ = [
     "VariantSpec",
@@ -61,6 +62,7 @@ __all__ = [
 ]
 
 _VARIANTS = ("fitc", "dtc", "pitc", "vfe", "pep", "pep_b")
+FORMAT_VERSION = 1  # of the file CpoeModel.save writes
 
 
 @dataclass(frozen=True)
@@ -627,7 +629,9 @@ class CpoeModel:
     """User-facing wrapper tying graph, factors and posterior together.
 
     A fitted model is immutable for prediction purposes; refitting with new
-    hyperparameters reuses the graph and the symbolic factorization.
+    hyperparameters reuses the graph and the symbolic factorization.  A loaded
+    model serves predictions from the saved per-expert state and builds its
+    factors and posterior on first use.
     """
 
     def __init__(self, kernel: Kernel, noise: NoiseSpec, J: int, C: int,
@@ -641,8 +645,9 @@ class CpoeModel:
         self.variant = variant
         self.seed = seed
         self.graph: ExpertGraph | None = None
-        self.factors: LocalFactors | None = None
-        self.posterior: CpoePosterior | None = None
+        self._factors: LocalFactors | None = None
+        self._posterior: CpoePosterior | None = None
+        self._serving: ServingState | None = None
         self._symbolic: SymbolicFactor | None = None
         self.y: np.ndarray | None = None
 
@@ -660,10 +665,39 @@ class CpoeModel:
         return self
 
     def _refit(self) -> None:
-        self.factors = build_local_factors(self.graph, self.kernel, self.noise, self.variant)
-        S = assemble_prior_precision(self.factors)
-        self.posterior = assemble_posterior(self.factors, S, self.y, symbolic=self._symbolic)
-        self._symbolic = self.posterior.symbolic
+        # until the new posterior exists, nothing describes the current parameters
+        self._factors = self._posterior = self._serving = None
+        factors = build_local_factors(self.graph, self.kernel, self.noise, self.variant)
+        S = assemble_prior_precision(factors)
+        self._posterior = assemble_posterior(factors, S, self.y, symbolic=self._symbolic)
+        self._factors = factors
+        self._symbolic = self._posterior.symbolic
+
+    @property
+    def factors(self) -> LocalFactors | None:
+        if self._factors is None and self.graph is not None:
+            self._refit()
+        return self._factors
+
+    @property
+    def posterior(self) -> CpoePosterior | None:
+        if self._posterior is None and self.graph is not None:
+            self._refit()
+        return self._posterior
+
+    @property
+    def serving(self) -> ServingState:
+        """The per-expert state prediction reads; see :class:`ServingState`."""
+        if self._serving is None:
+            if self.graph is None:
+                raise ValueError("fit the model before predicting")
+            factors, posterior = self.factors, self.posterior
+
+            def region(j):
+                e = factors.experts[j]
+                return e.chol_psi, posterior.mu_at(e.psi), posterior.sigma_at(e.psi)
+            self._serving = ServingState(range(self.graph.C - 1, self.graph.J), region)
+        return self._serving
 
     def get_params(self) -> np.ndarray:
         return full_params(self.kernel, self.noise)
@@ -694,17 +728,21 @@ class CpoeModel:
     # -- persistence -------------------------------------------------------------
 
     def save(self, path: str) -> None:
-        """Dump hyperparameters, the graph's defining indices and a fingerprint
-        of the training data.
+        """Dump hyperparameters, the graph's defining indices, a fingerprint of
+        the training data and the serving state.
 
-        Together with the original data this reproduces the model bit for bit;
-        :meth:`load` refuses any other data.  The kernel structure itself must
-        be rebuilt by the caller (it is part of the experiment configuration).
+        The serving state is each predictive expert's ``chol_psi``, ``mu_psi``
+        and ``sigma_psi`` (see :class:`ServingState`), stacked over the experts
+        and stored uncompressed.  :meth:`load` predicts from it bit for bit as
+        this model does and refuses any other data.  The kernel structure
+        itself must be rebuilt by the caller (it is part of the experiment
+        configuration).
         """
         if self.graph is None:
             raise ValueError("fit the model before saving")
         np.savez(
             path,
+            format_version=FORMAT_VERSION,
             theta=self.get_params(),
             J=self.J, C=self.C, gamma=self.gamma, seed=self.seed,
             variant=self.variant.name, alpha_pep=self.variant.alpha_pep,
@@ -712,11 +750,19 @@ class CpoeModel:
             assignment=self.graph.assignment,
             inducing_index=np.stack(self.graph.inducing_index),
             fingerprint=_fingerprint(self.graph.X, self.y),
+            **self.serving.arrays(),
         )
 
     @classmethod
     def load(cls, path: str, X: np.ndarray, y: np.ndarray, kernel: Kernel) -> "CpoeModel":
-        """Rebuild a saved model on its training data; any other data is refused."""
+        """Restore a saved model on its training data without refitting it.
+
+        Any other data is refused, as is a file of another format version or
+        whose serving arrays do not have the shapes its J, C and inducing
+        count imply, or hold NaN or inf values.  Predictions come from the
+        saved serving state; the factors and posterior, which the likelihood
+        and its gradient need, are built on first use.
+        """
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[:, None]
@@ -727,6 +773,13 @@ class CpoeModel:
                                  "save the model again")
             if str(blob["fingerprint"]) != _fingerprint(X, y):
                 raise ValueError(f"X and y are not the training data {path} was saved with")
+            if "format_version" not in blob.files:
+                raise ValueError(f"{path} holds no format version and no serving state; "
+                                 "save the model again")
+            version = int(blob["format_version"])
+            if version != FORMAT_VERSION:
+                raise ValueError(f"{path} has format version {version}, expected "
+                                 f"{FORMAT_VERSION}; save the model again")
             theta = blob["theta"]
             J, C = int(blob["J"]), int(blob["C"])
             gamma, seed = float(blob["gamma"]), int(blob["seed"])
@@ -734,10 +787,24 @@ class CpoeModel:
             ordering = blob["ordering"]
             assignment = blob["assignment"]
             inducing_index = blob["inducing_index"]
+            n, P = J - C + 1, C * inducing_index.shape[1]
+            serving = {}
+            for name, shape in zip(SERVING_ARRAYS, [(n, P, P), (n, P), (n, P, P)]):
+                if name not in blob.files:
+                    raise ValueError(f"{path} holds no {name}; save the model again")
+                a = blob[name]
+                if a.shape != shape or a.dtype != np.float64:
+                    raise ValueError(f"{path}: {name} is {a.dtype} of shape {a.shape}, "
+                                     f"expected float64 of shape {shape} for "
+                                     f"J={J}, C={C}, L={inducing_index.shape[1]}")
+                if not np.all(np.isfinite(a)):
+                    raise ValueError(f"{path}: {name} holds NaN or inf values")
+                serving[name] = a
         kernel2, noise = split_params(kernel, theta)
         graph = ExpertGraph.from_layout(X, J, C, gamma, seed, ordering,
                                         [np.flatnonzero(assignment == j) for j in range(J)],
                                         [inducing_index[j] for j in range(J)])
         model = cls(kernel2, noise, J=J, C=C, gamma=gamma, variant=variant, seed=seed)
-        model.fit(X, y, graph=graph)
+        model.graph, model.y = graph, y
+        model._serving = ServingState.from_arrays(C - 1, *serving.values())
         return model

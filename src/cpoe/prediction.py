@@ -5,6 +5,9 @@ producing a Gaussian whose variance combines the conditional residual with
 the posterior covariance of the region (read off the partial inverse, never
 recomputed densely).  Experts below the correlation degree are only
 implicitly represented, since their regions coincide with the first full one.
+Prediction reads a model only through its graph, kernel, noise and
+:class:`ServingState`, which a fitted model derives from its posterior and a
+loaded model reads from its file.
 
 The per-expert Gaussians are fused by covariance intersection with
 entropy-difference weights: normalized weights make the fused variance a
@@ -15,12 +18,14 @@ between the experts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dtrsm
 
 __all__ = [
+    "ServingState",
     "PredictiveGaussian",
     "LocalPrediction",
     "local_predict",
@@ -96,18 +101,52 @@ def aggregate(local_predictions) -> PredictiveGaussian:
     return PredictiveGaussian(mean=float(m), variance=float(v))
 
 
-def _whitened_region(model, j: int):
-    """Expert j's posterior over its correlation region, whitened by its factor.
+SERVING_ARRAYS = ("chol_psi", "mu_psi", "sigma_psi")
+
+
+@dataclass(frozen=True)
+class ServingState:
+    """What prediction reads of a model, per predictive expert ``j >= C - 1``.
+
+    ``region(j)`` returns ``(chol_psi, mu_psi, sigma_psi)``: the lower factor of
+    ``K(A_psi, A_psi)`` and the posterior mean and covariance over the expert's
+    correlation region.  A fitted model reads them off its factors and
+    posterior one expert at a time, so no stack of every ``sigma_psi`` is held;
+    a loaded model indexes the stacks :meth:`arrays` wrote.
+    """
+
+    experts: range
+    region: Callable[[int], tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+    @classmethod
+    def from_arrays(cls, first: int, chol_psi: np.ndarray, mu_psi: np.ndarray,
+                    sigma_psi: np.ndarray) -> "ServingState":
+        """Serve stacks whose row k belongs to expert ``first + k``."""
+        return cls(range(first, first + len(chol_psi)),
+                   lambda j: (chol_psi[j - first], mu_psi[j - first], sigma_psi[j - first]))
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """``chol_psi``, ``mu_psi`` and ``sigma_psi`` stacked over the experts.
+
+        Each stack is filled in place, one expert at a time.
+        """
+        shapes = [a.shape for a in self.region(self.experts[0])]
+        out = {name: np.empty((len(self.experts),) + shape)
+               for name, shape in zip(SERVING_ARRAYS, shapes)}
+        for k, j in enumerate(self.experts):
+            for name, a in zip(SERVING_ARRAYS, self.region(j)):
+                out[name][k] = a
+        return out
+
+
+def _whitened_region(chol: np.ndarray, mu: np.ndarray, sigma: np.ndarray):
+    """One expert's posterior over its correlation region, whitened by its factor.
 
     With ``K(A_psi, A_psi) = L L'``: returns ``L``, ``a = L^-1 mu_psi`` and
     ``S = L^-1 Sigma_psi L^-T`` (symmetrized).  Formed once per expert and call.
     """
-    e = model.factors.experts[j]
-    post = model.posterior
-    chol = e.chol_psi
-    a = solve_triangular(chol, post.mu_at(e.psi), lower=True)
-    S = solve_triangular(chol, solve_triangular(chol, post.sigma_at(e.psi), lower=True).T,
-                         lower=True)
+    a = solve_triangular(chol, mu, lower=True)
+    S = solve_triangular(chol, solve_triangular(chol, sigma, lower=True).T, lower=True)
     return chol, a, 0.5 * (S + S.T)
 
 
@@ -131,10 +170,13 @@ def local_predict(model, j: int, x_star) -> tuple[float, float]:
     """Single-expert prediction at one query point."""
     Xs = np.atleast_2d(np.asarray(x_star, dtype=float))
     _check_query(model, Xs)
-    if not model.graph.C - 1 <= j < model.graph.J:
+    graph = model.graph
+    if not graph.C - 1 <= j < graph.J:
         raise ValueError(f"expert {j} is not a predictive expert")
-    K_xpsi = model.kernel(Xs, model.factors.experts[j].A_psi)
-    m, v = _local_moments(K_xpsi, model.kernel.diag(Xs), *_whitened_region(model, j))
+    A_psi = np.vstack([graph.inducing_inputs[p] for p in graph.correlation[j]])
+    K_xpsi = model.kernel(Xs, A_psi)
+    m, v = _local_moments(K_xpsi, model.kernel.diag(Xs),
+                          *_whitened_region(*model.serving.region(j)))
     return float(m[0]), float(v[0])
 
 
@@ -155,8 +197,9 @@ def predict_arrays(model, Xs, add_noise: bool = False,
     _check_query(model, Xs)
     graph = model.graph
     L = graph.L
-    experts = list(range(graph.C - 1, graph.J))
-    regions = [_whitened_region(model, j) for j in experts]
+    serving = model.serving
+    experts = serving.experts
+    regions = [_whitened_region(*serving.region(j)) for j in experts]
     # expert j's columns of K(X, A_all): the blocks of its correlation set
     columns = [np.concatenate([np.arange(p * L, (p + 1) * L) for p in graph.correlation[j]])
                for j in experts]

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from cpoe import SquaredExponential
+from cpoe import CpoeModel, SquaredExponential
 from cpoe.bench import (
     ExperimentConfig,
     build_kernel,
@@ -262,6 +262,42 @@ class TestRunExperiment:
                 with open(tmp_path / "out" / f"trace_{label}.csv", newline="") as fh:
                     n_rows = len(list(csv.reader(fh))) - 1
                 assert (n_rows == epochs + 1) == label.startswith("cpoe"), (label, n_rows)
+
+    # L-BFGS evaluates theta0 once for the trace and once as its first point;
+    # the model is already fitted there, so neither evaluation refits it
+    # (the number of L-BFGS steps depends on rounding, so only its floor is fixed)
+    @pytest.mark.parametrize("optimize, refits", [("none", 1), ("deterministic", None),
+                                                  ("stochastic", 2)])
+    def test_cpoe_refits_only_where_theta_moves(self, tmp_path, monkeypatch, optimize,
+                                                refits):
+        thetas = []
+        refit = CpoeModel._refit
+
+        def counted(model):
+            thetas.append(model.get_params().copy())
+            refit(model)
+
+        monkeypatch.setattr(CpoeModel, "_refit", counted)
+        cfg = self._config(tmp_path, f"""
+            synthetic = se
+            n = 128
+            d = 2
+            n_test = 20
+            j = 4
+            gamma = 0.5
+            optimize = {optimize}
+            max_iter = 5
+            epochs = 2
+            tolerance = 1e-12
+            methods = cpoe:2
+            output = {tmp_path}/out
+        """)
+        assert run_experiment(cfg)[0]["error"] == ""
+        # the fit at theta0, then (L-BFGS or Adam) one refit per new theta
+        assert sum(np.array_equal(t, thetas[0]) for t in thetas) == 1
+        assert len(thetas) == refits if refits else len(thetas) > 2
+        for before, after in zip(thetas, thetas[1:]):
+            assert not np.array_equal(before, after)
 
 
 class TestCli:

@@ -24,6 +24,8 @@ from cpoe import (
     split_params,
     stochastic_lml_term,
 )
+from cpoe import cpoe_model
+from cpoe.prediction import local_predict, predict_arrays
 
 
 def make_setup(rng, N=48, D=2, J=4, C=2, gamma=0.5, ls=0.08, noise_var=0.1, seed=0):
@@ -469,6 +471,94 @@ class TestModelLifecycle:
         path = tmp_path / "model.npz"
         model.save(path)
         return path, kern, X, y
+
+    def _loaded(self, rng, tmp_path):
+        """A model with several predictive experts, saved and loaded back."""
+        model, kern, noise, X, y = make_setup(rng, N=96, J=8, C=3, seed=5)
+        path = tmp_path / "model.npz"
+        model.save(path)
+        return model, CpoeModel.load(path, X, y, kern), path, kern, X, y
+
+    def test_load_builds_no_factors(self, rng, tmp_path, monkeypatch):
+        model, kern, noise, X, y = make_setup(rng, seed=5)
+        path = tmp_path / "model.npz"
+        model.save(path)
+        calls = []
+        for name in ("build_local_factors", "assemble_posterior"):
+            monkeypatch.setattr(cpoe_model, name, lambda *a, name=name, **k: calls.append(name))
+        loaded = CpoeModel.load(path, X, y, kern)
+        loaded.predict(np.random.default_rng(0).uniform(0, 1, (5, 2)))
+        assert calls == []
+
+    def test_loaded_predictions_bitwise(self, rng, tmp_path):
+        model, loaded, _, _, _, _ = self._loaded(rng, tmp_path)
+        Xs = np.random.default_rng(0).uniform(0, 1, (30, 2))
+        for a, b in zip(model.predict(Xs, add_noise=True), loaded.predict(Xs, add_noise=True)):
+            np.testing.assert_array_equal(b, a)
+        full, back = (predict_arrays(m, Xs, return_locals=True) for m in (model, loaded))
+        for a, b in zip(full[:2] + full[2], back[:2] + back[2]):
+            np.testing.assert_array_equal(b, a)
+        assert list(back[2][0]) == list(range(2, 8))
+        for j in range(2, 8):
+            assert local_predict(loaded, j, Xs[3]) == local_predict(model, j, Xs[3])
+
+    def test_save_of_loaded_model_is_byte_identical(self, rng, tmp_path):
+        _, loaded, path, kern, X, y = self._loaded(rng, tmp_path)
+        again = tmp_path / "again.npz"
+        loaded.save(again)
+        with np.load(path) as first, np.load(again) as second:
+            assert first.files == second.files
+            for name in ("chol_psi", "mu_psi", "sigma_psi"):
+                assert first[name].tobytes() == second[name].tobytes()
+        CpoeModel.load(again, X, y, kern)
+
+    def test_loaded_model_likelihood_and_gradient(self, rng, tmp_path):
+        model, loaded, _, _, _, _ = self._loaded(rng, tmp_path)
+        assert loaded.log_marginal_likelihood() == model.log_marginal_likelihood()
+        np.testing.assert_array_equal(loaded.lml_gradient(), model.lml_gradient())
+        assert prior_kl_difference(loaded, model) == prior_kl_difference(model, model)
+        theta = model.get_params() + 0.1
+        assert (loaded.set_params(theta).log_marginal_likelihood()
+                == model.set_params(theta).log_marginal_likelihood())
+
+    def _rewritten(self, path, tmp_path, **changes):
+        """A copy of the saved file with fields replaced (None drops a field)."""
+        with np.load(path) as blob:
+            fields = {k: blob[k] for k in blob.files}
+        for k, v in changes.items():
+            if v is None:
+                del fields[k]
+            else:
+                fields[k] = v
+        out = tmp_path / "rewritten.npz"
+        np.savez(out, **fields)
+        return out
+
+    def test_load_refuses_file_without_serving_state(self, rng, tmp_path):
+        # the format written before the serving state was saved
+        path, kern, X, y = self._saved(rng, tmp_path)
+        old = self._rewritten(path, tmp_path, format_version=None, chol_psi=None,
+                              mu_psi=None, sigma_psi=None)
+        with pytest.raises(ValueError, match="no format version.*save the model again"):
+            CpoeModel.load(old, X, y, kern)
+
+    def test_load_refuses_non_finite_serving_state(self, rng, tmp_path):
+        path, kern, X, y = self._saved(rng, tmp_path)
+        with np.load(path) as blob:
+            sigma = blob["sigma_psi"].copy()
+        sigma[1, 2, 3] = np.nan
+        bad = self._rewritten(path, tmp_path, sigma_psi=sigma)
+        with pytest.raises(ValueError, match="sigma_psi holds NaN or inf"):
+            CpoeModel.load(bad, X, y, kern)
+
+    def test_load_refuses_missing_expert(self, rng, tmp_path):
+        path, kern, X, y = self._saved(rng, tmp_path)
+        with np.load(path) as blob:
+            chol = blob["chol_psi"][:-1]
+        bad = self._rewritten(path, tmp_path, chol_psi=chol)
+        with pytest.raises(ValueError, match=r"chol_psi is float64 of shape \(2, 12, 12\), "
+                                             r"expected float64 of shape \(3, 12, 12\)"):
+            CpoeModel.load(bad, X, y, kern)
 
     def test_load_refuses_other_rows(self, rng, tmp_path):
         path, kern, X, y = self._saved(rng, tmp_path)
