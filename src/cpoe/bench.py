@@ -319,13 +319,21 @@ def _expert_term(graph: ExpertGraph, kernel: Kernel, y: np.ndarray,
 
 
 def _rebuilt(label: str, build):
-    """Adapter for a model fitted from scratch at every theta by ``build(theta)``."""
+    """Adapter for a model fitted from scratch at every new theta by ``build(theta)``."""
+    last = {"theta": None}
+
+    def at(theta):  # rebuild only where theta moved since the last fit
+        if not np.array_equal(theta, last["theta"]):
+            last["model"] = build(theta)
+            last["theta"] = np.array(theta, dtype=float)
+        return last["model"]
+
     def objective(theta):
-        m = build(theta)
+        m = at(theta)
         return m.lml(), m.lml_gradient()
 
     def fit(theta):
-        m = build(theta)
+        m = at(theta)
         return m.predict, m.lml()
     return label, objective, fit, None
 

@@ -253,13 +253,15 @@ class BlockCholesky:
             acc = pb[i * bs:(i + 1) * bs].copy()
             for j in sym.lower_rows[i]:
                 acc -= self.blocks[(i, j)] @ nu[j * bs:(j + 1) * bs]
-            nu[i * bs:(i + 1) * bs] = solve_triangular(self.blocks[(i, i)], acc, lower=True)
+            nu[i * bs:(i + 1) * bs] = solve_triangular(self.blocks[(i, i)], acc, lower=True,
+                                                       check_finite=False)
         x = np.zeros_like(pb)
         for i in range(J - 1, -1, -1):
             acc = nu[i * bs:(i + 1) * bs].copy()
             for k in sym.lower_cols[i]:
                 acc -= self.blocks[(k, i)].T @ x[k * bs:(k + 1) * bs]
-            x[i * bs:(i + 1) * bs] = solve_triangular(self.blocks[(i, i)].T, acc, lower=False)
+            x[i * bs:(i + 1) * bs] = solve_triangular(self.blocks[(i, i)].T, acc, lower=False,
+                                                      check_finite=False)
         out = np.zeros_like(b)
         for pos, orig in enumerate(perm):
             out[orig * bs:(orig + 1) * bs] = x[pos * bs:(pos + 1) * bs]
@@ -285,7 +287,10 @@ def block_cholesky(A: BlockSparseMatrix, perm: np.ndarray | None = None,
     """Numeric block Cholesky on the symbolic fill pattern.
 
     Raises :class:`FactorizationError` with the failing block index when a
-    pivot block is not positive definite; jitter is the caller's policy.
+    pivot block is not positive definite; jitter is the caller's policy.  The
+    triangular solves here, in :meth:`BlockCholesky.solve` and in
+    :func:`partial_inverse` skip scipy's finiteness check: their operands are
+    assembled from validated data, and a NaN reaching a pivot fails to factorize.
     """
     if A.n_block_rows != A.n_block_cols or A.row_block != A.col_block:
         raise ValueError("factorization needs a square grid of square blocks")
@@ -307,7 +312,8 @@ def block_cholesky(A: BlockSparseMatrix, perm: np.ndarray | None = None,
                 if k in row_set:
                     acc -= blocks[(i, k)] @ blocks[(j, k)].T
             # right-divide by L_jj^T
-            blocks[(i, j)] = solve_triangular(blocks[(j, j)], acc.T, lower=True).T
+            blocks[(i, j)] = solve_triangular(blocks[(j, j)], acc.T, lower=True,
+                                              check_finite=False).T
         acc = a_perm(i, i).copy()
         for k in row_i:
             acc -= blocks[(i, k)] @ blocks[(i, k)].T
@@ -378,7 +384,7 @@ def partial_inverse(chol: BlockCholesky) -> PartialInverse:
         return Z[(i, k)] if i >= k else Z[(k, i)].T
 
     for j in range(J - 1, -1, -1):
-        Linv_jj = solve_triangular(chol.blocks[(j, j)], eye, lower=True)
+        Linv_jj = solve_triangular(chol.blocks[(j, j)], eye, lower=True, check_finite=False)
         below = sym.lower_cols[j]
         for i in below:
             acc = np.zeros((bs, bs))

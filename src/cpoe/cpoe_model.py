@@ -9,16 +9,22 @@ Per expert j the conditional factors are
 
 with ``A_pred`` / ``A_corr`` the stacked inducing inputs over the expert's
 predecessor / correlation sets, ``F_1 = 0`` and ``Q_1 = K(A_1, A_1)``.  The
-residual covariance and the objective correction depend on the likelihood
-variant (FITC keeps the diagonal of D_j, PITC the full block, VFE/DTC drop it,
-PEP scales it by alpha).
+predecessor-plus-self set is the leading prefix of the correlation set (the
+expert itself last), so the transition's kernel blocks and their derivatives
+are leading slices of ``K(A_corr, A_corr)`` and its derivative stack, each
+evaluated once per expert.  The residual covariance and the objective
+correction depend on the likelihood variant (FITC keeps the diagonal of D_j,
+PITC the full block, VFE/DTC drop it, PEP scales it by alpha).
 
 The prior precision is assembled as a sum of local contributions
 ``Ft_j^T Q_j^{-1} Ft_j`` with ``Ft_j = [-F_j, I]`` scattered over the
 predecessor-plus-self block index sets.  Adding the projection precision
 ``H^T V^{-1} H`` (same scatter over correlation sets) gives the posterior
 precision, which keeps the prior's block pattern and is factorized once per
-hyperparameter setting; the symbolic analysis is reused across refits.
+hyperparameter setting; the symbolic analysis is reused across refits.  The
+gradient contracts the projection's derivative ``dH`` without forming it:
+``sum(dH o G) = sum((dK_xa - H dK_aa) o G K(A_corr, A_corr)^-1)``, one solve
+with G's rows as right-hand sides.
 """
 
 from __future__ import annotations
@@ -101,7 +107,6 @@ class ExpertFactor:
     pred: np.ndarray
     pred_plus: np.ndarray
     A_self: np.ndarray
-    A_pred: np.ndarray
     A_psi: np.ndarray
     X: np.ndarray
     # projection side
@@ -174,15 +179,17 @@ def _variant_terms(variant: VariantSpec, D: np.ndarray, noise_var: float):
     return vbar, lam, (c * a / noise_var) * np.linalg.inv(M)
 
 
-def _projection(kernel: Kernel, X: np.ndarray, A: np.ndarray, full: bool):
+def _projection(kernel: Kernel, X: np.ndarray, A: np.ndarray, K_A: np.ndarray,
+                full: bool):
     """Projection of X on inducing inputs A and its residual covariance.
 
-    Returns ``(chol_A, K_xa, H, d_diag, D_full)`` with ``H = K(X, A) K(A, A)^-1``
-    and ``D = K(X, X) - H K(A, X)``; the full block only when ``full``.
+    ``K_A`` is ``K(A, A)``.  Returns ``(chol_A, K_xa, H, d_diag, D_full)`` with
+    ``H = K(X, A) K(A, A)^-1`` and ``D = K(X, X) - H K(A, X)``; the full block
+    only when ``full``.
     """
-    chol_A, _ = jittered_cholesky(kernel(A))
+    chol_A, _ = jittered_cholesky(K_A)
     K_xa = kernel(X, A)
-    H = cho_solve((chol_A, True), K_xa.T).T
+    H = cho_solve((chol_A, True), K_xa.T, check_finite=False).T
     d_diag = kernel.diag(X) - np.einsum("ij,ij->i", K_xa, H)
     D_full = None
     if full:
@@ -200,23 +207,23 @@ def _build_expert(j: int, graph: ExpertGraph, kernel: Kernel, noise: NoiseSpec,
     pred_plus = graph.pred_plus(j)
     A_self = graph.inducing_inputs[j]
     A_psi = np.vstack([graph.inducing_inputs[p] for p in psi])
-    A_pred = (np.vstack([graph.inducing_inputs[p] for p in pred])
-              if pred.size else np.zeros((0, graph.D)))
 
     # projection factors on the correlation region
-    chol_psi, K_xpsi, H, d_diag, D_full = _projection(kernel, X_j, A_psi,
+    K_psi = kernel(A_psi)
+    chol_psi, K_xpsi, H, d_diag, D_full = _projection(kernel, X_j, A_psi, K_psi,
                                                       variant.full_residual)
     D = d_diag if D_full is None else D_full
     vbar, lam, dlam = _variant_terms(variant, D, noise.variance)
     vbar_diag, vbar_full = (vbar, None) if D_full is None else (None, vbar)
 
-    # prior transition factors on the predecessor set
-    K_aa = kernel(A_self)
+    # prior transition factors on the predecessor set; pred_plus is the leading
+    # prefix of psi (the expert itself last), so its kernel blocks are slices of K_psi
+    p, q = pred.size * graph.L, pred_plus.size * graph.L
+    K_aa = K_psi[p:q, p:q]
     if pred.size:
-        K_pipi = kernel(A_pred)
-        chol_pipi, _ = jittered_cholesky(K_pipi)
-        K_api = kernel(A_self, A_pred)
-        F = cho_solve((chol_pipi, True), K_api.T).T
+        chol_pipi, _ = jittered_cholesky(K_psi[:p, :p])
+        K_api = K_psi[p:q, :p]
+        F = cho_solve((chol_pipi, True), K_api.T, check_finite=False).T
         Q = K_aa - K_api @ F.T
         Q = 0.5 * (Q + Q.T)
     else:
@@ -228,7 +235,7 @@ def _build_expert(j: int, graph: ExpertGraph, kernel: Kernel, noise: NoiseSpec,
     logdet_Q = 2.0 * float(np.sum(np.log(np.diag(chol_Q))))
 
     return ExpertFactor(index=j, rows=rows, psi=psi, pred=pred, pred_plus=pred_plus,
-                        A_self=A_self, A_pred=A_pred, A_psi=A_psi, X=X_j,
+                        A_self=A_self, A_psi=A_psi, X=X_j,
                         K_xpsi=K_xpsi, chol_psi=chol_psi, H=H, d_diag=d_diag,
                         D_full=D_full, vbar_diag=vbar_diag, vbar_full=vbar_full,
                         lam=lam, dlam=dlam, chol_pipi=chol_pipi, F=F, Q=Q_eff,
@@ -257,7 +264,7 @@ def assemble_prior_precision(factors: LocalFactors) -> BlockSparseMatrix:
     S = BlockSparseMatrix(graph.J, row_block=L)
     for e in factors.experts:
         Ft = e.Ft()
-        local = Ft.T @ cho_solve((e.chol_Q, True), Ft)
+        local = Ft.T @ cho_solve((e.chol_Q, True), Ft, check_finite=False)
         local = 0.5 * (local + local.T)
         _scatter_symmetric(S, e.pred_plus, local, L)
     return S
@@ -353,8 +360,8 @@ def assemble_posterior(factors: LocalFactors, S: BlockSparseMatrix, y: np.ndarra
         else:
             V = e.vbar_full + noise.variance * np.eye(y_j.size)
             cv = np.linalg.cholesky(V)
-            vinv_y = cho_solve((cv, True), y_j)
-            vinv_H = cho_solve((cv, True), e.H)
+            vinv_y = cho_solve((cv, True), y_j, check_finite=False)
+            vinv_H = cho_solve((cv, True), e.H, check_finite=False)
             logdet_V += 2.0 * float(np.sum(np.log(np.diag(cv))))
         yT_Vinv_y += float(y_j @ vinv_y)
         local_T = e.H.T @ vinv_H
@@ -411,29 +418,21 @@ def log_marginal_likelihood(posterior: CpoePosterior, y: np.ndarray | None = Non
     return posterior.log_marginal_likelihood_uncorrected
 
 
-def _projection_grads(kernel: Kernel, X: np.ndarray, A: np.ndarray, H: np.ndarray,
-                      chol_A: np.ndarray):
-    """Kernel-parameter derivatives of ``K(X, A)``, ``K(A, A)`` and of the
-    projection ``H = K(X, A) K(A, A)^-1``, stacked over parameters."""
-    dK_xa, dK_aa = kernel.grad_stack(X, A), kernel.grad_stack(A)
-    P, B, M = dK_xa.shape
-    rhs = (dK_xa - H @ dK_aa).reshape(P * B, M).T
-    dH = cho_solve((chol_A, True), rhs).T.reshape(P, B, M)
-    return dK_xa, dK_aa, dH
-
-
 def _contract_grad(kernel: Kernel, X: np.ndarray, A: np.ndarray, H: np.ndarray,
-                   chol_A: np.ndarray, U: np.ndarray, R: np.ndarray | None = None,
-                   G: np.ndarray | None = None) -> np.ndarray:
+                   chol_A: np.ndarray, dK_aa: np.ndarray, U: np.ndarray,
+                   R: np.ndarray | None = None, G: np.ndarray | None = None) -> np.ndarray:
     """``sum(dD o U) + sum(dN o R) + sum(dH o G)`` for every kernel parameter.
 
     ``H = K(X, A) K(A, A)^-1`` projects X on A, ``N = H K(A, X)`` is the
-    Nystrom part of ``K(X, X)`` and ``D = K(X, X) - N`` the residual.  ``U`` is
-    a symmetric matrix or the diagonal of a diagonal one, ``R`` a symmetric
-    matrix, ``G`` has H's shape.  As ``dN = dK_xa H' + H dK_xa' - H dK_aa H'``,
+    Nystrom part of ``K(X, X)`` and ``D = K(X, X) - N`` the residual; ``dK_aa``
+    is ``K(A, A)``'s derivative stack.  ``U`` is a symmetric matrix or the
+    diagonal of a diagonal one, ``R`` a symmetric matrix, ``G`` has H's shape.
+    As ``dN = dK_xa H' + H dK_xa' - H dK_aa H'``,
     ``sum(dN o W) = 2 sum(dK_xa o W H) - sum(dK_aa o H' W H)`` for symmetric W,
     so no derivative of N or D is formed.  Its terms cancel only after the
-    contraction, so ``U`` and ``R`` must stay moderate in size.
+    contraction, so ``U`` and ``R`` must stay moderate in size.  As
+    ``dH = (dK_xa - H dK_aa) K(A, A)^-1``, ``sum(dH o G)`` is that difference
+    contracted with ``G K(A, A)^-1``: one solve with G's rows as right-hand sides.
     """
     if U.ndim == 1:
         g = kernel.grad_diag_stack(X) @ U
@@ -443,11 +442,10 @@ def _contract_grad(kernel: Kernel, X: np.ndarray, A: np.ndarray, H: np.ndarray,
         WH = -U @ H
     if R is not None:
         WH += R @ H
-    if G is None:
-        dK_xa, dK_aa = kernel.grad_stack(X, A), kernel.grad_stack(A)
-    else:
-        dK_xa, dK_aa, dH = _projection_grads(kernel, X, A, H, chol_A)
-        g += np.tensordot(dH, G, 2)
+    dK_xa = kernel.grad_stack(X, A)
+    if G is not None:
+        G_Kinv = cho_solve((chol_A, True), G.T, check_finite=False).T
+        g += np.tensordot(dK_xa - H @ dK_aa, G_Kinv, 2)
     return g + 2.0 * np.tensordot(dK_xa, WH, 2) - np.tensordot(dK_aa, H.T @ WH, 2)
 
 
@@ -458,39 +456,45 @@ def lml_gradient(posterior: CpoePosterior, y: np.ndarray | None = None) -> np.nd
     variance.  The trace against the posterior covariance only touches blocks
     inside the precision pattern, which is exactly what the partial inverse
     provides.  One pass over the experts serves all six variants.  Per expert
-    the transition side forms dF and dQ; the projection side collects the
-    objective's derivative in the residual covariance into one coefficient T
-    (a vector for diagonal residuals, a matrix for full ones) and contracts it
-    with the kernel derivatives in ``_contract_grad``, which
-    :func:`stochastic_lml_term` shares.
+    one derivative stack of ``K(A_psi)`` serves both sides: the predecessor-
+    plus-self set is the leading prefix of the correlation set, so the
+    transition's blocks are its leading slices.  The transition side forms dF
+    and dQ; the projection side collects the objective's derivative in the
+    residual covariance into one coefficient T (a vector for diagonal
+    residuals, a matrix for full ones) and contracts it with the kernel
+    derivatives in ``_contract_grad``, which :func:`stochastic_lml_term` shares.
     """
     if y is not None and not np.array_equal(np.asarray(y).ravel(), posterior.y):
         raise ValueError("posterior was assembled for a different target vector")
     factors = posterior.factors
     kernel, sigma2 = factors.kernel, factors.noise.variance
     scale = factors.variant.residual_scale
+    L = factors.graph.L
     grad = np.zeros(kernel.n_params + 1)
 
     for j, e in enumerate(factors.experts):
+        p, q = e.pred.size * L, e.pred_plus.size * L
         mu_psi = posterior.mu_at(e.psi)
-        mu_pp = posterior.mu_at(e.pred_plus)
         W_T = posterior.sigma_at(e.psi) + np.outer(mu_psi, mu_psi)
-        W_S = posterior.sigma_at(e.pred_plus) + np.outer(mu_pp, mu_pp)
+        W_S = W_T[:q, :q]
+        dK_psi = kernel.grad_stack(e.A_psi)
 
         # prior side, S = Ft' Q^-1 Ft: -1/2 sum(W_S o dS) - 1/2 dlog|Q|.  Q^-1 is
         # huge where Q is nearly singular (jittered), so dQ is formed first;
         # contracting its terms separately cancels huge numbers (a 30% error in
         # d/d log lengthscale at acceptance criterion 6's starting point)
-        QinvFt = cho_solve((e.chol_Q, True), e.Ft())
-        Qinv = cho_solve((e.chol_Q, True), np.eye(e.Q.shape[0]))
+        QinvFt = cho_solve((e.chol_Q, True), e.Ft(), check_finite=False)
+        Qinv = QinvFt[:, p:]                        # Ft's last L columns are I
         G_S = QinvFt @ W_S
-        dQ = kernel.grad_stack(e.A_self)
+        dQ = dK_psi[:, p:q, p:q]
         if e.F is not None:
-            dKapi, dKpipi, dF = _projection_grads(kernel, e.A_self, e.A_pred, e.F,
-                                                  e.chol_pipi)
+            dKapi, dKpipi = dK_psi[:, p:q, :p], dK_psi[:, :p, :p]
+            # dF = (dK_api - F dK_pipi) K_pipi^-1
+            rhs = (dKapi - e.F @ dKpipi).reshape(-1, p).T
+            dF = cho_solve((e.chol_pipi, True), rhs, check_finite=False).T.reshape(-1, L, p)
             dKF = dKapi @ e.F.T
             dQ = dQ - dKF - dKF.transpose(0, 2, 1) + e.F @ dKpipi @ e.F.T
-            grad[:-1] += np.tensordot(dF, G_S[:, :e.F.shape[1]], 2)
+            grad[:-1] += np.tensordot(dF, G_S[:, :p], 2)
         grad[:-1] += 0.5 * np.tensordot(dQ, G_S @ QinvFt.T - Qinv, 2)
 
         # projection side: data fit, log|V|, -1/2 sum(W_T o dT) and db' mu; T is
@@ -507,11 +511,11 @@ def lml_gradient(posterior: CpoePosterior, y: np.ndarray | None = None) -> np.nd
         else:
             D = e.D_full
             cv = np.linalg.cholesky(factors.v_full(j))
-            Vinv = cho_solve((cv, True), np.eye(a_j.size))
+            Vinv = cho_solve((cv, True), np.eye(a_j.size), check_finite=False)
             T = 0.5 * (np.outer(a_j, a_j) - Vinv + G_T @ VinvH.T
                        - np.outer(u, a_j) - np.outer(a_j, u))
             trace_T = float(np.trace(T))
-        grad[:-1] += _contract_grad(kernel, e.X, e.A_psi, e.H, e.chol_psi,
+        grad[:-1] += _contract_grad(kernel, e.X, e.A_psi, e.H, e.chol_psi, dK_psi,
                                     scale * T - e.dlam, G=np.outer(a_j, mu_psi) - G_T)
         # noise slot: dV = sigma2 I, and d lam / d log sigma2 = -sum(dlam o D)
         grad[-1] += sigma2 * trace_T + float(np.sum(e.dlam * D))
@@ -537,14 +541,15 @@ def stochastic_lml_term(graph: ExpertGraph, kernel: Kernel, noise: NoiseSpec, j:
     A = graph.inducing_inputs[j]
     sigma2 = noise.variance
 
-    chol_aa, K_xa, H, d_diag, D_full = _projection(kernel, X_j, A, variant.full_residual)
+    chol_aa, K_xa, H, d_diag, D_full = _projection(kernel, X_j, A, kernel(A),
+                                                   variant.full_residual)
     D = d_diag if D_full is None else D_full
     vbar, lam, dlam = _variant_terms(variant, D, sigma2)
 
     P = K_xa @ H.T + (np.diag(vbar) if D_full is None else vbar)
     P = 0.5 * (P + P.T) + sigma2 * np.eye(y_j.size)
     cp = np.linalg.cholesky(P)
-    alpha = cho_solve((cp, True), y_j)
+    alpha = cho_solve((cp, True), y_j, check_finite=False)
     logdet_P = 2.0 * float(np.sum(np.log(np.diag(cp))))
     value = -0.5 * (float(y_j @ alpha) + logdet_P) - lam
     if not np.isfinite(value):
@@ -553,11 +558,12 @@ def stochastic_lml_term(graph: ExpertGraph, kernel: Kernel, noise: NoiseSpec, j:
         return value, None
 
     # d value / d P = T, with P = N + scale * D + sigma2 I
-    T = 0.5 * (np.outer(alpha, alpha) - cho_solve((cp, True), np.eye(y_j.size)))
+    T = 0.5 * (np.outer(alpha, alpha)
+               - cho_solve((cp, True), np.eye(y_j.size), check_finite=False))
     T_D = np.diag(T) if D_full is None else T
     grad = np.empty(kernel.n_params + 1)
-    grad[:-1] = _contract_grad(kernel, X_j, A, H, chol_aa, variant.residual_scale * T_D - dlam,
-                               R=T)
+    grad[:-1] = _contract_grad(kernel, X_j, A, H, chol_aa, kernel.grad_stack(A),
+                               variant.residual_scale * T_D - dlam, R=T)
     grad[-1] = sigma2 * float(np.trace(T)) + float(np.sum(dlam * D))
     return value, grad
 

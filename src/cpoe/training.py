@@ -132,7 +132,8 @@ def fit_deterministic(objective, theta0: np.ndarray, config: OptimizerConfig,
 
     The prior (if any and if ``config.objective == 'map'``) is added to the
     objective.  Failed evaluations inside a line search surface the last good
-    parameters rather than aborting.
+    parameters rather than aborting.  The start point is evaluated once, for
+    the trace and as L-BFGS's first point.
     """
     theta0 = np.asarray(theta0, dtype=float).copy()
     use_prior = prior is not None and config.objective == "map"
@@ -165,10 +166,16 @@ def fit_deterministic(objective, theta0: np.ndarray, config: OptimizerConfig,
         obj = last[1] if last is not None and np.allclose(last[0], xk) else state["best"][0]
         trace.append((len(trace) + 1, obj, time.perf_counter() - t_start, np.asarray(xk).copy()))
 
-    v0, _ = negative(theta0)
-    trace.append((0, -v0, time.perf_counter() - t_start, theta0.copy()))
+    start = [negative(theta0)]
+    trace.append((0, -start[0][0], time.perf_counter() - t_start, theta0.copy()))
+
+    def lbfgs_fun(theta):  # L-BFGS starts at theta0: hand it the evaluation made there
+        if start and np.array_equal(theta, theta0):
+            return start.pop()
+        return negative(theta)
+
     bounds = [(-config.bound, config.bound)] * theta0.size
-    res = optimize.minimize(negative, theta0, jac=True, method="L-BFGS-B",
+    res = optimize.minimize(lbfgs_fun, theta0, jac=True, method="L-BFGS-B",
                             callback=callback, bounds=bounds,
                             options={"maxiter": config.max_iter, "ftol": 1e-12,
                                      "gtol": 1e-6})

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from cpoe import CpoeModel, SquaredExponential
+from cpoe import CpoeModel, FullGp, SparseGp, SquaredExponential, full_params
 from cpoe.bench import (
     ExperimentConfig,
     build_kernel,
@@ -263,8 +263,8 @@ class TestRunExperiment:
                     n_rows = len(list(csv.reader(fh))) - 1
                 assert (n_rows == epochs + 1) == label.startswith("cpoe"), (label, n_rows)
 
-    # L-BFGS evaluates theta0 once for the trace and once as its first point;
-    # the model is already fitted there, so neither evaluation refits it
+    # L-BFGS starts from the trace's evaluation at theta0, where the model is
+    # already fitted
     # (the number of L-BFGS steps depends on rounding, so only its floor is fixed)
     @pytest.mark.parametrize("optimize, refits", [("none", 1), ("deterministic", None),
                                                   ("stochastic", 2)])
@@ -296,6 +296,35 @@ class TestRunExperiment:
         # the fit at theta0, then (L-BFGS or Adam) one refit per new theta
         assert sum(np.array_equal(t, thetas[0]) for t in thetas) == 1
         assert len(thetas) == refits if refits else len(thetas) > 2
+        for before, after in zip(thetas, thetas[1:]):
+            assert not np.array_equal(before, after)
+
+    # fullgp and sgp are rebuilt from scratch at each theta; L-BFGS starts from
+    # the trace's evaluation at theta0 and the final fit at the last evaluated
+    # theta reuses that model, so no two consecutive fits share a theta
+    @pytest.mark.parametrize("method, cls", [("fullgp", FullGp), ("sgp:20", SparseGp)])
+    def test_rebuilt_methods_fit_once_per_theta(self, tmp_path, monkeypatch, method, cls):
+        thetas = []
+        fit = cls.fit
+
+        def counted(model, X, y):
+            thetas.append(full_params(model.kernel, model.noise))
+            return fit(model, X, y)
+
+        monkeypatch.setattr(cls, "fit", counted)
+        cfg = self._config(tmp_path, f"""
+            synthetic = se
+            n = 64
+            d = 2
+            n_test = 20
+            optimize = deterministic
+            max_iter = 3
+            methods = {method}
+            output = {tmp_path}/out
+        """)
+        assert run_experiment(cfg)[0]["error"] == ""
+        assert len(thetas) > 2
+        assert sum(np.array_equal(t, thetas[0]) for t in thetas) == 1
         for before, after in zip(thetas, thetas[1:]):
             assert not np.array_equal(before, after)
 

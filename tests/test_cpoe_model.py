@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 from conftest import (
     consecutive_graph,
@@ -17,6 +18,8 @@ from cpoe import (
     ExpertGraph,
     FullGp,
     NoiseSpec,
+    Periodic,
+    SpectralMixture,
     SquaredExponential,
     VariantSpec,
     full_params,
@@ -25,6 +28,7 @@ from cpoe import (
     stochastic_lml_term,
 )
 from cpoe import cpoe_model
+from cpoe.kernels import jittered_cholesky
 from cpoe.prediction import local_predict, predict_arrays
 
 
@@ -53,6 +57,38 @@ class TestLocalFactors:
             np.testing.assert_allclose(e.Q, Q, atol=1e-8)
             np.testing.assert_allclose(e.H, H, atol=1e-8)
             np.testing.assert_allclose(e.d_diag, np.diag(D), atol=1e-8)
+
+    @pytest.mark.parametrize("kern", [
+        SquaredExponential.create(1.2, [0.15, 0.2]),
+        Periodic.create(0.7, 0.9, 1.3, active_dims=[0])
+        + SquaredExponential.create(1.0, [0.2, 0.3]),
+        SpectralMixture.create([0.5, 1.1], [0.8, 2.0], [0.4, 1.5], active_dims=[0])
+        + SquaredExponential.create(1.0, [0.2, 0.3]),
+    ], ids=["se", "periodic+se", "sm+se"])
+    def test_transition_slices_match_separate_kernel_calls(self, kern, rng):
+        # F, Q and chol_pipi come from slices of K(A_psi); they must equal, bit
+        # for bit, the factors built from separate kernel calls per block
+        X = spread_points(128, 2, rng)
+        model = CpoeModel(kern, NoiseSpec.create(0.1), J=8, C=3, gamma=0.5,
+                          seed=0).fit(X, rng.normal(size=128))
+        g = model.graph
+        for j, e in enumerate(model.factors.experts):
+            A_self = g.inducing_inputs[j]
+            K_aa = kern(A_self)
+            if e.pred.size:
+                A_pred = np.vstack([g.inducing_inputs[p] for p in e.pred])
+                chol_pipi, _ = jittered_cholesky(kern(A_pred))
+                K_api = kern(A_self, A_pred)
+                F = cho_solve((chol_pipi, True), K_api.T).T
+                Q = K_aa - K_api @ F.T
+                Q = 0.5 * (Q + Q.T)
+                np.testing.assert_array_equal(e.chol_pipi, chol_pipi)
+                np.testing.assert_array_equal(e.F, F)
+            else:
+                assert e.F is None and e.chol_pipi is None
+                Q = K_aa
+            _, q_jitter = jittered_cholesky(Q, scale=float(np.mean(np.diag(K_aa))))
+            np.testing.assert_array_equal(e.Q, Q + q_jitter * np.eye(Q.shape[0]))
 
     def test_full_conditioning_kills_residual(self, rng):
         # gamma = 1 and C = J: the projection conditions on the expert's own
@@ -295,6 +331,35 @@ class TestGradient:
                       seed=0).fit(X, y)
         full = FullGp(kern, noise).fit(X, y)
         np.testing.assert_allclose(m.lml_gradient(), full.lml_gradient(), atol=1e-6)
+
+    # the projection derivative is contracted through one solve with G's rows
+    # as right-hand sides; the oracle forms dH = (dK_xa - H dK_aa) K(A, A)^-1
+    # explicitly, one solve per parameter and row, and contracts it with G
+    @pytest.mark.parametrize("variant,alpha,ls", [
+        ("fitc", 1.0, 0.1), ("dtc", 1.0, 0.1), ("pitc", 1.0, 0.1), ("vfe", 1.0, 0.1),
+        ("pep", 0.5, 0.1), ("pep_b", 0.5, 0.1), ("fitc", 1.0, 1.0)])
+    def test_matches_explicit_projection_derivative(self, variant, alpha, ls, monkeypatch):
+        r2 = np.random.default_rng(23)
+        X = spread_points(128, 2, r2)
+        kern = SquaredExponential.create(1.1, [ls, 1.3 * ls])
+        m = CpoeModel(kern, NoiseSpec.create(0.1), J=4, C=3, gamma=0.5,
+                      variant=VariantSpec(variant, alpha), seed=0).fit(X, r2.normal(size=128))
+        if ls == 1.0:  # a long lengthscale on dense inputs: K(A_psi) needs jitter
+            assert any(jittered_cholesky(kern(e.A_psi))[1] > 0 for e in m.factors.experts)
+        g = m.lml_gradient()
+        contract = cpoe_model._contract_grad
+
+        def explicit(kernel, X, A, H, chol_A, dK_aa, U, R=None, G=None):
+            dK_xa = kernel.grad_stack(X, A)
+            P, B, M = dK_xa.shape
+            rhs = (dK_xa - H @ dK_aa).reshape(P * B, M).T
+            dH = cho_solve((chol_A, True), rhs).T.reshape(P, B, M)
+            return (contract(kernel, X, A, H, chol_A, dK_aa, U, R)
+                    + (0.0 if G is None else np.tensordot(dH, G, 2)))
+
+        monkeypatch.setattr(cpoe_model, "_contract_grad", explicit)
+        g_oracle = m.lml_gradient()
+        assert np.linalg.norm(g - g_oracle) <= 1e-10 * np.linalg.norm(g)
 
     def test_unused_sum_parameter_has_zero_gradient(self, rng):
         # a summand acting on a constant input column cannot move the likelihood

@@ -57,6 +57,19 @@ class TestDeterministic:
         np.testing.assert_array_equal(res.theta, [1.0, 2.0])
         assert len(res.trace) == 1  # only the initial evaluation
 
+    def test_start_point_evaluated_once(self):
+        # the trace's evaluation at theta0 doubles as L-BFGS's first point
+        theta0 = np.array([0.3, -0.4])
+        seen = []
+
+        def objective(theta):
+            seen.append(np.array(theta))
+            return -float(theta @ theta), -2.0 * theta
+
+        res = fit_deterministic(objective, theta0, OptimizerConfig(max_iter=5))
+        assert sum(np.array_equal(t, theta0) for t in seen) == 1
+        assert res.n_evaluations == len(seen)
+
     def test_quadratic_converges_to_analytic_maximum(self):
         target = np.array([0.7, -1.2])
 
