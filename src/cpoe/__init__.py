@@ -65,12 +65,9 @@ from .metrics import (
     rmse,
 )
 from .prediction import (
-    LocalPrediction,
-    PredictiveGaussian,
-    aggregate,
     aggregation_weights,
+    fuse,
     local_predict,
-    predict,
 )
 from .training import (
     Adam,

@@ -16,7 +16,7 @@ from scipy.linalg import cho_solve, solve_triangular
 
 from .expert_graph import ExpertGraph
 from .kernels import Kernel, NoiseSpec, jittered_cholesky
-from .prediction import aggregation_weights
+from .prediction import aggregation_weights, fuse
 
 __all__ = [
     "FullGp",
@@ -232,14 +232,10 @@ def poe_predict(experts: list[LocalExpertFit], kernel: Kernel, Xs,
         beta = 0.5 * np.log(v0[None, :] / variances)
         total = beta.sum(axis=0)
         w = np.where(total > 0, beta / np.where(total > 0, total, 1.0), 1.0 / E)
-        inv_v = np.sum(w / variances, axis=0)
-        var = 1.0 / inv_v
-        mean = var * np.sum(w * means / variances, axis=0)
+        mean, var = fuse(means, variances, w)
     elif mode == "gpoe_z1":
         w = aggregation_weights(v0[None, :], variances, N=1, C=1, exponent=1.0)
-        inv_v = np.sum(w / variances, axis=0)
-        var = 1.0 / inv_v
-        mean = var * np.sum(w * means / variances, axis=0)
+        mean, var = fuse(means, variances, w)
     else:
         raise ValueError(f"unknown aggregation mode {mode!r}")
 

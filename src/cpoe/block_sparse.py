@@ -62,10 +62,6 @@ class BlockSparseMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.n_block_rows * self.row_block, self.n_block_cols * self.col_block)
 
-    @property
-    def n_stored_blocks(self) -> int:
-        return len(self._blocks)
-
     def has_block(self, i: int, j: int) -> bool:
         return (i, j) in self._blocks
 
@@ -96,7 +92,7 @@ class BlockSparseMatrix:
         else:
             self.set_block(i, j, np.asarray(value, dtype=float).copy())
 
-    # -- conversions & algebra -------------------------------------------------
+    # -- conversions -----------------------------------------------------------
 
     def to_dense(self) -> np.ndarray:
         A = np.zeros(self.shape)
@@ -118,23 +114,6 @@ class BlockSparseMatrix:
                 if keep_zero_blocks or np.any(blk != 0.0):
                     out.set_block(i, j, np.array(blk, dtype=float))
         return out
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape[0] != self.shape[1]:
-            raise ValueError(f"length {x.shape[0]} incompatible with shape {self.shape}")
-        y = np.zeros(self.shape[0] if x.ndim == 1 else (self.shape[0], x.shape[1]))
-        rb, cb = self.row_block, self.col_block
-        for (i, j), blk in self._blocks.items():
-            y[i * rb:(i + 1) * rb] += blk @ x[j * cb:(j + 1) * cb]
-        return y
-
-    def pattern_is_symmetric(self) -> bool:
-        return all((j, i) in self._blocks for (i, j) in self._blocks)
-
-    def dump_pattern(self) -> str:
-        """Stored blocks as coordinate-list text, one ``i j`` pair per line."""
-        return "\n".join(f"{i} {j}" for i, j in sorted(self._blocks))
 
 
 def fill_reducing_permutation(pattern) -> np.ndarray:
@@ -273,13 +252,6 @@ class BlockCholesky:
         for i in range(self.n_blocks):
             acc += np.sum(np.log(np.diag(self.blocks[(i, i)])))
         return 2.0 * acc
-
-    def to_dense_factor(self) -> np.ndarray:
-        J, bs = self.n_blocks, self.block_size
-        L = np.zeros((J * bs, J * bs))
-        for (i, j), blk in self.blocks.items():
-            L[i * bs:(i + 1) * bs, j * bs:(j + 1) * bs] = blk
-        return L
 
 
 def block_cholesky(A: BlockSparseMatrix, perm: np.ndarray | None = None,

@@ -70,13 +70,12 @@ def order_partitions(centers: np.ndarray, rng: np.random.Generator) -> np.ndarra
         return np.array([0])
     start = int(rng.integers(J))
     ordering = [start]
-    remaining = sorted(set(range(J)) - {start})
-    while remaining:
-        last = centers[ordering[-1]]
-        dists = [float(np.linalg.norm(centers[c] - last)) for c in remaining]
-        nxt = remaining[int(np.argmin(dists))]  # argmin takes the first minimum: lowest index
-        ordering.append(nxt)
-        remaining.remove(nxt)
+    remaining = np.delete(np.arange(J), start)  # ascending, so ties go to the lowest index
+    while remaining.size:
+        dists = np.linalg.norm(centers[remaining] - centers[ordering[-1]], axis=1)
+        k = int(np.argmin(dists))  # argmin takes the first minimum
+        ordering.append(int(remaining[k]))
+        remaining = np.delete(remaining, k)
     return np.asarray(ordering, dtype=int)
 
 
@@ -255,17 +254,3 @@ class ExpertGraph:
         preds = build_predecessors(self.centers, ordered_ids, C)
         corr = correlation_sets(preds, C)
         return replace(self, C=C, predecessors=preds, correlation=corr)
-
-    def describe(self) -> str:
-        """Plain-text summary for debugging."""
-        lines = [
-            f"ExpertGraph(J={self.J}, B={self.B}, L={self.L}, C={self.C}, "
-            f"gamma={self.gamma}, seed={self.seed})",
-            f"ordering: {self.ordering.tolist()}",
-        ]
-        for j in range(self.J):
-            lines.append(
-                f"  expert {j}: rows={self.row_indices[j].size} "
-                f"pred={self.predecessors[j].tolist()} corr={self.correlation[j].tolist()}"
-            )
-        return "\n".join(lines)

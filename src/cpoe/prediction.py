@@ -1,4 +1,4 @@
-"""Local expert predictions and covariance-intersection aggregation.
+"""Local expert predictions and covariance-intersection fusion.
 
 Each predictive expert projects the query onto its correlation region,
 producing a Gaussian whose variance combines the conditional residual with
@@ -21,57 +21,33 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dtrtri
 
 __all__ = [
     "ServingState",
-    "PredictiveGaussian",
-    "LocalPrediction",
     "local_predict",
     "aggregation_weights",
-    "aggregate",
-    "predict",
+    "fuse",
     "predict_arrays",
 ]
 
 WEIGHT_CLAMP = 1e-12  # floor for non-positive entropy differences before sharpening
 # Kernel-block entries per query chunk: queries are evaluated in chunks of
-# CHUNK_ENTRIES // (J * L) rows, so one chunk's K(X, A_all) stays near 4 MB
+# CHUNK_ENTRIES // (J * L) rows, so one chunk's K(A_all, X) stays near 4 MB
 # whatever the batch size.
 CHUNK_ENTRIES = 2 ** 19
-
-
-@dataclass(frozen=True)
-class PredictiveGaussian:
-    mean: float
-    variance: float
-    noisy: bool = False
-
-    def __post_init__(self):
-        if not self.variance > 0:
-            raise ValueError(f"predictive variance must be positive, got {self.variance}")
-
-
-@dataclass(frozen=True)
-class LocalPrediction:
-    expert: int
-    mean: float
-    variance: float
-    prior_variance: float
-    raw_weight: float
-    weight: float
 
 
 def aggregation_weights(v0, v_experts, N: int, C: int,
                         exponent: float | None = None) -> np.ndarray:
     """Normalized entropy-difference weights, sharpened by ``log(N) * C``.
 
-    The unnormalized weight of an expert is half the log ratio of prior to
-    posterior predictive variance.  Non-positive values are clamped to a tiny
-    floor before raising to the sharpening exponent, which preserves
-    normalization; if no expert is informative this degrades to uniform
-    weights.  Pass ``exponent`` to override the default sharpening.
+    Experts run along axis 0.  The unnormalized weight of an expert is half
+    the log ratio of prior to posterior predictive variance.  Non-positive
+    values are clamped to a tiny floor before raising to the sharpening
+    exponent, which preserves normalization; if no expert is informative this
+    degrades to uniform weights.  Pass ``exponent`` to override the default
+    sharpening.
     """
     v_experts = np.asarray(v_experts, dtype=float)
     if np.any(v_experts <= 0) or np.any(np.asarray(v0) <= 0):
@@ -81,24 +57,20 @@ def aggregation_weights(v0, v_experts, N: int, C: int,
     Z = float(np.log(N) * C) if exponent is None else float(exponent)
     # sharpen in log space; subtracting the max keeps the exponentials finite
     logw = Z * np.log(beta_bar)
-    logw = logw - logw.max(axis=0, keepdims=True) if logw.ndim > 1 else logw - logw.max()
-    w = np.exp(logw)
-    return w / w.sum(axis=0, keepdims=True) if w.ndim > 1 else w / w.sum()
+    w = np.exp(logw - logw.max(axis=0, keepdims=True))
+    return w / w.sum(axis=0, keepdims=True)
 
 
-def aggregate(local_predictions) -> PredictiveGaussian:
-    """Covariance-intersection fusion of weighted local Gaussians.
+def fuse(means, variances, weights):
+    """Covariance-intersection fusion of weighted local Gaussians along axis 0.
 
     With normalized weights:  1/v = sum_j beta_j / v_j  and
-    m = v * sum_j beta_j m_j / v_j.
+    m = v * sum_j beta_j m_j / v_j.  Returns ``(m, v)``.
     """
-    preds = list(local_predictions)
-    if not preds:
-        raise ValueError("cannot aggregate an empty set of predictions")
-    inv_v = sum(p.weight / p.variance for p in preds)
-    v = 1.0 / inv_v
-    m = v * sum(p.weight * p.mean / p.variance for p in preds)
-    return PredictiveGaussian(mean=float(m), variance=float(v))
+    inv_v = np.sum(weights / variances, axis=0)
+    var = 1.0 / inv_v
+    mean = var * np.sum(weights * means / variances, axis=0)
+    return mean, var
 
 
 SERVING_ARRAYS = ("chol_psi", "mu_psi", "sigma_psi")
@@ -139,28 +111,35 @@ class ServingState:
         return out
 
 
-def _whitened_region(chol: np.ndarray, mu: np.ndarray, sigma: np.ndarray):
-    """One expert's posterior over its correlation region, whitened by its factor.
+def _whitened_region(serving: ServingState, j: int):
+    """Expert ``j``'s posterior over its correlation region, whitened by its factor.
 
-    With ``K(A_psi, A_psi) = L L'``: returns ``L``, ``a = L^-1 mu_psi`` and
-    ``S = L^-1 Sigma_psi L^-T`` (symmetrized).  Formed once per expert and call.
+    With ``K(A_psi, A_psi) = L L'``: returns ``V = L^-T`` (C-ordered),
+    ``a = L^-1 mu_psi`` and ``S = L^-1 Sigma_psi L^-T`` (symmetrized).  ``L^-1``
+    comes from one LAPACK ``trtri`` per expert and call, so every query chunk
+    multiplies by it instead of substituting through ``L``.
     """
-    a = solve_triangular(chol, mu, lower=True)
-    S = solve_triangular(chol, solve_triangular(chol, sigma, lower=True).T, lower=True)
-    return chol, a, 0.5 * (S + S.T)
+    chol, mu, sigma = serving.region(j)
+    inv, info = dtrtri(chol, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"serving factor of expert {j} is singular (trtri info {info})")
+    inv = np.tril(inv)  # trtri leaves the strict upper triangle as it found it
+    S = inv @ sigma @ inv.T
+    return np.ascontiguousarray(inv.T), inv @ mu, 0.5 * (S + S.T)
 
 
-def _local_moments(K_xpsi: np.ndarray, kxx: np.ndarray, chol: np.ndarray,
+def _local_moments(K_xpsi: np.ndarray, kxx: np.ndarray, V: np.ndarray,
                    a: np.ndarray, S: np.ndarray):
     """Mean/variance of one expert's prediction at each row of ``K_xpsi``.
 
-    ``W = K_xpsi L^-T`` comes from one triangular solve, made in place on
-    ``K_xpsi`` (``chol.T`` and ``K_xpsi.T`` are Fortran-ordered views, so BLAS
-    copies neither); then ``m = W a`` and ``v = k(x, x) - |W|^2 + W S W'``.
-    ``K^-1 - K^-1 Sigma K^-1`` is never formed: it loses the variance to
-    cancellation where the kernel matrix is ill-conditioned.
+    ``W = K_xpsi L^-T`` is one GEMM against ``V`` from :func:`_whitened_region`
+    (``K_xpsi`` may be a transposed view; BLAS reads it without a copy); then
+    ``m = W a`` and ``v = k(x, x) - |W|^2 + W S W'``.  ``K^-1 - K^-1 Sigma K^-1``
+    is never formed: it loses the variance to cancellation where the kernel
+    matrix is ill-conditioned.
     """
-    W = dtrsm(1.0, chol.T, K_xpsi.T, lower=0, trans_a=1, overwrite_b=1).T
+    W = K_xpsi @ V
     m = W @ a
     v = kxx - np.einsum("ij,ij->i", W, W) + np.einsum("ij,ij->i", W @ S, W)
     return m, v
@@ -174,9 +153,8 @@ def local_predict(model, j: int, x_star) -> tuple[float, float]:
     if not graph.C - 1 <= j < graph.J:
         raise ValueError(f"expert {j} is not a predictive expert")
     A_psi = np.vstack([graph.inducing_inputs[p] for p in graph.correlation[j]])
-    K_xpsi = model.kernel(Xs, A_psi)
-    m, v = _local_moments(K_xpsi, model.kernel.diag(Xs),
-                          *_whitened_region(*model.serving.region(j)))
+    m, v = _local_moments(model.kernel(A_psi, Xs).T, model.kernel.diag(Xs),
+                          *_whitened_region(model.serving, j))
     return float(m[0]), float(v[0])
 
 
@@ -190,7 +168,13 @@ def _check_query(model, Xs: np.ndarray) -> None:
 def predict_arrays(model, Xs, add_noise: bool = False,
                    weight_exponent: float | None = None,
                    return_locals: bool = False):
-    """Batched aggregation over the predictive experts; see :func:`predict`."""
+    """Fused predictive mean and variance at each query row.
+
+    Batching is a pure vectorization of the pointwise computation; results
+    agree with per-point calls to within floating-point roundoff.  With
+    ``return_locals`` a third item holds the predictive experts and their
+    local means, variances and fusion weights, one row per expert.
+    """
     Xs = np.asarray(Xs, dtype=float)
     if Xs.ndim == 1:
         Xs = Xs[:, None]
@@ -199,9 +183,9 @@ def predict_arrays(model, Xs, add_noise: bool = False,
     L = graph.L
     serving = model.serving
     experts = serving.experts
-    regions = [_whitened_region(*serving.region(j)) for j in experts]
-    # expert j's columns of K(X, A_all): the blocks of its correlation set
-    columns = [np.concatenate([np.arange(p * L, (p + 1) * L) for p in graph.correlation[j]])
+    regions = [_whitened_region(serving, j) for j in experts]
+    # expert j's rows of K(A_all, X): the blocks of its correlation set
+    rows_of = [np.concatenate([np.arange(p * L, (p + 1) * L) for p in graph.correlation[j]])
                for j in experts]
     A_all = np.vstack(graph.inducing_inputs)
     v0 = model.kernel.diag(Xs)
@@ -209,32 +193,17 @@ def predict_arrays(model, Xs, add_noise: bool = False,
     variances = np.empty_like(means)
     step = max(1, CHUNK_ENTRIES // A_all.shape[0])
     for start in range(0, Xs.shape[0], step):
-        rows = slice(start, start + step)
-        K = model.kernel(Xs[rows], A_all)
-        for row, (cols, region) in enumerate(zip(columns, regions)):
-            means[row, rows], variances[row, rows] = _local_moments(K[:, cols], v0[rows],
-                                                                    *region)
+        chunk = slice(start, start + step)
+        K = model.kernel(A_all, Xs[chunk])
+        for row, (idx, region) in enumerate(zip(rows_of, regions)):
+            means[row, chunk], variances[row, chunk] = _local_moments(K[idx].T, v0[chunk],
+                                                                      *region)
     variances = np.maximum(variances, 1e-12 * v0)  # numerical floor, keeps v > 0
     weights = aggregation_weights(v0[None, :], variances, N=graph.N, C=graph.C,
                                   exponent=weight_exponent)
-    inv_v = np.sum(weights / variances, axis=0)
-    var = 1.0 / inv_v
-    mean = var * np.sum(weights * means / variances, axis=0)
+    mean, var = fuse(means, variances, weights)
     if add_noise:
         var = var + model.noise.variance
     if return_locals:
         return mean, var, (np.array(experts), means, variances, weights)
     return mean, var
-
-
-def predict(model, Xs, add_noise: bool = False,
-            weight_exponent: float | None = None) -> list[PredictiveGaussian]:
-    """Aggregated predictive Gaussians, one per query row.
-
-    Batching is a pure vectorization of the pointwise computation; results
-    agree with per-point calls to within floating-point roundoff.
-    """
-    mean, var = predict_arrays(model, Xs, add_noise=add_noise,
-                               weight_exponent=weight_exponent)
-    return [PredictiveGaussian(float(m), float(v), noisy=add_noise)
-            for m, v in zip(mean, var)]

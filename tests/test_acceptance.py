@@ -29,7 +29,7 @@ from cpoe import (
     stochastic_lml_term,
 )
 from cpoe.metrics import crps_gaussian, kl_univariate
-from cpoe.prediction import LocalPrediction, aggregate, aggregation_weights, predict_arrays
+from cpoe.prediction import aggregation_weights, fuse, predict_arrays
 from cpoe.training import OptimizerConfig, fit_deterministic, fit_stochastic
 
 
@@ -367,16 +367,12 @@ def test_criterion_8_aggregation_consistency():
         w = aggregation_weights(v0, v, N=int(rng.integers(2, 10000)),
                                 C=int(rng.integers(1, 8)))
         worst_sum = max(worst_sum, abs(float(np.sum(w)) - 1.0))
-        fused = aggregate([LocalPrediction(expert=i, mean=float(m[i]),
-                                           variance=float(v[i]), prior_variance=v0,
-                                           raw_weight=float(w[i]), weight=float(w[i]))
-                           for i in range(n)])
+        fused_mean, fused_var = fuse(m, v, w)
         # closed-form product formula, recomputed independently
         inv_v = float(np.sum(w / v))
         v_ref = 1.0 / inv_v
         m_ref = v_ref * float(np.sum(w * m / v))
-        worst_fuse = max(worst_fuse, abs(fused.variance - v_ref),
-                         abs(fused.mean - m_ref))
+        worst_fuse = max(worst_fuse, abs(fused_var - v_ref), abs(fused_mean - m_ref))
 
     # coverage on well-specified synthetic data for degree 2
     covs = []

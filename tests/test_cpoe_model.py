@@ -243,7 +243,7 @@ class TestPosterior:
     def test_precision_solve_consistency(self, rng):
         model, *_ = make_setup(rng)
         post = model.posterior
-        r = post.precision.matvec(post.mu) - post.b
+        r = post.precision.to_dense() @ post.mu - post.b
         assert np.linalg.norm(r) <= 1e-8 * max(np.linalg.norm(post.b), 1.0)
 
 

@@ -1,5 +1,7 @@
 """Local predictions, aggregation weights and covariance-intersection fusion."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,23 +9,24 @@ from hypothesis import strategies as st
 
 from scipy.linalg import cho_solve
 
-from conftest import dense_posterior, gp_sample, spread_points
+from conftest import dense_posterior, gp_sample, jittered_grid_2d, spread_points
 from cpoe import prediction
 from cpoe import (
     CpoeModel,
     FullGp,
     NoiseSpec,
+    Periodic,
     SparseGp,
+    SpectralMixture,
     SquaredExponential,
     fit_local_experts,
     poe_predict,
 )
 from cpoe.prediction import (
-    PredictiveGaussian,
-    aggregate,
+    ServingState,
     aggregation_weights,
+    fuse,
     local_predict,
-    predict,
     predict_arrays,
 )
 
@@ -85,6 +88,100 @@ class TestLocalPredict:
             local_predict(model, 0, np.zeros(2))
 
 
+def _forward_substitution(L, B):
+    """``L^-1 B`` by forward substitution in long double, from float64 operands."""
+    L, B = L.astype(np.longdouble), B.astype(np.longdouble)
+    Y = np.empty_like(B)
+    for i in range(L.shape[0]):
+        Y[i] = (B[i] - L[i, :i] @ Y[:i]) / L[i, i]
+    return Y
+
+
+class TestLocalMoments:
+    """The GEMM form against ``L^-T`` and the transposed shared kernel block."""
+
+    @pytest.mark.parametrize("ls", [0.4, 0.5])
+    def test_matches_long_double_substitution(self, ls):
+        # a small criterion-6-like configuration: a jittered grid and a long
+        # lengthscale; at 0.4 one K(A_psi) factors unjittered with a condition
+        # number near 5e13, at 0.5 a factorization needs jitter
+        r = np.random.default_rng(0)
+        X = jittered_grid_2d(16, r)
+        kern = SquaredExponential.create(1.0, [ls, ls])
+        y, _ = gp_sample(kern, X, 0.2, r)
+        model = CpoeModel(kern, NoiseSpec.create(0.2), J=4, C=2, gamma=0.5, seed=0).fit(X, y)
+        Xq = np.random.default_rng(1).uniform(0, 1, (50, 2))
+        experts, means, variances, _ = predict_arrays(model, Xq, return_locals=True)[2]
+        kxx = kern.diag(Xq)
+        worst_cond = worst_jitter = 0.0
+        for row, j in enumerate(experts):
+            chol, mu, sigma = model.serving.region(j)
+            A_psi = model.factors.experts[j].A_psi
+            K_psi = kern(A_psi)
+            worst_cond = max(worst_cond, np.linalg.cond(K_psi))
+            worst_jitter = max(worst_jitter, np.abs(chol @ chol.T - K_psi).max())
+            a = _forward_substitution(chol, mu)
+            S = _forward_substitution(chol, _forward_substitution(chol, sigma).T)
+            S = 0.5 * (S + S.T)
+            W = _forward_substitution(chol, kern(A_psi, Xq)).T
+            ww, wsw = np.sum(W * W, axis=1), np.sum((W @ S) * W, axis=1)
+            m_ref, v_ref = W @ a, kxx - ww + wsw
+            # forward error of a triangular solve or inverse: a small multiple of
+            # P u cond(L) relative to the solution (Higham, ASNLA, ch. 8 and 14)
+            tol = 4 * chol.shape[0] * np.finfo(float).eps * np.linalg.cond(chol)
+            assert np.all(np.abs(means[row] - m_ref)
+                          <= tol * np.sqrt(ww) * np.sqrt(np.sum(a * a)))
+            assert np.all(np.abs(variances[row] - v_ref) <= tol * (ww + np.abs(wsw)))
+        if ls == 0.4:
+            assert worst_cond > 1e13
+        else:
+            assert worst_jitter > 1e-9
+
+    @pytest.mark.parametrize("kern", [
+        SquaredExponential.create(1.0, [0.2, 0.3]),
+        Periodic.create(1.0, 0.7, 0.5, active_dims=[0])
+        + SquaredExponential.create(1.0, [0.2, 0.3]),
+        SpectralMixture.create([0.5, 1.1], [0.8, 2.0], [0.4, 1.5], active_dims=[0])
+        + SquaredExponential.create(1.0, [0.2, 0.3]),
+    ], ids=["se", "periodic+se", "sm+se"])
+    def test_shared_block_matches_per_expert_kernel_calls(self, kern, rng):
+        X = spread_points(128, 2, rng)
+        model = CpoeModel(kern, NoiseSpec.create(0.1), J=8, C=3, gamma=0.5,
+                          seed=0).fit(X, rng.normal(size=128))
+        Xs = np.random.default_rng(7).uniform(0, 1, (40, 2))
+        experts, means, variances, _ = predict_arrays(model, Xs, return_locals=True)[2]
+        kxx = kern.diag(Xs)
+        for row, j in enumerate(experts):
+            K_xpsi = kern(Xs, model.factors.experts[j].A_psi)
+            m, v = prediction._local_moments(K_xpsi, kxx,
+                                             *prediction._whitened_region(model.serving, j))
+            np.testing.assert_allclose(means[row], m, rtol=0, atol=1e-13 * np.abs(m).max())
+            np.testing.assert_allclose(variances[row], np.maximum(v, 1e-12 * kxx),
+                                       rtol=1e-13)
+
+    def test_local_predict_is_a_row_of_predict_arrays(self, rng):
+        model, _, _ = small_model(rng, N=64, J=8, C=3)
+        Xs = np.random.default_rng(8).uniform(0, 1, (6, 2))
+        experts, means, variances, _ = predict_arrays(model, Xs, return_locals=True)[2]
+        for row, j in enumerate(experts):
+            for q, x in enumerate(Xs):
+                m, v = local_predict(model, j, x)
+                assert m == pytest.approx(means[row, q], rel=1e-13, abs=1e-15)
+                assert v == pytest.approx(variances[row, q], rel=1e-13)
+
+    def test_singular_serving_factor_rejected(self, rng):
+        model, _, _ = small_model(rng, N=64, J=8, C=3)
+        stacks = model.serving.arrays()
+        stacks["chol_psi"][1, 5, 5] = 0.0
+        served = SimpleNamespace(graph=model.graph, kernel=model.kernel, noise=model.noise,
+                                 serving=ServingState.from_arrays(2, *stacks.values()))
+        with pytest.raises(np.linalg.LinAlgError, match="expert 3 is singular"):
+            predict_arrays(served, np.full((2, 2), 0.5))
+        with pytest.raises(np.linalg.LinAlgError, match="expert 3 is singular"):
+            local_predict(served, 3, np.full(2, 0.5))
+        local_predict(served, 4, np.full(2, 0.5))  # the other experts still serve
+
+
 class TestAggregationWeights:
     def test_single_expert_gets_full_weight(self):
         w = aggregation_weights(1.0, [0.2], N=100, C=4)
@@ -128,36 +225,33 @@ class TestAggregationWeights:
         assert w[0] > w[1]
 
 
-def _lp(mean, var, weight, expert=0):
-    from cpoe.prediction import LocalPrediction
-
-    return LocalPrediction(expert=expert, mean=mean, variance=var,
-                           prior_variance=1.0, raw_weight=weight, weight=weight)
-
-
 class TestAggregate:
+    """``fuse`` over experts along axis 0."""
+
     def test_single_passthrough(self):
-        out = aggregate([_lp(0.7, 0.3, 1.0)])
-        assert out.mean == pytest.approx(0.7)
-        assert out.variance == pytest.approx(0.3)
+        m, v = fuse(np.array([0.7]), np.array([0.3]), np.array([1.0]))
+        assert m == pytest.approx(0.7)
+        assert v == pytest.approx(0.3)
 
     def test_identical_experts_idempotent(self):
-        out = aggregate([_lp(1.1, 0.4, 0.5), _lp(1.1, 0.4, 0.5)])
-        assert out.mean == pytest.approx(1.1)
-        assert out.variance == pytest.approx(0.4)
+        m, v = fuse(np.array([1.1, 1.1]), np.array([0.4, 0.4]), np.array([0.5, 0.5]))
+        assert m == pytest.approx(1.1)
+        assert v == pytest.approx(0.4)
 
     def test_direct_formula(self):
-        out = aggregate([_lp(0.0, 1.0, 0.5), _lp(1.0, 1.0, 0.5)])
-        assert out.mean == pytest.approx(0.5)
-        assert out.variance == pytest.approx(1.0)
+        m, v = fuse(np.array([0.0, 1.0]), np.array([1.0, 1.0]), np.array([0.5, 0.5]))
+        assert m == pytest.approx(0.5)
+        assert v == pytest.approx(1.0)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate([])
-
-    def test_positive_variance_enforced(self):
-        with pytest.raises(ValueError):
-            PredictiveGaussian(0.0, -1.0)
+    def test_columns_fuse_independently(self):
+        # two experts by three queries: each column is its own fusion
+        means = np.array([[0.0, 1.0, -2.0], [1.0, 1.0, 2.0]])
+        variances = np.array([[1.0, 0.2, 0.5], [1.0, 0.4, 0.5]])
+        weights = np.array([[0.5, 0.9, 0.25], [0.5, 0.1, 0.75]])
+        m, v = fuse(means, variances, weights)
+        for q in range(3):
+            mq, vq = fuse(means[:, q], variances[:, q], weights[:, q])
+            assert (m[q], v[q]) == (mq, vq)
 
 
 class TestPredict:
@@ -219,10 +313,8 @@ class TestPredict:
         model, _, _ = small_model(rng)
         Xs = np.random.default_rng(0).uniform(0, 1, (5, 2))
         _, v_lat = predict_arrays(model, Xs)
-        preds = predict(model, Xs, add_noise=True)
-        for p, vl in zip(preds, v_lat):
-            assert p.noisy
-            assert p.variance == pytest.approx(vl + model.noise.variance, rel=1e-12)
+        _, v_noisy = predict_arrays(model, Xs, add_noise=True)
+        np.testing.assert_allclose(v_noisy, v_lat + model.noise.variance, rtol=1e-12)
 
     def test_dimension_mismatch_rejected(self, rng):
         model, _, _ = small_model(rng)
