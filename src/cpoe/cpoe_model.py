@@ -23,8 +23,14 @@ predecessor-plus-self block index sets.  Adding the projection precision
 precision, which keeps the prior's block pattern and is factorized once per
 hyperparameter setting; the symbolic analysis is reused across refits.  The
 gradient contracts the projection's derivative ``dH`` without forming it:
-``sum(dH o G) = sum((dK_xa - H dK_aa) o G K(A_corr, A_corr)^-1)``, one solve
-with G's rows as right-hand sides.
+``sum(dH o G) = sum((dK_xa - H dK_aa) o G K(A_corr, A_corr)^-1)``.
+
+Every per-expert Cholesky factor ``L`` is inverted once, with LAPACK
+``trtri``, as soon as it is built, and only ``L^-1`` is kept: each solve
+against ``K = L L'`` is then two GEMMs, ``X K^-1 = (X L^-T) L^-1``, which on
+the experts' small blocks run several times faster than triangular
+substitution.  The whitened transition ``L_Q^-1 Ft`` gives the local prior
+precision as its Gram matrix.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dtrtri
 
 from .block_sparse import (
     BlockSparseMatrix,
@@ -68,7 +74,7 @@ __all__ = [
 ]
 
 _VARIANTS = ("fitc", "dtc", "pitc", "vfe", "pep", "pep_b")
-FORMAT_VERSION = 1  # of the file CpoeModel.save writes
+FORMAT_VERSION = 2  # of the file CpoeModel.save writes
 
 
 @dataclass(frozen=True)
@@ -99,7 +105,12 @@ class VariantSpec:
 
 @dataclass
 class ExpertFactor:
-    """All per-expert matrices needed for assembly, gradients and prediction."""
+    """All per-expert matrices needed for assembly, gradients and prediction.
+
+    Each Cholesky factor is kept as its inverse: ``inv_psi``, ``inv_pipi`` and
+    ``inv_Q`` are ``L^-1`` for ``K(A_psi, A_psi)``, ``K(A_pred, A_pred)`` and
+    ``Q`` (jitter included), lower triangular.
+    """
 
     index: int
     rows: np.ndarray
@@ -110,8 +121,7 @@ class ExpertFactor:
     A_psi: np.ndarray
     X: np.ndarray
     # projection side
-    K_xpsi: np.ndarray
-    chol_psi: np.ndarray
+    inv_psi: np.ndarray
     H: np.ndarray
     d_diag: np.ndarray                  # diagonal of D_j
     D_full: np.ndarray | None           # only for full-residual variants
@@ -120,18 +130,19 @@ class ExpertFactor:
     lam: float
     dlam: np.ndarray | float            # d lam / d D_j, shaped like the residual
     # prior side
-    chol_pipi: np.ndarray | None
+    inv_pipi: np.ndarray | None
     F: np.ndarray | None
     Q: np.ndarray                       # effective (jitter included)
-    chol_Q: np.ndarray
+    q_jitter: float                     # diagonal jitter the factorization of Q needed
+    inv_Q: np.ndarray
     logdet_Q: float
 
-    def Ft(self) -> np.ndarray:
-        """[-F_j, I], columns ordered like the sorted predecessor-plus-self set."""
-        L = self.A_self.shape[0]
+    def whitened_transition(self) -> np.ndarray:
+        """``L_Q^-1 [-F_j, I]``, columns ordered like the sorted
+        predecessor-plus-self set; its Gram matrix is the local prior precision."""
         if self.F is None:
-            return np.eye(L)
-        return np.hstack([-self.F, np.eye(L)])
+            return self.inv_Q
+        return np.hstack([-(self.inv_Q @ self.F), self.inv_Q])
 
 
 @dataclass
@@ -149,10 +160,6 @@ class LocalFactors:
     def v_diag(self, j: int) -> np.ndarray:
         """Diagonal of V_j = vbar_j + noise variance (diagonal variants)."""
         return self.experts[j].vbar_diag + self.noise.variance
-
-    def v_full(self, j: int) -> np.ndarray:
-        e = self.experts[j]
-        return e.vbar_full + self.noise.variance * np.eye(e.X.shape[0])
 
 
 def _variant_terms(variant: VariantSpec, D: np.ndarray, noise_var: float):
@@ -179,23 +186,36 @@ def _variant_terms(variant: VariantSpec, D: np.ndarray, noise_var: float):
     return vbar, lam, (c * a / noise_var) * np.linalg.inv(M)
 
 
-def _projection(kernel: Kernel, X: np.ndarray, A: np.ndarray, K_A: np.ndarray,
-                full: bool):
-    """Projection of X on inducing inputs A and its residual covariance.
+def _inverse_factor(chol: np.ndarray, what: str) -> np.ndarray:
+    """``L^-1`` of a lower Cholesky factor ``L``, from one LAPACK ``trtri``.
 
-    ``K_A`` is ``K(A, A)``.  Returns ``(chol_A, K_xa, H, d_diag, D_full)`` with
-    ``H = K(X, A) K(A, A)^-1`` and ``D = K(X, X) - H K(A, X)``; the full block
-    only when ``full``.
+    Raises ``LinAlgError`` naming ``what`` when ``L`` is singular.
     """
-    chol_A, _ = jittered_cholesky(K_A)
+    inv, info = dtrtri(chol, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{what} is singular (trtri info {info})")
+    return np.tril(inv)  # trtri leaves the strict upper triangle as it found it
+
+
+def _projection(kernel: Kernel, X: np.ndarray, A: np.ndarray, K_A: np.ndarray,
+                full: bool, j: int):
+    """Projection of expert j's inputs X on inducing inputs A and its residual
+    covariance.
+
+    ``K_A`` is ``K(A, A)``.  Returns ``(inv_A, K_xa, H, d_diag, D_full)`` with
+    ``inv_A`` the inverse of ``K(A, A)``'s factor, ``H = K(X, A) K(A, A)^-1``
+    and ``D = K(X, X) - H K(A, X)``; the full block only when ``full``.
+    """
+    inv_A = _inverse_factor(jittered_cholesky(K_A)[0],
+                            f"factor of K(A, A) of expert {j}")
     K_xa = kernel(X, A)
-    H = cho_solve((chol_A, True), K_xa.T, check_finite=False).T
+    H = (K_xa @ inv_A.T) @ inv_A
     d_diag = kernel.diag(X) - np.einsum("ij,ij->i", K_xa, H)
     D_full = None
     if full:
         D_full = kernel(X) - K_xa @ H.T
         D_full = 0.5 * (D_full + D_full.T)
-    return chol_A, K_xa, H, d_diag, D_full
+    return inv_A, K_xa, H, d_diag, D_full
 
 
 def _build_expert(j: int, graph: ExpertGraph, kernel: Kernel, noise: NoiseSpec,
@@ -210,8 +230,8 @@ def _build_expert(j: int, graph: ExpertGraph, kernel: Kernel, noise: NoiseSpec,
 
     # projection factors on the correlation region
     K_psi = kernel(A_psi)
-    chol_psi, K_xpsi, H, d_diag, D_full = _projection(kernel, X_j, A_psi, K_psi,
-                                                      variant.full_residual)
+    inv_psi, _, H, d_diag, D_full = _projection(kernel, X_j, A_psi, K_psi,
+                                                variant.full_residual, j)
     D = d_diag if D_full is None else D_full
     vbar, lam, dlam = _variant_terms(variant, D, noise.variance)
     vbar_diag, vbar_full = (vbar, None) if D_full is None else (None, vbar)
@@ -221,25 +241,30 @@ def _build_expert(j: int, graph: ExpertGraph, kernel: Kernel, noise: NoiseSpec,
     p, q = pred.size * graph.L, pred_plus.size * graph.L
     K_aa = K_psi[p:q, p:q]
     if pred.size:
-        chol_pipi, _ = jittered_cholesky(K_psi[:p, :p])
+        inv_pipi = _inverse_factor(jittered_cholesky(K_psi[:p, :p])[0],
+                                   f"factor of K(A_pred, A_pred) of expert {j}")
         K_api = K_psi[p:q, :p]
-        F = cho_solve((chol_pipi, True), K_api.T, check_finite=False).T
+        F = (K_api @ inv_pipi.T) @ inv_pipi
+        # not the Gram form K_aa - B B' (B = K_api L_pipi^-T): on acceptance
+        # criterion 6's inputs that Q factors unjittered at condition numbers
+        # near 1e15, where this one needs jitter, and the LML moves by 60 nats
         Q = K_aa - K_api @ F.T
         Q = 0.5 * (Q + Q.T)
     else:
-        chol_pipi = F = None
+        inv_pipi = F = None
         Q = K_aa
     # jitter scale: the kernel amplitude, not Q's own (possibly tiny) diagonal
     chol_Q, q_jitter = jittered_cholesky(Q, scale=float(np.mean(np.diag(K_aa))))
     Q_eff = Q + q_jitter * np.eye(Q.shape[0])
+    inv_Q = _inverse_factor(chol_Q, f"factor of Q of expert {j}")
     logdet_Q = 2.0 * float(np.sum(np.log(np.diag(chol_Q))))
 
     return ExpertFactor(index=j, rows=rows, psi=psi, pred=pred, pred_plus=pred_plus,
                         A_self=A_self, A_psi=A_psi, X=X_j,
-                        K_xpsi=K_xpsi, chol_psi=chol_psi, H=H, d_diag=d_diag,
+                        inv_psi=inv_psi, H=H, d_diag=d_diag,
                         D_full=D_full, vbar_diag=vbar_diag, vbar_full=vbar_full,
-                        lam=lam, dlam=dlam, chol_pipi=chol_pipi, F=F, Q=Q_eff,
-                        chol_Q=chol_Q, logdet_Q=logdet_Q)
+                        lam=lam, dlam=dlam, inv_pipi=inv_pipi, F=F, Q=Q_eff,
+                        q_jitter=q_jitter, inv_Q=inv_Q, logdet_Q=logdet_Q)
 
 
 def build_local_factors(graph: ExpertGraph, kernel: Kernel, noise: NoiseSpec,
@@ -258,13 +283,14 @@ def _scatter_symmetric(target: BlockSparseMatrix, idx: np.ndarray, local: np.nda
 
 
 def assemble_prior_precision(factors: LocalFactors) -> BlockSparseMatrix:
-    """Prior precision: sum of local ``Ft^T Q^{-1} Ft`` over predecessor-plus-self sets."""
+    """Prior precision: sum of local ``Ft^T Q^{-1} Ft = W^T W`` over
+    predecessor-plus-self sets, with ``W = L_Q^-1 Ft`` the whitened transition."""
     graph = factors.graph
     L = graph.L
     S = BlockSparseMatrix(graph.J, row_block=L)
     for e in factors.experts:
-        Ft = e.Ft()
-        local = Ft.T @ cho_solve((e.chol_Q, True), Ft, check_finite=False)
+        W = e.whitened_transition()
+        local = W.T @ W
         local = 0.5 * (local + local.T)
         _scatter_symmetric(S, e.pred_plus, local, L)
     return S
@@ -288,9 +314,11 @@ class CpoePosterior:
     logdet_V: float
     logdet_Q: float
     yT_Vinv_y: float
-    # per-expert caches for gradients / prediction
+    # per-expert caches for gradients / prediction; vinv holds V_j^-1 for
+    # full-residual variants and None for diagonal ones
     vinv_y: list[np.ndarray] = field(repr=False, default=None)
     vinv_H: list[np.ndarray] = field(repr=False, default=None)
+    vinv: list[np.ndarray | None] = field(repr=False, default=None)
 
     @property
     def graph(self) -> ExpertGraph:
@@ -350,18 +378,22 @@ def assemble_posterior(factors: LocalFactors, S: BlockSparseMatrix, y: np.ndarra
     logdet_V = 0.0
     vinv_y_list: list[np.ndarray] = []
     vinv_H_list: list[np.ndarray] = []
+    vinv_list: list[np.ndarray | None] = []
     for e in factors.experts:
         y_j = y[e.rows]
         if e.vbar_full is None:
             v = e.vbar_diag + noise.variance
             vinv_y = y_j / v
             vinv_H = e.H / v[:, None]
+            vinv = None
             logdet_V += float(np.sum(np.log(v)))
         else:
             V = e.vbar_full + noise.variance * np.eye(y_j.size)
             cv = np.linalg.cholesky(V)
-            vinv_y = cho_solve((cv, True), y_j, check_finite=False)
-            vinv_H = cho_solve((cv, True), e.H, check_finite=False)
+            inv_cv = _inverse_factor(cv, f"factor of V of expert {e.index}")
+            vinv = inv_cv.T @ inv_cv
+            vinv_y = vinv @ y_j
+            vinv_H = vinv @ e.H
             logdet_V += 2.0 * float(np.sum(np.log(np.diag(cv))))
         yT_Vinv_y += float(y_j @ vinv_y)
         local_T = e.H.T @ vinv_H
@@ -372,6 +404,7 @@ def assemble_posterior(factors: LocalFactors, S: BlockSparseMatrix, y: np.ndarra
             b[int(i) * L:(int(i) + 1) * L] += local_b[a * L:(a + 1) * L]
         vinv_y_list.append(vinv_y)
         vinv_H_list.append(vinv_H)
+        vinv_list.append(vinv)
 
     if symbolic is None:
         symbolic = symbolic_factor(precision.pattern(), graph.J)
@@ -405,7 +438,7 @@ def assemble_posterior(factors: LocalFactors, S: BlockSparseMatrix, y: np.ndarra
                          chol=chol, zbar=zbar, symbolic=symbolic,
                          logdet_precision=chol.logdet(), logdet_V=logdet_V,
                          logdet_Q=logdet_Q, yT_Vinv_y=yT_Vinv_y,
-                         vinv_y=vinv_y_list, vinv_H=vinv_H_list)
+                         vinv_y=vinv_y_list, vinv_H=vinv_H_list, vinv=vinv_list)
 
 
 def log_marginal_likelihood(posterior: CpoePosterior, y: np.ndarray | None = None,
@@ -419,20 +452,21 @@ def log_marginal_likelihood(posterior: CpoePosterior, y: np.ndarray | None = Non
 
 
 def _contract_grad(kernel: Kernel, X: np.ndarray, A: np.ndarray, H: np.ndarray,
-                   chol_A: np.ndarray, dK_aa: np.ndarray, U: np.ndarray,
+                   inv_A: np.ndarray, dK_aa: np.ndarray, U: np.ndarray,
                    R: np.ndarray | None = None, G: np.ndarray | None = None) -> np.ndarray:
     """``sum(dD o U) + sum(dN o R) + sum(dH o G)`` for every kernel parameter.
 
     ``H = K(X, A) K(A, A)^-1`` projects X on A, ``N = H K(A, X)`` is the
-    Nystrom part of ``K(X, X)`` and ``D = K(X, X) - N`` the residual; ``dK_aa``
-    is ``K(A, A)``'s derivative stack.  ``U`` is a symmetric matrix or the
-    diagonal of a diagonal one, ``R`` a symmetric matrix, ``G`` has H's shape.
+    Nystrom part of ``K(X, X)`` and ``D = K(X, X) - N`` the residual; ``inv_A``
+    is the inverse of ``K(A, A)``'s factor and ``dK_aa`` its derivative stack.
+    ``U`` is a symmetric matrix or the diagonal of a diagonal one, ``R`` a
+    symmetric matrix, ``G`` has H's shape.
     As ``dN = dK_xa H' + H dK_xa' - H dK_aa H'``,
     ``sum(dN o W) = 2 sum(dK_xa o W H) - sum(dK_aa o H' W H)`` for symmetric W,
     so no derivative of N or D is formed.  Its terms cancel only after the
     contraction, so ``U`` and ``R`` must stay moderate in size.  As
     ``dH = (dK_xa - H dK_aa) K(A, A)^-1``, ``sum(dH o G)`` is that difference
-    contracted with ``G K(A, A)^-1``: one solve with G's rows as right-hand sides.
+    contracted with ``G K(A, A)^-1 = (G L^-T) L^-1``.
     """
     if U.ndim == 1:
         g = kernel.grad_diag_stack(X) @ U
@@ -444,7 +478,7 @@ def _contract_grad(kernel: Kernel, X: np.ndarray, A: np.ndarray, H: np.ndarray,
         WH += R @ H
     dK_xa = kernel.grad_stack(X, A)
     if G is not None:
-        G_Kinv = cho_solve((chol_A, True), G.T, check_finite=False).T
+        G_Kinv = (G @ inv_A.T) @ inv_A
         g += np.tensordot(dK_xa - H @ dK_aa, G_Kinv, 2)
     return g + 2.0 * np.tensordot(dK_xa, WH, 2) - np.tensordot(dK_aa, H.T @ WH, 2)
 
@@ -459,7 +493,8 @@ def lml_gradient(posterior: CpoePosterior, y: np.ndarray | None = None) -> np.nd
     one derivative stack of ``K(A_psi)`` serves both sides: the predecessor-
     plus-self set is the leading prefix of the correlation set, so the
     transition's blocks are its leading slices.  The transition side forms dF
-    and dQ; the projection side collects the objective's derivative in the
+    and dQ, with ``Q^-1 Ft = L_Q^-T W`` from the whitened transition W; the
+    projection side collects the objective's derivative in the
     residual covariance into one coefficient T (a vector for diagonal
     residuals, a matrix for full ones) and contracts it with the kernel
     derivatives in ``_contract_grad``, which :func:`stochastic_lml_term` shares.
@@ -483,15 +518,15 @@ def lml_gradient(posterior: CpoePosterior, y: np.ndarray | None = None) -> np.nd
         # huge where Q is nearly singular (jittered), so dQ is formed first;
         # contracting its terms separately cancels huge numbers (a 30% error in
         # d/d log lengthscale at acceptance criterion 6's starting point)
-        QinvFt = cho_solve((e.chol_Q, True), e.Ft(), check_finite=False)
+        QinvFt = e.inv_Q.T @ e.whitened_transition()
         Qinv = QinvFt[:, p:]                        # Ft's last L columns are I
         G_S = QinvFt @ W_S
         dQ = dK_psi[:, p:q, p:q]
         if e.F is not None:
             dKapi, dKpipi = dK_psi[:, p:q, :p], dK_psi[:, :p, :p]
             # dF = (dK_api - F dK_pipi) K_pipi^-1
-            rhs = (dKapi - e.F @ dKpipi).reshape(-1, p).T
-            dF = cho_solve((e.chol_pipi, True), rhs, check_finite=False).T.reshape(-1, L, p)
+            rhs = (dKapi - e.F @ dKpipi).reshape(-1, p)
+            dF = ((rhs @ e.inv_pipi.T) @ e.inv_pipi).reshape(-1, L, p)
             dKF = dKapi @ e.F.T
             dQ = dQ - dKF - dKF.transpose(0, 2, 1) + e.F @ dKpipi @ e.F.T
             grad[:-1] += np.tensordot(dF, G_S[:, :p], 2)
@@ -510,12 +545,10 @@ def lml_gradient(posterior: CpoePosterior, y: np.ndarray | None = None) -> np.nd
             trace_T = float(np.sum(T))
         else:
             D = e.D_full
-            cv = np.linalg.cholesky(factors.v_full(j))
-            Vinv = cho_solve((cv, True), np.eye(a_j.size), check_finite=False)
-            T = 0.5 * (np.outer(a_j, a_j) - Vinv + G_T @ VinvH.T
+            T = 0.5 * (np.outer(a_j, a_j) - posterior.vinv[j] + G_T @ VinvH.T
                        - np.outer(u, a_j) - np.outer(a_j, u))
             trace_T = float(np.trace(T))
-        grad[:-1] += _contract_grad(kernel, e.X, e.A_psi, e.H, e.chol_psi, dK_psi,
+        grad[:-1] += _contract_grad(kernel, e.X, e.A_psi, e.H, e.inv_psi, dK_psi,
                                     scale * T - e.dlam, G=np.outer(a_j, mu_psi) - G_T)
         # noise slot: dV = sigma2 I, and d lam / d log sigma2 = -sum(dlam o D)
         grad[-1] += sigma2 * trace_T + float(np.sum(e.dlam * D))
@@ -541,15 +574,17 @@ def stochastic_lml_term(graph: ExpertGraph, kernel: Kernel, noise: NoiseSpec, j:
     A = graph.inducing_inputs[j]
     sigma2 = noise.variance
 
-    chol_aa, K_xa, H, d_diag, D_full = _projection(kernel, X_j, A, kernel(A),
-                                                   variant.full_residual)
+    inv_aa, K_xa, H, d_diag, D_full = _projection(kernel, X_j, A, kernel(A),
+                                                  variant.full_residual, j)
     D = d_diag if D_full is None else D_full
     vbar, lam, dlam = _variant_terms(variant, D, sigma2)
 
     P = K_xa @ H.T + (np.diag(vbar) if D_full is None else vbar)
     P = 0.5 * (P + P.T) + sigma2 * np.eye(y_j.size)
     cp = np.linalg.cholesky(P)
-    alpha = cho_solve((cp, True), y_j, check_finite=False)
+    inv_cp = _inverse_factor(cp, f"factor of the marginal covariance of expert {j}")
+    Pinv = inv_cp.T @ inv_cp
+    alpha = Pinv @ y_j
     logdet_P = 2.0 * float(np.sum(np.log(np.diag(cp))))
     value = -0.5 * (float(y_j @ alpha) + logdet_P) - lam
     if not np.isfinite(value):
@@ -558,11 +593,10 @@ def stochastic_lml_term(graph: ExpertGraph, kernel: Kernel, noise: NoiseSpec, j:
         return value, None
 
     # d value / d P = T, with P = N + scale * D + sigma2 I
-    T = 0.5 * (np.outer(alpha, alpha)
-               - cho_solve((cp, True), np.eye(y_j.size), check_finite=False))
+    T = 0.5 * (np.outer(alpha, alpha) - Pinv)
     T_D = np.diag(T) if D_full is None else T
     grad = np.empty(kernel.n_params + 1)
-    grad[:-1] = _contract_grad(kernel, X_j, A, H, chol_aa, kernel.grad_stack(A),
+    grad[:-1] = _contract_grad(kernel, X_j, A, H, inv_aa, kernel.grad_stack(A),
                                variant.residual_scale * T_D - dlam, R=T)
     grad[-1] = sigma2 * float(np.trace(T)) + float(np.sum(dlam * D))
     return value, grad
@@ -701,7 +735,7 @@ class CpoeModel:
 
             def region(j):
                 e = factors.experts[j]
-                return e.chol_psi, posterior.mu_at(e.psi), posterior.sigma_at(e.psi)
+                return e.inv_psi, posterior.mu_at(e.psi), posterior.sigma_at(e.psi)
             self._serving = ServingState(range(self.graph.C - 1, self.graph.J), region)
         return self._serving
 
@@ -737,7 +771,7 @@ class CpoeModel:
         """Dump hyperparameters, the graph's defining indices, a fingerprint of
         the training data and the serving state.
 
-        The serving state is each predictive expert's ``chol_psi``, ``mu_psi``
+        The serving state is each predictive expert's ``inv_psi``, ``mu_psi``
         and ``sigma_psi`` (see :class:`ServingState`), stacked over the experts
         and stored uncompressed.  :meth:`load` predicts from it bit for bit as
         this model does and refuses any other data.  The kernel structure

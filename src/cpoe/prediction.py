@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri
 
 __all__ = [
     "ServingState",
@@ -73,32 +72,33 @@ def fuse(means, variances, weights):
     return mean, var
 
 
-SERVING_ARRAYS = ("chol_psi", "mu_psi", "sigma_psi")
+SERVING_ARRAYS = ("inv_psi", "mu_psi", "sigma_psi")
 
 
 @dataclass(frozen=True)
 class ServingState:
     """What prediction reads of a model, per predictive expert ``j >= C - 1``.
 
-    ``region(j)`` returns ``(chol_psi, mu_psi, sigma_psi)``: the lower factor of
-    ``K(A_psi, A_psi)`` and the posterior mean and covariance over the expert's
-    correlation region.  A fitted model reads them off its factors and
-    posterior one expert at a time, so no stack of every ``sigma_psi`` is held;
-    a loaded model indexes the stacks :meth:`arrays` wrote.
+    ``region(j)`` returns ``(inv_psi, mu_psi, sigma_psi)``: the inverse ``L^-1``
+    of the lower Cholesky factor of ``K(A_psi, A_psi)`` and the posterior mean
+    and covariance over the expert's correlation region.  A fitted model reads
+    them off its factors and posterior one expert at a time, so no stack of
+    every ``sigma_psi`` is held; a loaded model indexes the stacks
+    :meth:`arrays` wrote.
     """
 
     experts: range
     region: Callable[[int], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     @classmethod
-    def from_arrays(cls, first: int, chol_psi: np.ndarray, mu_psi: np.ndarray,
+    def from_arrays(cls, first: int, inv_psi: np.ndarray, mu_psi: np.ndarray,
                     sigma_psi: np.ndarray) -> "ServingState":
         """Serve stacks whose row k belongs to expert ``first + k``."""
-        return cls(range(first, first + len(chol_psi)),
-                   lambda j: (chol_psi[j - first], mu_psi[j - first], sigma_psi[j - first]))
+        return cls(range(first, first + len(inv_psi)),
+                   lambda j: (inv_psi[j - first], mu_psi[j - first], sigma_psi[j - first]))
 
     def arrays(self) -> dict[str, np.ndarray]:
-        """``chol_psi``, ``mu_psi`` and ``sigma_psi`` stacked over the experts.
+        """``inv_psi``, ``mu_psi`` and ``sigma_psi`` stacked over the experts.
 
         Each stack is filled in place, one expert at a time.
         """
@@ -115,16 +115,14 @@ def _whitened_region(serving: ServingState, j: int):
     """Expert ``j``'s posterior over its correlation region, whitened by its factor.
 
     With ``K(A_psi, A_psi) = L L'``: returns ``V = L^-T`` (C-ordered),
-    ``a = L^-1 mu_psi`` and ``S = L^-1 Sigma_psi L^-T`` (symmetrized).  ``L^-1``
-    comes from one LAPACK ``trtri`` per expert and call, so every query chunk
-    multiplies by it instead of substituting through ``L``.
+    ``a = L^-1 mu_psi`` and ``S = L^-1 Sigma_psi L^-T`` (symmetrized), as
+    products with the served ``L^-1``, so every query chunk multiplies by it
+    instead of substituting through ``L``.  An inverse factor with a
+    non-positive diagonal entry (which no Cholesky factor has) is refused.
     """
-    chol, mu, sigma = serving.region(j)
-    inv, info = dtrtri(chol, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(
-            f"serving factor of expert {j} is singular (trtri info {info})")
-    inv = np.tril(inv)  # trtri leaves the strict upper triangle as it found it
+    inv, mu, sigma = serving.region(j)
+    if not np.all(np.diagonal(inv) > 0.0):
+        raise np.linalg.LinAlgError(f"serving factor of expert {j} is singular")
     S = inv @ sigma @ inv.T
     return np.ascontiguousarray(inv.T), inv @ mu, 0.5 * (S + S.T)
 
@@ -146,23 +144,41 @@ def _local_moments(K_xpsi: np.ndarray, kxx: np.ndarray, V: np.ndarray,
 
 
 def local_predict(model, j: int, x_star) -> tuple[float, float]:
-    """Single-expert prediction at one query point."""
-    Xs = np.atleast_2d(np.asarray(x_star, dtype=float))
-    _check_query(model, Xs)
+    """Single-expert prediction at one query point: expert j's row of
+    ``predict_arrays(model, x_star, return_locals=True)``."""
     graph = model.graph
     if not graph.C - 1 <= j < graph.J:
         raise ValueError(f"expert {j} is not a predictive expert")
-    A_psi = np.vstack([graph.inducing_inputs[p] for p in graph.correlation[j]])
-    m, v = _local_moments(model.kernel(A_psi, Xs).T, model.kernel.diag(Xs),
-                          *_whitened_region(model.serving, j))
-    return float(m[0]), float(v[0])
+    _, m, v = _local_arrays(model, np.atleast_2d(np.asarray(x_star, dtype=float)),
+                            range(j, j + 1))
+    return float(m[0, 0]), float(v[0, 0])
 
 
-def _check_query(model, Xs: np.ndarray) -> None:
+def _local_arrays(model, Xs: np.ndarray, experts: range):
+    """``(k(x, x), means, variances)``: each listed expert's local prediction at
+    each query row, one row per expert, variances floored at ``1e-12 k(x, x)``."""
     if Xs.shape[1] != model.graph.D:
         raise ValueError(f"query has {Xs.shape[1]} columns, training data has {model.graph.D}")
     if not np.all(np.isfinite(Xs)):
         raise ValueError("query holds NaN or inf values")
+    graph = model.graph
+    L = graph.L
+    regions = [_whitened_region(model.serving, j) for j in experts]
+    # expert j's rows of K(A_all, X): the blocks of its correlation set
+    rows_of = [np.concatenate([np.arange(p * L, (p + 1) * L) for p in graph.correlation[j]])
+               for j in experts]
+    A_all = np.vstack(graph.inducing_inputs)
+    v0 = model.kernel.diag(Xs)
+    means = np.empty((len(experts), Xs.shape[0]))
+    variances = np.empty_like(means)
+    step = max(1, CHUNK_ENTRIES // A_all.shape[0])
+    for start in range(0, Xs.shape[0], step):
+        chunk = slice(start, start + step)
+        K = model.kernel(A_all, Xs[chunk])
+        for row, (idx, region) in enumerate(zip(rows_of, regions)):
+            means[row, chunk], variances[row, chunk] = _local_moments(K[idx].T, v0[chunk],
+                                                                      *region)
+    return v0, means, np.maximum(variances, 1e-12 * v0)  # numerical floor, keeps v > 0
 
 
 def predict_arrays(model, Xs, add_noise: bool = False,
@@ -178,28 +194,9 @@ def predict_arrays(model, Xs, add_noise: bool = False,
     Xs = np.asarray(Xs, dtype=float)
     if Xs.ndim == 1:
         Xs = Xs[:, None]
-    _check_query(model, Xs)
-    graph = model.graph
-    L = graph.L
-    serving = model.serving
-    experts = serving.experts
-    regions = [_whitened_region(serving, j) for j in experts]
-    # expert j's rows of K(A_all, X): the blocks of its correlation set
-    rows_of = [np.concatenate([np.arange(p * L, (p + 1) * L) for p in graph.correlation[j]])
-               for j in experts]
-    A_all = np.vstack(graph.inducing_inputs)
-    v0 = model.kernel.diag(Xs)
-    means = np.empty((len(experts), Xs.shape[0]))
-    variances = np.empty_like(means)
-    step = max(1, CHUNK_ENTRIES // A_all.shape[0])
-    for start in range(0, Xs.shape[0], step):
-        chunk = slice(start, start + step)
-        K = model.kernel(A_all, Xs[chunk])
-        for row, (idx, region) in enumerate(zip(rows_of, regions)):
-            means[row, chunk], variances[row, chunk] = _local_moments(K[idx].T, v0[chunk],
-                                                                      *region)
-    variances = np.maximum(variances, 1e-12 * v0)  # numerical floor, keeps v > 0
-    weights = aggregation_weights(v0[None, :], variances, N=graph.N, C=graph.C,
+    experts = model.serving.experts
+    v0, means, variances = _local_arrays(model, Xs, experts)
+    weights = aggregation_weights(v0[None, :], variances, N=model.graph.N, C=model.graph.C,
                                   exponent=weight_exponent)
     mean, var = fuse(means, variances, weights)
     if add_noise:

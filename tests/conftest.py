@@ -7,11 +7,19 @@ assembly they are used to check.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import cpoe
 from cpoe.expert_graph import ExpertGraph, correlation_sets
 
 cpoe.set_num_threads()  # single-threaded BLAS: the suite works on small blocks
+
+# Property tests draw the same examples on every run ("ci", the default; CI
+# selects it with --hypothesis-profile=ci), so they cannot flake.  The "dev"
+# profile draws fresh examples: pytest --hypothesis-profile=dev.
+settings.register_profile("ci", derandomize=True, database=None, deadline=None)
+settings.register_profile("dev", deadline=None)
+settings.load_profile("ci")
 
 
 def spread_points(n, d, rng, jitter=0.2):

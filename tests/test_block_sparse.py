@@ -8,6 +8,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpoe.block_sparse import (
     BlockSparseMatrix,
@@ -244,3 +246,71 @@ class TestPartialInverse:
                         np.testing.assert_allclose(
                             Z.get_block(i, j),
                             Ainv[i * bs:(i + 1) * bs, j * bs:(j + 1) * bs], atol=1e-9)
+
+
+@st.composite
+def block_problems(draw):
+    """A random SPD block matrix on a random symmetric block pattern, and an
+    elimination order: minimum degree (None) or a random permutation."""
+    J = draw(st.integers(1, 9))
+    bs = draw(st.integers(1, 4))
+    density = draw(st.floats(0.0, 1.0))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    r = np.random.default_rng(seed)
+    pat = {(i, i) for i in range(J)}
+    for i in range(J):
+        for j in range(i):
+            if r.uniform() < density:
+                pat |= {(i, j), (j, i)}
+    perm = r.permutation(J) if draw(st.booleans()) else None
+    return random_block_spd(r, J, bs, pat), J, bs, pat, perm, r
+
+
+class TestRandomPatterns:
+    """The block core against dense algebra on random patterns and orders."""
+
+    @given(block_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_factor_solve_inverse_match_dense(self, problem):
+        A, J, bs, pat, perm, r = problem
+        ch = block_cholesky(BlockSparseMatrix.from_dense(A, J, bs), perm=perm)
+        sym = ch.symbolic
+        if perm is not None:
+            np.testing.assert_array_equal(sym.perm, perm)
+        # stored blocks: exactly the symbolic fill pattern, which covers A's
+        assert set(ch.blocks) == sym.fill_pattern()
+        for (i, j) in pat:
+            p, q = int(sym.inv_perm[i]), int(sym.inv_perm[j])
+            assert (max(p, q), min(p, q)) in ch.blocks
+        # P A P' = L L', with lower-triangular diagonal blocks
+        order = np.concatenate([np.arange(p * bs, (p + 1) * bs) for p in sym.perm])
+        Ld = dense_factor(ch)
+        assert np.array_equal(Ld, np.tril(Ld))
+        n = J * bs
+        assert np.linalg.norm(Ld @ Ld.T - A[np.ix_(order, order)]) <= (
+            16 * n * np.finfo(float).eps * np.linalg.norm(A))
+        cond = np.linalg.cond(A)
+        tol = 16 * n * np.finfo(float).eps * cond
+        # solves, one and several right-hand sides
+        for b in (r.normal(size=n), r.normal(size=(n, 3))):
+            x = np.linalg.solve(A, b)
+            assert np.linalg.norm(ch.solve(b) - x) <= tol * np.linalg.norm(x)
+        assert ch.logdet() == pytest.approx(np.linalg.slogdet(A)[1], rel=tol, abs=tol)
+        # partial inverse: every block on the fill pattern, and each column
+        # structure gathered as one dense submatrix
+        Ainv = np.linalg.inv(A)
+        Z = partial_inverse(ch)
+        scale = np.linalg.norm(Ainv)
+        for (p, q) in ch.blocks:
+            i, j = int(sym.perm[p]), int(sym.perm[q])
+            ref = Ainv[i * bs:(i + 1) * bs, j * bs:(j + 1) * bs]
+            assert np.abs(Z.get_block(i, j) - ref).max() <= tol * scale
+            assert np.abs(Z.get_block(j, i) - ref.T).max() <= tol * scale
+        for q in range(J):
+            idx = sym.perm[[q] + sym.lower_cols[q]]
+            sel = np.concatenate([np.arange(i * bs, (i + 1) * bs) for i in idx])
+            assert np.abs(Z.gather(idx) - Ainv[np.ix_(sel, sel)]).max() <= tol * scale
+        outside = [(i, j) for i in range(J) for j in range(J) if not Z.has_block(i, j)]
+        for i, j in outside[:3]:
+            with pytest.raises(KeyError):
+                Z.get_block(i, j)

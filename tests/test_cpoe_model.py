@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dtrtri
 
 from conftest import (
     consecutive_graph,
@@ -66,7 +66,7 @@ class TestLocalFactors:
         + SquaredExponential.create(1.0, [0.2, 0.3]),
     ], ids=["se", "periodic+se", "sm+se"])
     def test_transition_slices_match_separate_kernel_calls(self, kern, rng):
-        # F, Q and chol_pipi come from slices of K(A_psi); they must equal, bit
+        # F, Q and inv_pipi come from slices of K(A_psi); they must equal, bit
         # for bit, the factors built from separate kernel calls per block
         X = spread_points(128, 2, rng)
         model = CpoeModel(kern, NoiseSpec.create(0.1), J=8, C=3, gamma=0.5,
@@ -77,15 +77,15 @@ class TestLocalFactors:
             K_aa = kern(A_self)
             if e.pred.size:
                 A_pred = np.vstack([g.inducing_inputs[p] for p in e.pred])
-                chol_pipi, _ = jittered_cholesky(kern(A_pred))
+                inv_pipi = np.tril(dtrtri(jittered_cholesky(kern(A_pred))[0], lower=1)[0])
                 K_api = kern(A_self, A_pred)
-                F = cho_solve((chol_pipi, True), K_api.T).T
+                F = (K_api @ inv_pipi.T) @ inv_pipi
                 Q = K_aa - K_api @ F.T
                 Q = 0.5 * (Q + Q.T)
-                np.testing.assert_array_equal(e.chol_pipi, chol_pipi)
+                np.testing.assert_array_equal(e.inv_pipi, inv_pipi)
                 np.testing.assert_array_equal(e.F, F)
             else:
-                assert e.F is None and e.chol_pipi is None
+                assert e.F is None and e.inv_pipi is None
                 Q = K_aa
             _, q_jitter = jittered_cholesky(Q, scale=float(np.mean(np.diag(K_aa))))
             np.testing.assert_array_equal(e.Q, Q + q_jitter * np.eye(Q.shape[0]))
@@ -332,9 +332,9 @@ class TestGradient:
         full = FullGp(kern, noise).fit(X, y)
         np.testing.assert_allclose(m.lml_gradient(), full.lml_gradient(), atol=1e-6)
 
-    # the projection derivative is contracted through one solve with G's rows
-    # as right-hand sides; the oracle forms dH = (dK_xa - H dK_aa) K(A, A)^-1
-    # explicitly, one solve per parameter and row, and contracts it with G
+    # the projection derivative is contracted through G K(A, A)^-1; the oracle
+    # forms dH = (dK_xa - H dK_aa) K(A, A)^-1 explicitly, for every parameter
+    # and row, and contracts it with G
     @pytest.mark.parametrize("variant,alpha,ls", [
         ("fitc", 1.0, 0.1), ("dtc", 1.0, 0.1), ("pitc", 1.0, 0.1), ("vfe", 1.0, 0.1),
         ("pep", 0.5, 0.1), ("pep_b", 0.5, 0.1), ("fitc", 1.0, 1.0)])
@@ -349,12 +349,12 @@ class TestGradient:
         g = m.lml_gradient()
         contract = cpoe_model._contract_grad
 
-        def explicit(kernel, X, A, H, chol_A, dK_aa, U, R=None, G=None):
+        def explicit(kernel, X, A, H, inv_A, dK_aa, U, R=None, G=None):
             dK_xa = kernel.grad_stack(X, A)
             P, B, M = dK_xa.shape
-            rhs = (dK_xa - H @ dK_aa).reshape(P * B, M).T
-            dH = cho_solve((chol_A, True), rhs).T.reshape(P, B, M)
-            return (contract(kernel, X, A, H, chol_A, dK_aa, U, R)
+            rhs = (dK_xa - H @ dK_aa).reshape(P * B, M)
+            dH = ((rhs @ inv_A.T) @ inv_A).reshape(P, B, M)
+            return (contract(kernel, X, A, H, inv_A, dK_aa, U, R)
                     + (0.0 if G is None else np.tensordot(dH, G, 2)))
 
         monkeypatch.setattr(cpoe_model, "_contract_grad", explicit)
@@ -573,7 +573,7 @@ class TestModelLifecycle:
         loaded.save(again)
         with np.load(path) as first, np.load(again) as second:
             assert first.files == second.files
-            for name in ("chol_psi", "mu_psi", "sigma_psi"):
+            for name in ("inv_psi", "mu_psi", "sigma_psi"):
                 assert first[name].tobytes() == second[name].tobytes()
         CpoeModel.load(again, X, y, kern)
 
@@ -602,9 +602,29 @@ class TestModelLifecycle:
     def test_load_refuses_file_without_serving_state(self, rng, tmp_path):
         # the format written before the serving state was saved
         path, kern, X, y = self._saved(rng, tmp_path)
-        old = self._rewritten(path, tmp_path, format_version=None, chol_psi=None,
+        old = self._rewritten(path, tmp_path, format_version=None, inv_psi=None,
                               mu_psi=None, sigma_psi=None)
         with pytest.raises(ValueError, match="no format version.*save the model again"):
+            CpoeModel.load(old, X, y, kern)
+
+    def test_saves_inverse_factors_as_format_2(self, rng, tmp_path):
+        model, _, path, _, _, _ = self._loaded(rng, tmp_path)
+        with np.load(path) as blob:
+            assert int(blob["format_version"]) == 2
+            assert "chol_psi" not in blob.files
+            for k, j in enumerate(range(2, 8)):
+                np.testing.assert_array_equal(blob["inv_psi"][k],
+                                              model.factors.experts[j].inv_psi)
+
+    def test_load_refuses_format_1(self, rng, tmp_path):
+        # version 1 stored the factors of K(A_psi) rather than their inverses
+        path, kern, X, y = self._saved(rng, tmp_path)
+        with np.load(path) as blob:
+            chol = np.linalg.inv(blob["inv_psi"])
+        old = self._rewritten(path, tmp_path, format_version=np.array(1), inv_psi=None,
+                              chol_psi=chol)
+        with pytest.raises(ValueError, match="format version 1, expected 2; "
+                                             "save the model again"):
             CpoeModel.load(old, X, y, kern)
 
     def test_load_refuses_non_finite_serving_state(self, rng, tmp_path):
@@ -619,9 +639,9 @@ class TestModelLifecycle:
     def test_load_refuses_missing_expert(self, rng, tmp_path):
         path, kern, X, y = self._saved(rng, tmp_path)
         with np.load(path) as blob:
-            chol = blob["chol_psi"][:-1]
-        bad = self._rewritten(path, tmp_path, chol_psi=chol)
-        with pytest.raises(ValueError, match=r"chol_psi is float64 of shape \(2, 12, 12\), "
+            inv = blob["inv_psi"][:-1]
+        bad = self._rewritten(path, tmp_path, inv_psi=inv)
+        with pytest.raises(ValueError, match=r"inv_psi is float64 of shape \(2, 12, 12\), "
                                              r"expected float64 of shape \(3, 12, 12\)"):
             CpoeModel.load(bad, X, y, kern)
 

@@ -22,6 +22,7 @@ from cpoe import (
     fit_local_experts,
     poe_predict,
 )
+from cpoe.kernels import jittered_cholesky
 from cpoe.prediction import (
     ServingState,
     aggregation_weights,
@@ -115,9 +116,10 @@ class TestLocalMoments:
         kxx = kern.diag(Xq)
         worst_cond = worst_jitter = 0.0
         for row, j in enumerate(experts):
-            chol, mu, sigma = model.serving.region(j)
+            _, mu, sigma = model.serving.region(j)
             A_psi = model.factors.experts[j].A_psi
             K_psi = kern(A_psi)
+            chol = jittered_cholesky(K_psi)[0]  # the factor the model inverted
             worst_cond = max(worst_cond, np.linalg.cond(K_psi))
             worst_jitter = max(worst_jitter, np.abs(chol @ chol.T - K_psi).max())
             a = _forward_substitution(chol, mu)
@@ -172,7 +174,7 @@ class TestLocalMoments:
     def test_singular_serving_factor_rejected(self, rng):
         model, _, _ = small_model(rng, N=64, J=8, C=3)
         stacks = model.serving.arrays()
-        stacks["chol_psi"][1, 5, 5] = 0.0
+        stacks["inv_psi"][1, 5, 5] = 0.0
         served = SimpleNamespace(graph=model.graph, kernel=model.kernel, noise=model.noise,
                                  serving=ServingState.from_arrays(2, *stacks.values()))
         with pytest.raises(np.linalg.LinAlgError, match="expert 3 is singular"):
@@ -302,7 +304,7 @@ class TestPredict:
         for row, j in enumerate(experts):
             e = model.factors.experts[j]
             K_xpsi = model.kernel(Xs, e.A_psi)
-            H = cho_solve((e.chol_psi, True), K_xpsi.T).T
+            H = cho_solve((jittered_cholesky(model.kernel(e.A_psi))[0], True), K_xpsi.T).T
             m = H @ post.mu_at(e.psi)
             v = (np.einsum("ij,ij->i", H @ post.sigma_at(e.psi), H)
                  + model.kernel.diag(Xs) - np.einsum("ij,ij->i", K_xpsi, H))
