@@ -133,7 +133,6 @@ class ExpertFactor:
     inv_pipi: np.ndarray | None
     F: np.ndarray | None
     Q: np.ndarray                       # effective (jitter included)
-    q_jitter: float                     # diagonal jitter the factorization of Q needed
     inv_Q: np.ndarray
     logdet_Q: float
 
@@ -264,7 +263,7 @@ def _build_expert(j: int, graph: ExpertGraph, kernel: Kernel, noise: NoiseSpec,
                         inv_psi=inv_psi, H=H, d_diag=d_diag,
                         D_full=D_full, vbar_diag=vbar_diag, vbar_full=vbar_full,
                         lam=lam, dlam=dlam, inv_pipi=inv_pipi, F=F, Q=Q_eff,
-                        q_jitter=q_jitter, inv_Q=inv_Q, logdet_Q=logdet_Q)
+                        inv_Q=inv_Q, logdet_Q=logdet_Q)
 
 
 def build_local_factors(graph: ExpertGraph, kernel: Kernel, noise: NoiseSpec,

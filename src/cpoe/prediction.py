@@ -164,10 +164,15 @@ def _local_arrays(model, Xs: np.ndarray, experts: range):
     graph = model.graph
     L = graph.L
     regions = [_whitened_region(model.serving, j) for j in experts]
-    # expert j's rows of K(A_all, X): the blocks of its correlation set
-    rows_of = [np.concatenate([np.arange(p * L, (p + 1) * L) for p in graph.correlation[j]])
+    # the kernel is evaluated on the blocks some listed expert correlates with
+    # (every block, for all predictive experts); expert j's rows of it are the
+    # blocks of its correlation set
+    blocks = np.unique(np.concatenate([graph.correlation[j] for j in experts]))
+    slot = {p: k for k, p in enumerate(blocks)}
+    rows_of = [np.concatenate([np.arange(slot[p] * L, (slot[p] + 1) * L)
+                               for p in graph.correlation[j]])
                for j in experts]
-    A_all = np.vstack(graph.inducing_inputs)
+    A_all = np.vstack([graph.inducing_inputs[p] for p in blocks])
     v0 = model.kernel.diag(Xs)
     means = np.empty((len(experts), Xs.shape[0]))
     variances = np.empty_like(means)

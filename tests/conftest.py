@@ -15,10 +15,8 @@ from cpoe.expert_graph import ExpertGraph, correlation_sets
 cpoe.set_num_threads()  # single-threaded BLAS: the suite works on small blocks
 
 # Property tests draw the same examples on every run ("ci", the default; CI
-# selects it with --hypothesis-profile=ci), so they cannot flake.  The "dev"
-# profile draws fresh examples: pytest --hypothesis-profile=dev.
+# selects it with --hypothesis-profile=ci), so they cannot flake.
 settings.register_profile("ci", derandomize=True, database=None, deadline=None)
-settings.register_profile("dev", deadline=None)
 settings.load_profile("ci")
 
 

@@ -119,7 +119,11 @@ class TestLocalFactors:
                 tol = bound(K_eff)
                 assert_close(e.F, F, tol)
                 Q = K_aa - K_api @ F.T
-                Q_model = e.Q - e.q_jitter * np.eye(Q.shape[0])
+                # the model's Q before jitter, and the jitter its factorization needed
+                Q_model = K_aa - K_api @ e.F.T
+                Q_model = 0.5 * (Q_model + Q_model.T)
+                _, q_jitter = jittered_cholesky(Q_model, scale=float(np.mean(np.diag(K_aa))))
+                np.testing.assert_array_equal(e.Q, Q_model + q_jitter * np.eye(Q.shape[0]))
                 assert np.abs(Q_model - 0.5 * (Q + Q.T)).max() <= (
                     tol * np.linalg.norm(K_api) * np.linalg.norm(F) + 4 * EPS * np.abs(K_aa).max())
 

@@ -171,6 +171,18 @@ class TestLocalMoments:
                 assert m == pytest.approx(means[row, q], rel=1e-13, abs=1e-15)
                 assert v == pytest.approx(variances[row, q], rel=1e-13)
 
+    def test_local_predict_evaluates_its_correlation_blocks_only(self, rng):
+        model, _, _ = small_model(rng, N=64, J=8, C=3)
+        rows = []
+
+        def kernel(A, X):
+            rows.append(A.shape[0])
+            return model.kernel(A, X)
+        kernel.diag = model.kernel.diag
+        served = SimpleNamespace(graph=model.graph, kernel=kernel, serving=model.serving)
+        local_predict(served, 5, np.array([0.3, 0.6]))
+        assert rows == [model.graph.correlation[5].size * model.graph.L]
+
     def test_singular_serving_factor_rejected(self, rng):
         model, _, _ = small_model(rng, N=64, J=8, C=3)
         stacks = model.serving.arrays()
