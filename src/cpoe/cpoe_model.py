@@ -74,7 +74,7 @@ __all__ = [
 ]
 
 _VARIANTS = ("fitc", "dtc", "pitc", "vfe", "pep", "pep_b")
-FORMAT_VERSION = 2  # of the file CpoeModel.save writes
+FORMAT_VERSION = 3  # of the file CpoeModel.save writes
 
 
 @dataclass(frozen=True)
@@ -297,8 +297,9 @@ def assemble_prior_precision(factors: LocalFactors) -> BlockSparseMatrix:
 
 @dataclass
 class CpoePosterior:
-    """Assembled posterior: precision, mean, factor, partial inverse, and the
-    cached scalars entering the marginal likelihood."""
+    """Assembled posterior: precision, mean, partial inverse, and the cached
+    scalars entering the marginal likelihood.  The block factor is not kept:
+    nothing reads it once these are formed."""
 
     factors: LocalFactors
     y: np.ndarray
@@ -306,7 +307,6 @@ class CpoePosterior:
     precision: BlockSparseMatrix
     b: np.ndarray
     mu: np.ndarray
-    chol: "object"
     zbar: "object"
     symbolic: SymbolicFactor
     logdet_precision: float
@@ -434,7 +434,7 @@ def assemble_posterior(factors: LocalFactors, S: BlockSparseMatrix, y: np.ndarra
     zbar = partial_inverse(chol)
     logdet_Q = float(sum(e.logdet_Q for e in factors.experts))
     return CpoePosterior(factors=factors, y=y, S=S, precision=precision, b=b, mu=mu,
-                         chol=chol, zbar=zbar, symbolic=symbolic,
+                         zbar=zbar, symbolic=symbolic,
                          logdet_precision=chol.logdet(), logdet_V=logdet_V,
                          logdet_Q=logdet_Q, yT_Vinv_y=yT_Vinv_y,
                          vinv_y=vinv_y_list, vinv_H=vinv_H_list, vinv=vinv_list)
@@ -726,7 +726,8 @@ class CpoeModel:
 
     @property
     def serving(self) -> ServingState:
-        """The per-expert state prediction reads; see :class:`ServingState`."""
+        """The per-expert state prediction reads, built on first use after
+        each fit; see :class:`ServingState`."""
         if self._serving is None:
             if self.graph is None:
                 raise ValueError("fit the model before predicting")
@@ -735,7 +736,7 @@ class CpoeModel:
             def region(j):
                 e = factors.experts[j]
                 return e.inv_psi, posterior.mu_at(e.psi), posterior.sigma_at(e.psi)
-            self._serving = ServingState(range(self.graph.C - 1, self.graph.J), region)
+            self._serving = ServingState.build(range(self.graph.C - 1, self.graph.J), region)
         return self._serving
 
     def get_params(self) -> np.ndarray:
@@ -770,9 +771,9 @@ class CpoeModel:
         """Dump hyperparameters, the graph's defining indices, a fingerprint of
         the training data and the serving state.
 
-        The serving state is each predictive expert's ``inv_psi``, ``mu_psi``
-        and ``sigma_psi`` (see :class:`ServingState`), stacked over the experts
-        and stored uncompressed.  :meth:`load` predicts from it bit for bit as
+        The serving state is each predictive expert's ``basis``, ``coef`` and
+        ``eigvals`` (see :class:`ServingState`), stacked over the experts and
+        stored uncompressed.  :meth:`load` predicts from it bit for bit as
         this model does and refuses any other data.  The kernel structure
         itself must be rebuilt by the caller (it is part of the experiment
         configuration).
@@ -798,9 +799,10 @@ class CpoeModel:
 
         Any other data is refused, as is a file of another format version or
         whose serving arrays do not have the shapes its J, C and inducing
-        count imply, or hold NaN or inf values.  Predictions come from the
-        saved serving state; the factors and posterior, which the likelihood
-        and its gradient need, are built on first use.
+        count imply, hold NaN or inf values, or hold an eigenvalue of
+        ``I - S`` above 1 (see :class:`ServingState`).  Predictions come from
+        the saved serving state; the factors and posterior, which the
+        likelihood and its gradient need, are built on first use.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
@@ -827,8 +829,8 @@ class CpoeModel:
             assignment = blob["assignment"]
             inducing_index = blob["inducing_index"]
             n, P = J - C + 1, C * inducing_index.shape[1]
-            serving = {}
-            for name, shape in zip(SERVING_ARRAYS, [(n, P, P), (n, P), (n, P, P)]):
+            stacks = {}
+            for name, shape in zip(SERVING_ARRAYS, [(n, P, P), (n, P), (n, P)]):
                 if name not in blob.files:
                     raise ValueError(f"{path} holds no {name}; save the model again")
                 a = blob[name]
@@ -838,12 +840,16 @@ class CpoeModel:
                                      f"J={J}, C={C}, L={inducing_index.shape[1]}")
                 if not np.all(np.isfinite(a)):
                     raise ValueError(f"{path}: {name} holds NaN or inf values")
-                serving[name] = a
+                stacks[name] = a
+        try:
+            serving = ServingState(C - 1, *stacks.values())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         kernel2, noise = split_params(kernel, theta)
         graph = ExpertGraph.from_layout(X, J, C, gamma, seed, ordering,
                                         [np.flatnonzero(assignment == j) for j in range(J)],
                                         [inducing_index[j] for j in range(J)])
         model = cls(kernel2, noise, J=J, C=C, gamma=gamma, variant=variant, seed=seed)
         model.graph, model.y = graph, y
-        model._serving = ServingState.from_arrays(C - 1, *serving.values())
+        model._serving = serving
         return model

@@ -6,8 +6,8 @@ the posterior covariance of the region (read off the partial inverse, never
 recomputed densely).  Experts below the correlation degree are only
 implicitly represented, since their regions coincide with the first full one.
 Prediction reads a model only through its graph, kernel, noise and
-:class:`ServingState`, which a fitted model derives from its posterior and a
-loaded model reads from its file.
+:class:`ServingState`, which a fitted model builds from its posterior once per
+fit and a loaded model reads from its file.
 
 The per-expert Gaussians are fused by covariance intersection with
 entropy-difference weights: normalized weights make the fused variance a
@@ -72,75 +72,93 @@ def fuse(means, variances, weights):
     return mean, var
 
 
-SERVING_ARRAYS = ("inv_psi", "mu_psi", "sigma_psi")
+SERVING_ARRAYS = ("basis", "coef", "eigvals")
 
 
 @dataclass(frozen=True)
 class ServingState:
     """What prediction reads of a model, per predictive expert ``j >= C - 1``.
 
-    ``region(j)`` returns ``(inv_psi, mu_psi, sigma_psi)``: the inverse ``L^-1``
-    of the lower Cholesky factor of ``K(A_psi, A_psi)`` and the posterior mean
-    and covariance over the expert's correlation region.  A fitted model reads
-    them off its factors and posterior one expert at a time, so no stack of
-    every ``sigma_psi`` is held; a loaded model indexes the stacks
-    :meth:`arrays` wrote.
+    With ``K(A_psi, A_psi) = L L'`` and the whitened posterior
+    ``S = L^-1 Sigma_psi L^-T`` over the expert's correlation region,
+    ``I - S = U diag(eigvals) U'``.  Row ``j - first`` of the stacks holds
+    ``basis = L^-T U``, ``coef = U' L^-1 mu_psi`` and ``eigvals``: whitened
+    coordinates turned by the orthogonal ``U`` (see :func:`_local_moments`).
+    A fitted model builds them once (:meth:`build`); a loaded model reads
+    the stacks :meth:`arrays` wrote.
+
+    ``S`` is a covariance, so every eigenvalue of ``I - S`` is at most 1.
+    One above ``1 + P u max(1, max|eigvals|)`` (``u`` the unit roundoff),
+    beyond the eigensolver's rounding, is refused with a ``ValueError``
+    naming the expert.
     """
 
-    experts: range
-    region: Callable[[int], tuple[np.ndarray, np.ndarray, np.ndarray]]
+    first: int
+    basis: np.ndarray
+    coef: np.ndarray
+    eigvals: np.ndarray
+
+    def __post_init__(self):
+        lam = self.eigvals
+        tol = lam.shape[1] * np.finfo(float).eps * np.maximum(1.0, np.abs(lam).max(axis=1))
+        excess = lam.max(axis=1) - 1.0
+        bad = np.flatnonzero(excess > tol)
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"serving state of expert {self.first + k} has an eigenvalue of "
+                             f"I - S at 1 + {excess[k]:.3g}, beyond the rounding tolerance "
+                             f"{tol[k]:.3g}: its posterior covariance is not positive "
+                             "semi-definite")
+
+    @property
+    def experts(self) -> range:
+        return range(self.first, self.first + len(self.eigvals))
+
+    def region(self, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Expert ``j``'s ``(basis, coef, eigvals)``."""
+        k = j - self.first
+        return self.basis[k], self.coef[k], self.eigvals[k]
 
     @classmethod
-    def from_arrays(cls, first: int, inv_psi: np.ndarray, mu_psi: np.ndarray,
-                    sigma_psi: np.ndarray) -> "ServingState":
-        """Serve stacks whose row k belongs to expert ``first + k``."""
-        return cls(range(first, first + len(inv_psi)),
-                   lambda j: (inv_psi[j - first], mu_psi[j - first], sigma_psi[j - first]))
+    def build(cls, experts: range, region: Callable) -> "ServingState":
+        """Diagonalize each expert's whitened posterior.
+
+        ``region(j)`` returns expert ``j``'s inverse factor ``L^-1``,
+        ``mu_psi`` and ``Sigma_psi``; the stacks are filled one expert at a
+        time, so no stack of every ``S`` is held.
+        """
+        for k, j in enumerate(experts):
+            inv, mu, sigma = region(j)
+            if k == 0:
+                n, P = len(experts), inv.shape[0]
+                eye = np.eye(P)
+                basis, coef, eigvals = np.empty((n, P, P)), np.empty((n, P)), np.empty((n, P))
+            S = inv @ sigma @ inv.T
+            eigvals[k], U = np.linalg.eigh(eye - 0.5 * (S + S.T))
+            basis[k] = inv.T @ U
+            coef[k] = (inv @ mu) @ U
+        return cls(experts.start, basis, coef, eigvals)
 
     def arrays(self) -> dict[str, np.ndarray]:
-        """``inv_psi``, ``mu_psi`` and ``sigma_psi`` stacked over the experts.
-
-        Each stack is filled in place, one expert at a time.
-        """
-        shapes = [a.shape for a in self.region(self.experts[0])]
-        out = {name: np.empty((len(self.experts),) + shape)
-               for name, shape in zip(SERVING_ARRAYS, shapes)}
-        for k, j in enumerate(self.experts):
-            for name, a in zip(SERVING_ARRAYS, self.region(j)):
-                out[name][k] = a
-        return out
+        """The stacks by their names in a saved file."""
+        return dict(zip(SERVING_ARRAYS, (self.basis, self.coef, self.eigvals)))
 
 
-def _whitened_region(serving: ServingState, j: int):
-    """Expert ``j``'s posterior over its correlation region, whitened by its factor.
-
-    With ``K(A_psi, A_psi) = L L'``: returns ``V = L^-T`` (C-ordered),
-    ``a = L^-1 mu_psi`` and ``S = L^-1 Sigma_psi L^-T`` (symmetrized), as
-    products with the served ``L^-1``, so every query chunk multiplies by it
-    instead of substituting through ``L``.  An inverse factor with a
-    non-positive diagonal entry (which no Cholesky factor has) is refused.
-    """
-    inv, mu, sigma = serving.region(j)
-    if not np.all(np.diagonal(inv) > 0.0):
-        raise np.linalg.LinAlgError(f"serving factor of expert {j} is singular")
-    S = inv @ sigma @ inv.T
-    return np.ascontiguousarray(inv.T), inv @ mu, 0.5 * (S + S.T)
-
-
-def _local_moments(K_xpsi: np.ndarray, kxx: np.ndarray, V: np.ndarray,
-                   a: np.ndarray, S: np.ndarray):
+def _local_moments(K_xpsi: np.ndarray, kxx: np.ndarray, basis: np.ndarray,
+                   coef: np.ndarray, eigvals: np.ndarray):
     """Mean/variance of one expert's prediction at each row of ``K_xpsi``.
 
-    ``W = K_xpsi L^-T`` is one GEMM against ``V`` from :func:`_whitened_region`
-    (``K_xpsi`` may be a transposed view; BLAS reads it without a copy); then
-    ``m = W a`` and ``v = k(x, x) - |W|^2 + W S W'``.  ``K^-1 - K^-1 Sigma K^-1``
-    is never formed: it loses the variance to cancellation where the kernel
+    One GEMM gives ``Z = K_xpsi L^-T U`` (``K_xpsi`` may be a transposed
+    view; BLAS reads it without a copy); then ``m = Z c`` and
+    ``v = k(x, x) - (Z o Z) eigvals``, the whitened quadratic form
+    ``k - W (I - S) W'`` with ``W = Z U'``.  ``K^-1 - K^-1 Sigma K^-1`` is
+    never formed: it loses the variance to cancellation where the kernel
     matrix is ill-conditioned.
     """
-    W = K_xpsi @ V
-    m = W @ a
-    v = kxx - np.einsum("ij,ij->i", W, W) + np.einsum("ij,ij->i", W @ S, W)
-    return m, v
+    Z = K_xpsi @ basis
+    m = Z @ coef
+    Z *= Z
+    return m, kxx - Z @ eigvals
 
 
 def local_predict(model, j: int, x_star) -> tuple[float, float]:
@@ -163,7 +181,7 @@ def _local_arrays(model, Xs: np.ndarray, experts: range):
         raise ValueError("query holds NaN or inf values")
     graph = model.graph
     L = graph.L
-    regions = [_whitened_region(model.serving, j) for j in experts]
+    regions = [model.serving.region(j) for j in experts]
     # the kernel is evaluated on the blocks some listed expert correlates with
     # (every block, for all predictive experts); expert j's rows of it are the
     # blocks of its correlation set

@@ -1,7 +1,13 @@
 """Factors, prior/posterior precision, marginal likelihood and its gradient."""
 
+import os
+import tempfile
+import zipfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg.lapack import dtrtri
 
 from conftest import (
@@ -573,7 +579,7 @@ class TestModelLifecycle:
         loaded.save(again)
         with np.load(path) as first, np.load(again) as second:
             assert first.files == second.files
-            for name in ("inv_psi", "mu_psi", "sigma_psi"):
+            for name in ("basis", "coef", "eigvals"):
                 assert first[name].tobytes() == second[name].tobytes()
         CpoeModel.load(again, X, y, kern)
 
@@ -602,47 +608,79 @@ class TestModelLifecycle:
     def test_load_refuses_file_without_serving_state(self, rng, tmp_path):
         # the format written before the serving state was saved
         path, kern, X, y = self._saved(rng, tmp_path)
-        old = self._rewritten(path, tmp_path, format_version=None, inv_psi=None,
-                              mu_psi=None, sigma_psi=None)
+        old = self._rewritten(path, tmp_path, format_version=None, basis=None,
+                              coef=None, eigvals=None)
         with pytest.raises(ValueError, match="no format version.*save the model again"):
             CpoeModel.load(old, X, y, kern)
 
-    def test_saves_inverse_factors_as_format_2(self, rng, tmp_path):
+    def test_saves_eigenbasis_as_format_3(self, rng, tmp_path):
         model, _, path, _, _, _ = self._loaded(rng, tmp_path)
         with np.load(path) as blob:
-            assert int(blob["format_version"]) == 2
-            assert "chol_psi" not in blob.files
+            assert int(blob["format_version"]) == 3
+            assert not {"chol_psi", "inv_psi", "mu_psi", "sigma_psi"} & set(blob.files)
             for k, j in enumerate(range(2, 8)):
-                np.testing.assert_array_equal(blob["inv_psi"][k],
-                                              model.factors.experts[j].inv_psi)
+                e = model.factors.experts[j]
+                B, c, lam = blob["basis"][k], blob["coef"][k], blob["eigvals"][k]
+                # B = L^-T U with U orthogonal and I - S = U diag(lam) U'
+                U = np.linalg.inv(e.inv_psi.T) @ B
+                np.testing.assert_allclose(U.T @ U, np.eye(len(lam)), atol=1e-10)
+                S = e.inv_psi @ model.posterior.sigma_at(e.psi) @ e.inv_psi.T
+                np.testing.assert_allclose(U @ np.diag(lam) @ U.T, np.eye(len(lam)) - S,
+                                           atol=1e-10)
+                np.testing.assert_allclose(U @ c, e.inv_psi @ model.posterior.mu_at(e.psi),
+                                           atol=1e-10)
 
-    def test_load_refuses_format_1(self, rng, tmp_path):
-        # version 1 stored the factors of K(A_psi) rather than their inverses
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_load_refuses_format(self, rng, tmp_path, version):
+        # version 1 stored the factors of K(A_psi), version 2 their inverses;
+        # both stored mu_psi and Sigma_psi rather than the eigenbasis
         path, kern, X, y = self._saved(rng, tmp_path)
         with np.load(path) as blob:
-            chol = np.linalg.inv(blob["inv_psi"])
-        old = self._rewritten(path, tmp_path, format_version=np.array(1), inv_psi=None,
-                              chol_psi=chol)
-        with pytest.raises(ValueError, match="format version 1, expected 2; "
+            P = blob["basis"].shape[1]
+            eye = np.broadcast_to(np.eye(P), blob["basis"].shape)
+        factor = {1: "chol_psi", 2: "inv_psi"}[version]
+        old = self._rewritten(path, tmp_path, format_version=np.array(version), basis=None,
+                              coef=None, eigvals=None, mu_psi=np.zeros(eye.shape[:2]),
+                              sigma_psi=eye, **{factor: eye})
+        with pytest.raises(ValueError, match=f"format version {version}, expected 3; "
                                              "save the model again"):
             CpoeModel.load(old, X, y, kern)
 
     def test_load_refuses_non_finite_serving_state(self, rng, tmp_path):
         path, kern, X, y = self._saved(rng, tmp_path)
         with np.load(path) as blob:
-            sigma = blob["sigma_psi"].copy()
-        sigma[1, 2, 3] = np.nan
-        bad = self._rewritten(path, tmp_path, sigma_psi=sigma)
-        with pytest.raises(ValueError, match="sigma_psi holds NaN or inf"):
+            coef = blob["coef"].copy()
+        coef[1, 3] = np.nan
+        bad = self._rewritten(path, tmp_path, coef=coef)
+        with pytest.raises(ValueError, match="coef holds NaN or inf"):
             CpoeModel.load(bad, X, y, kern)
 
     def test_load_refuses_missing_expert(self, rng, tmp_path):
         path, kern, X, y = self._saved(rng, tmp_path)
         with np.load(path) as blob:
-            inv = blob["inv_psi"][:-1]
-        bad = self._rewritten(path, tmp_path, inv_psi=inv)
-        with pytest.raises(ValueError, match=r"inv_psi is float64 of shape \(2, 12, 12\), "
+            basis = blob["basis"][:-1]
+        bad = self._rewritten(path, tmp_path, basis=basis)
+        with pytest.raises(ValueError, match=r"basis is float64 of shape \(2, 12, 12\), "
                                              r"expected float64 of shape \(3, 12, 12\)"):
+            CpoeModel.load(bad, X, y, kern)
+
+    def test_load_refuses_other_dtype(self, rng, tmp_path):
+        path, kern, X, y = self._saved(rng, tmp_path)
+        with np.load(path) as blob:
+            lam = blob["eigvals"].astype(np.float32)
+        bad = self._rewritten(path, tmp_path, eigvals=lam)
+        with pytest.raises(ValueError, match=r"eigvals is float32 of shape \(3, 12\), "
+                                             r"expected float64 of shape \(3, 12\)"):
+            CpoeModel.load(bad, X, y, kern)
+
+    def test_load_refuses_eigenvalue_above_one(self, rng, tmp_path):
+        path, kern, X, y = self._saved(rng, tmp_path)
+        with np.load(path) as blob:
+            lam = blob["eigvals"].copy()
+        lam[2, 4] = 1.0 + 1e-9
+        bad = self._rewritten(path, tmp_path, eigvals=lam)
+        with pytest.raises(ValueError, match=r"rewritten\.npz: serving state of expert 3 has "
+                                             r"an eigenvalue of I - S at 1 \+ 1e-09"):
             CpoeModel.load(bad, X, y, kern)
 
     def test_load_refuses_other_rows(self, rng, tmp_path):
@@ -673,6 +711,34 @@ class TestModelLifecycle:
         np.savez(old, **fields)
         with pytest.raises(ValueError, match="no training-data fingerprint"):
             CpoeModel.load(old, X, y, kern)
+
+    @given(J=st.sampled_from([4, 8]), data=st.data(), gamma=st.sampled_from([0.5, 1.0]),
+           variant=st.sampled_from(cpoe_model._VARIANTS), alpha_pep=st.sampled_from([0.5, 1.0]),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None)
+    def test_save_load_round_trip(self, J, data, gamma, variant, alpha_pep, seed):
+        C = data.draw(st.integers(1, J), label="C")
+        rng = np.random.default_rng(seed)
+        X = spread_points(12 * J, 2, rng)
+        kern, noise = SquaredExponential.create(1.2, [0.15, 0.15]), NoiseSpec.create(0.1)
+        y, _ = gp_sample(kern, X, 0.1, rng)
+        model = CpoeModel(kern, noise, J=J, C=C, gamma=gamma,
+                          variant=VariantSpec(variant, alpha_pep), seed=seed).fit(X, y)
+        Xs = rng.uniform(0, 1, (7, 2))
+        with tempfile.TemporaryDirectory() as tmp:
+            path, again = os.path.join(tmp, "model.npz"), os.path.join(tmp, "again.npz")
+            model.save(path)
+            loaded = CpoeModel.load(path, X, y, kern)
+            fitted, back = (predict_arrays(m, Xs, add_noise=True, return_locals=True)
+                            for m in (model, loaded))
+            for a, b in zip(fitted[:2] + fitted[2], back[:2] + back[2]):
+                np.testing.assert_array_equal(b, a)
+            loaded.save(again)
+            # every stored array byte for byte (the zip entries' timestamps differ)
+            with zipfile.ZipFile(path) as first, zipfile.ZipFile(again) as second:
+                assert first.namelist() == second.namelist()
+                for name in first.namelist():
+                    assert first.read(name) == second.read(name)
 
     @pytest.mark.parametrize("name", ["X", "y"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -99,7 +99,7 @@ def _forward_substitution(L, B):
 
 
 class TestLocalMoments:
-    """The GEMM form against ``L^-T`` and the transposed shared kernel block."""
+    """The eigenbasis form against ``L^-T U`` and the transposed shared kernel block."""
 
     @pytest.mark.parametrize("ls", [0.4, 0.5])
     def test_matches_long_double_substitution(self, ls):
@@ -116,8 +116,8 @@ class TestLocalMoments:
         kxx = kern.diag(Xq)
         worst_cond = worst_jitter = 0.0
         for row, j in enumerate(experts):
-            _, mu, sigma = model.serving.region(j)
-            A_psi = model.factors.experts[j].A_psi
+            psi, A_psi = model.factors.experts[j].psi, model.factors.experts[j].A_psi
+            mu, sigma = model.posterior.mu_at(psi), model.posterior.sigma_at(psi)
             K_psi = kern(A_psi)
             chol = jittered_cholesky(K_psi)[0]  # the factor the model inverted
             worst_cond = max(worst_cond, np.linalg.cond(K_psi))
@@ -155,8 +155,7 @@ class TestLocalMoments:
         kxx = kern.diag(Xs)
         for row, j in enumerate(experts):
             K_xpsi = kern(Xs, model.factors.experts[j].A_psi)
-            m, v = prediction._local_moments(K_xpsi, kxx,
-                                             *prediction._whitened_region(model.serving, j))
+            m, v = prediction._local_moments(K_xpsi, kxx, *model.serving.region(j))
             np.testing.assert_allclose(means[row], m, rtol=0, atol=1e-13 * np.abs(m).max())
             np.testing.assert_allclose(variances[row], np.maximum(v, 1e-12 * kxx),
                                        rtol=1e-13)
@@ -170,6 +169,12 @@ class TestLocalMoments:
                 m, v = local_predict(model, j, x)
                 assert m == pytest.approx(means[row, q], rel=1e-13, abs=1e-15)
                 assert v == pytest.approx(variances[row, q], rel=1e-13)
+        # bitwise at its own query: only the batch size changes the rounding
+        for x in Xs:
+            experts, means, variances, _ = predict_arrays(model, x[None, :],
+                                                           return_locals=True)[2]
+            for row, j in enumerate(experts):
+                assert local_predict(model, j, x) == (means[row, 0], variances[row, 0])
 
     def test_local_predict_evaluates_its_correlation_blocks_only(self, rng):
         model, _, _ = small_model(rng, N=64, J=8, C=3)
@@ -183,17 +188,43 @@ class TestLocalMoments:
         local_predict(served, 5, np.array([0.3, 0.6]))
         assert rows == [model.graph.correlation[5].size * model.graph.L]
 
-    def test_singular_serving_factor_rejected(self, rng):
+    def test_serving_eigenvalue_above_one_rejected(self, rng):
+        # S is a covariance, so the eigenvalues of I - S are at most 1; the
+        # tolerance is the eigensolver's rounding, P u max(1, max|eigvals|)
         model, _, _ = small_model(rng, N=64, J=8, C=3)
-        stacks = model.serving.arrays()
-        stacks["inv_psi"][1, 5, 5] = 0.0
-        served = SimpleNamespace(graph=model.graph, kernel=model.kernel, noise=model.noise,
-                                 serving=ServingState.from_arrays(2, *stacks.values()))
-        with pytest.raises(np.linalg.LinAlgError, match="expert 3 is singular"):
-            predict_arrays(served, np.full((2, 2), 0.5))
-        with pytest.raises(np.linalg.LinAlgError, match="expert 3 is singular"):
-            local_predict(served, 3, np.full(2, 0.5))
-        local_predict(served, 4, np.full(2, 0.5))  # the other experts still serve
+        basis, coef, lam = model.serving.arrays().values()
+        assert lam.max() < 1.0
+        tol = lam.shape[1] * np.finfo(float).eps * max(1.0, np.abs(lam[1]).max())
+        lam = lam.copy()
+        lam[1, 5] = 1.0 + 0.5 * tol
+        ServingState(2, basis, coef, lam)  # within rounding
+        lam[1, 5] = 1.0 + 2.0 * tol
+        with pytest.raises(ValueError, match="serving state of expert 3 has an eigenvalue "
+                                             "of I - S at 1 \\+ "):
+            ServingState(2, basis, coef, lam)
+
+
+class TestServingState:
+    def test_built_once_per_fit(self, rng, monkeypatch):
+        model, X, y = small_model(rng, N=64, J=8, C=3)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        Xs = np.random.default_rng(3).uniform(0, 1, (10, 2))
+        first = model.predict(Xs)
+        assert len(calls) == 6  # one per predictive expert
+        assert all(np.array_equal(a, b) for a, b in zip(model.predict(Xs), first))
+        local_predict(model, 4, Xs[0])
+        assert len(calls) == 6
+        theta = model.get_params() + 0.1
+        model.set_params(theta)
+        assert len(calls) == 6  # a refit builds no serving state ...
+        again = model.predict(Xs)
+        assert len(calls) == 12  # ... its first prediction does
+        refit = CpoeModel(model.kernel, model.noise, J=8, C=3, gamma=0.5, seed=0).fit(X, y)
+        for a, b in zip(again, refit.predict(Xs)):
+            np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(again[0], first[0])
 
 
 class TestAggregationWeights:
