@@ -1,16 +1,24 @@
-"""Block-sparse matrices with Cholesky factorization and partial inversion.
+"""Symmetric block-sparse matrices in one flat block array, with Cholesky
+factorization, solves and partial inversion.
 
-Matrices are stored block-sparse-row style: a block grid with uniform block
-size per axis and dense payloads for the stored blocks.  Factorization works
-on the block level throughout: the fill-reducing permutation and the symbolic
-fill pattern are computed once on the J x J block graph and reused across
-numeric refactorizations, which is what makes repeated hyperparameter
-iterations cheap.
+A symmetric matrix over a ``J x J`` grid of square ``bs x bs`` blocks is
+stored as one contiguous ``(n_slots, bs, bs)`` array: one slot per lower block
+of its Cholesky fill pattern, in permuted coordinates.  Slots run block row by
+block row, each row's blocks in increasing column order with the diagonal
+block last.  The matrix, its Cholesky factor and its partial inverse share
+this layout.  Factorization works on the block level throughout: the
+fill-reducing permutation, the symbolic fill pattern and the slot layout are
+computed once on the J x J block graph (:func:`symbolic_factor`) and reused
+across numeric refactorizations, which is what makes repeated hyperparameter
+iterations cheap.  Beside the layout, the symbolic factor keeps the slots of
+the dense matrices over given block index sets, so that scattering a local
+matrix into the array, or gathering one from it, is one indexing operation.
 
 The partial inverse computes exactly those blocks of the inverse that lie in
 the Cholesky fill pattern, by the classic recursion that runs from the last
-block column backwards; every intermediate product it needs stays inside the
-pattern because the column structures are cliques of the filled graph.
+block column backwards (Takahashi, Fagan & Chen, 1973); every intermediate
+product it needs stays inside the pattern because the column structures are
+cliques of the filled graph.
 """
 
 from __future__ import annotations
@@ -25,6 +33,8 @@ __all__ = [
     "BlockCholesky",
     "PartialInverse",
     "FactorizationError",
+    "IndexSlots",
+    "SymbolicFactor",
     "fill_reducing_permutation",
     "symbolic_factor",
     "block_cholesky",
@@ -40,137 +50,117 @@ class FactorizationError(np.linalg.LinAlgError):
         super().__init__(message or f"non-positive-definite pivot at block {block_index}")
 
 
-class BlockSparseMatrix:
-    """Square block grid with uniform block sizes and dense stored payloads.
-
-    ``row_block`` and ``col_block`` may differ (rectangular payloads, e.g. for
-    projection matrices), but factorization requires a square grid with equal
-    block sizes.
-    """
-
-    def __init__(self, n_block_rows: int, n_block_cols: int | None = None,
-                 row_block: int = 1, col_block: int | None = None):
-        self.n_block_rows = int(n_block_rows)
-        self.n_block_cols = int(n_block_cols if n_block_cols is not None else n_block_rows)
-        self.row_block = int(row_block)
-        self.col_block = int(col_block if col_block is not None else row_block)
-        self._blocks: dict[tuple[int, int], np.ndarray] = {}
-
-    # -- structure -----------------------------------------------------------
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n_block_rows * self.row_block, self.n_block_cols * self.col_block)
-
-    def has_block(self, i: int, j: int) -> bool:
-        return (i, j) in self._blocks
-
-    def pattern(self) -> set[tuple[int, int]]:
-        return set(self._blocks.keys())
-
-    def row_cols(self, i: int) -> list[int]:
-        """Sorted column indices of the stored blocks in block row ``i``."""
-        return sorted(j for (r, j) in self._blocks if r == i)
-
-    def get_block(self, i: int, j: int) -> np.ndarray:
-        blk = self._blocks.get((i, j))
-        if blk is None:
-            return np.zeros((self.row_block, self.col_block))
-        return blk
-
-    def set_block(self, i: int, j: int, value: np.ndarray) -> None:
-        value = np.asarray(value, dtype=float)
-        if value.shape != (self.row_block, self.col_block):
-            raise ValueError(f"block shape {value.shape} != {(self.row_block, self.col_block)}")
-        if not (0 <= i < self.n_block_rows and 0 <= j < self.n_block_cols):
-            raise IndexError((i, j))
-        self._blocks[(i, j)] = value
-
-    def add_to_block(self, i: int, j: int, value: np.ndarray) -> None:
-        if (i, j) in self._blocks:
-            self._blocks[(i, j)] = self._blocks[(i, j)] + value
-        else:
-            self.set_block(i, j, np.asarray(value, dtype=float).copy())
-
-    # -- conversions -----------------------------------------------------------
-
-    def to_dense(self) -> np.ndarray:
-        A = np.zeros(self.shape)
-        rb, cb = self.row_block, self.col_block
-        for (i, j), blk in self._blocks.items():
-            A[i * rb:(i + 1) * rb, j * cb:(j + 1) * cb] = blk
-        return A
-
-    @classmethod
-    def from_dense(cls, A: np.ndarray, n_block_rows: int, row_block: int,
-                   n_block_cols: int | None = None, col_block: int | None = None,
-                   keep_zero_blocks: bool = False) -> "BlockSparseMatrix":
-        n_block_cols = n_block_cols if n_block_cols is not None else n_block_rows
-        col_block = col_block if col_block is not None else row_block
-        out = cls(n_block_rows, n_block_cols, row_block, col_block)
-        for i in range(n_block_rows):
-            for j in range(n_block_cols):
-                blk = A[i * row_block:(i + 1) * row_block, j * col_block:(j + 1) * col_block]
-                if keep_zero_blocks or np.any(blk != 0.0):
-                    out.set_block(i, j, np.array(blk, dtype=float))
-        return out
-
-
-def fill_reducing_permutation(pattern) -> np.ndarray:
+def fill_reducing_permutation(pattern: set[tuple[int, int]]) -> np.ndarray:
     """Minimum-degree elimination order for a symmetric block adjacency.
 
-    ``pattern`` is either a dense boolean/0-1 matrix over blocks or a set of
-    ``(i, j)`` pairs.  Operates purely on the block graph.  Ties break toward
-    the lowest block index, so the result is deterministic.
+    ``pattern`` is a set of ``(i, j)`` block pairs.  Operates purely on the
+    block graph.  Ties break toward the lowest block index, so the result is
+    deterministic.
     """
-    if isinstance(pattern, set):
-        n = max((max(i, j) for i, j in pattern), default=-1) + 1
-        pairs = pattern
-    else:
-        mat = np.asarray(pattern)
-        n = mat.shape[0]
-        pairs = {(i, j) for i in range(n) for j in range(n) if mat[i, j]}
+    n = max((max(i, j) for i, j in pattern), default=-1) + 1
     adj: list[set[int]] = [set() for _ in range(n)]
-    for i, j in pairs:
+    for i, j in pattern:
         if i != j:
             adj[i].add(j)
             adj[j].add(i)
     alive = set(range(n))
     order = []
     while alive:
-        v = min(alive, key=lambda u: (len(adj[u] & alive), u))
+        # eliminated blocks leave their neighbors' sets, so these are degrees
+        v = min(alive, key=lambda u: (len(adj[u]), u))
         order.append(v)
         alive.remove(v)
-        nbrs = adj[v] & alive
+        nbrs = adj[v]
         for u in nbrs:  # eliminating v joins its remaining neighbors into a clique
             adj[u] |= nbrs - {u}
             adj[u].discard(v)
     return np.asarray(order, dtype=int)
 
 
+@dataclass(frozen=True)
+class IndexSlots:
+    """Where the blocks of a dense symmetric matrix over a block index set live.
+
+    One entry per unordered pair of positions in the set, enumerated row by
+    row (``(0, 0), (1, 0), (1, 1), (2, 0), ...``), so the first ``k(k+1)/2``
+    entries are those of the set's leading ``k`` positions.  Entry ``t``: the
+    local block at block coordinates ``(rows[t], cols[t])`` is stored,
+    untransposed, in slot ``slots[t]``.
+    """
+
+    size: int
+    slots: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+
+
 @dataclass
 class SymbolicFactor:
-    """Permutation plus fill pattern, reusable across numeric refactorizations."""
+    """Permutation, fill pattern and slot layout, reusable across numeric
+    refactorizations; see the module docstring."""
 
     perm: np.ndarray                     # position -> original block index
     inv_perm: np.ndarray                 # original block index -> position
     lower_rows: list[list[int]]          # per block row i: sorted j < i with L[i, j] stored
     lower_cols: list[list[int]]          # per block col j: sorted i > j with L[i, j] stored
+    row_start: list[int]                 # slots of row i: row_start[i] .. row_start[i + 1] - 1
+    col_slots: list[list[int]]           # per block col j: slots of L[i, j], i in lower_cols[j]
+    keys: np.ndarray                     # i * J + j of slot (i, j); increasing
+    index_sets: list[IndexSlots] = field(default_factory=list, repr=False)
 
     @property
     def n_blocks(self) -> int:
         return self.perm.size
 
-    def fill_pattern(self) -> set[tuple[int, int]]:
-        pat = {(i, i) for i in range(self.n_blocks)}
-        for i, cols in enumerate(self.lower_rows):
-            pat.update((i, j) for j in cols)
-        return pat
+    @property
+    def n_slots(self) -> int:
+        return self.keys.size
+
+    @property
+    def diag(self) -> np.ndarray:
+        """Slot of each diagonal block, by permuted index."""
+        return np.asarray(self.row_start[1:]) - 1
+
+    def slots_of(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Slots of the permuted blocks ``(rows[t], cols[t])``, ``rows >= cols``;
+        -1 where a block lies outside the fill pattern."""
+        want = np.asarray(rows) * self.n_blocks + np.asarray(cols)
+        pos = np.minimum(np.searchsorted(self.keys, want), self.n_slots - 1)
+        return np.where(self.keys[pos] == want, pos, -1)
+
+    def index_slots(self, sets) -> list[IndexSlots]:
+        """The slots of the dense matrix over each set of original block
+        indices in ``sets``; sets of one size are looked up together."""
+        out: list[IndexSlots | None] = [None] * len(sets)
+        by_size: dict[int, list[int]] = {}
+        for k, idx in enumerate(sets):
+            by_size.setdefault(len(idx), []).append(k)
+        for n, ks in by_size.items():
+            idx = np.array([sets[k] for k in ks], dtype=int).reshape(len(ks), n)
+            a, b = np.tril_indices(n)
+            p, q = self.inv_perm[idx[:, a]], self.inv_perm[idx[:, b]]
+            flip = p < q  # the stored block is the pair's transpose
+            slots = self.slots_of(np.maximum(p, q), np.minimum(p, q))
+            if np.any(slots < 0):
+                bad = idx[np.flatnonzero(np.any(slots < 0, axis=1))[0]]
+                raise ValueError(f"blocks over {bad.tolist()} lie outside the fill pattern")
+            rows, cols = np.where(flip, b, a), np.where(flip, a, b)
+            for r, k in enumerate(ks):
+                out[k] = IndexSlots(n, slots[r], rows[r], cols[r])
+        return out
 
 
 def symbolic_factor(pattern: set[tuple[int, int]], n_blocks: int,
-                    perm: np.ndarray | None = None) -> SymbolicFactor:
-    """Fill-reducing permutation (unless given) and symbolic Cholesky fill."""
+                    perm: np.ndarray | None = None, index_sets=()) -> SymbolicFactor:
+    """Fill-reducing permutation (unless given), symbolic Cholesky fill and
+    slot layout of a symmetric block pattern.
+
+    The pattern factored is ``pattern``, the diagonal, and every pair within
+    each of ``index_sets``; the slots of each index set are kept, in order,
+    as ``index_sets`` of the result.
+    """
+    pattern = set(pattern) | {(i, i) for i in range(n_blocks)}
+    pattern |= {(int(i), int(j)) for idx in index_sets for i in idx for j in idx}
     if perm is None:
         perm = fill_reducing_permutation(pattern | {(j, i) for i, j in pattern})
     perm = np.asarray(perm, dtype=int)
@@ -197,23 +187,85 @@ def symbolic_factor(pattern: set[tuple[int, int]], n_blocks: int,
     for j, rows in enumerate(lower_cols):
         for i in rows:
             lower_rows[i].append(j)
-    for i in range(n_blocks):
-        lower_rows[i].sort()
-    return SymbolicFactor(perm=perm, inv_perm=inv_perm,
-                          lower_rows=lower_rows, lower_cols=lower_cols)
+    row_start = [0]
+    col_slots: list[list[int]] = [[] for _ in range(n_blocks)]
+    keys: list[int] = []
+    for i, row in enumerate(lower_rows):
+        row.sort()
+        for t, j in enumerate(row):  # rows ascend, so each col_slots list follows lower_cols
+            col_slots[j].append(row_start[i] + t)
+        keys.extend(i * n_blocks + j for j in row)
+        keys.append(i * n_blocks + i)
+        row_start.append(len(keys))
+    sym = SymbolicFactor(perm=perm, inv_perm=inv_perm, lower_rows=lower_rows,
+                         lower_cols=lower_cols, row_start=row_start, col_slots=col_slots,
+                         keys=np.asarray(keys, dtype=np.int64))
+    sym.index_sets = sym.index_slots(index_sets)
+    return sym
 
 
 @dataclass
-class BlockCholesky:
+class _Slotted:
+    """Blocks in ``symbolic``'s slot layout: one flat ``(n_slots, bs, bs)`` array."""
+
+    symbolic: SymbolicFactor
+    blocks: np.ndarray = field(repr=False)
+
+    @property
+    def block_size(self) -> int:
+        return self.blocks.shape[1]
+
+
+class BlockSparseMatrix(_Slotted):
+    """Symmetric block matrix: its lower blocks on the symbolic factor's fill
+    pattern, in permuted coordinates."""
+
+    @classmethod
+    def zeros(cls, symbolic: SymbolicFactor, block_size: int) -> "BlockSparseMatrix":
+        return cls(symbolic, np.zeros((symbolic.n_slots, block_size, block_size)))
+
+    @classmethod
+    def from_dense(cls, A: np.ndarray, n_blocks: int, block_size: int,
+                   perm: np.ndarray | None = None) -> "BlockSparseMatrix":
+        """The symmetric matrix ``A`` on the pattern of its nonzero blocks,
+        ordered by ``perm`` or by minimum degree."""
+        A = np.asarray(A, dtype=float)
+        n = n_blocks * block_size
+        if A.shape != (n, n):
+            raise ValueError(f"matrix of shape {A.shape} is not {n_blocks} x {n_blocks} "
+                             f"blocks of size {block_size}")
+        A4 = A.reshape(n_blocks, block_size, n_blocks, block_size)
+        nonzero = np.argwhere(np.any(A4 != 0.0, axis=(1, 3)))
+        sym = symbolic_factor({(int(i), int(j)) for i, j in nonzero}, n_blocks, perm=perm)
+        rows, cols = np.divmod(sym.keys, n_blocks)
+        return cls(sym, A4[sym.perm[rows], :, sym.perm[cols]])
+
+    def add_local(self, where: IndexSlots, local: np.ndarray, size: int | None = None) -> None:
+        """Add the symmetric dense ``local`` over an index set's leading
+        ``size`` positions (all of them by default) into the stored blocks."""
+        size = where.size if size is None else size
+        t = size * (size + 1) // 2
+        bs = self.block_size
+        self.blocks[where.slots[:t]] += local.reshape(size, bs, size, bs)[
+            where.rows[:t], :, where.cols[:t]]
+
+    def to_dense(self) -> np.ndarray:
+        sym = self.symbolic
+        J, bs = sym.n_blocks, self.block_size
+        rows, cols = np.divmod(sym.keys, J)
+        i, j = sym.perm[rows], sym.perm[cols]
+        out = np.zeros((J, bs, J, bs))
+        out[i, :, j] = self.blocks
+        out[j, :, i] = self.blocks.transpose(0, 2, 1)
+        return out.reshape(J * bs, J * bs)
+
+
+class BlockCholesky(_Slotted):
     """Lower block Cholesky of a permuted SPD block-sparse matrix.
 
     Satisfies ``P A P^T = L L^T`` where ``P`` reorders blocks by
-    ``symbolic.perm``.  Blocks of ``L`` live in permuted coordinates.
+    ``symbolic.perm``; ``blocks`` holds the blocks of ``L``, one per fill block.
     """
-
-    symbolic: SymbolicFactor
-    block_size: int
-    blocks: dict[tuple[int, int], np.ndarray] = field(repr=False)
 
     @property
     def n_blocks(self) -> int:
@@ -222,41 +274,40 @@ class BlockCholesky:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``A x = b`` (permute, forward, backward, unpermute)."""
         b = np.asarray(b, dtype=float)
+        sym, Lb = self.symbolic, self.blocks
         J, bs = self.n_blocks, self.block_size
         if b.shape[0] != J * bs:
             raise ValueError(f"right-hand side length {b.shape[0]} != {J * bs}")
-        perm, sym = self.symbolic.perm, self.symbolic
-        pb = np.concatenate([b[p * bs:(p + 1) * bs] for p in perm])
+        start = sym.row_start
+        pb = b.reshape(J, bs, *b.shape[1:])[sym.perm]
         nu = np.zeros_like(pb)
         for i in range(J):
-            acc = pb[i * bs:(i + 1) * bs].copy()
-            for j in sym.lower_rows[i]:
-                acc -= self.blocks[(i, j)] @ nu[j * bs:(j + 1) * bs]
-            nu[i * bs:(i + 1) * bs] = solve_triangular(self.blocks[(i, i)], acc, lower=True,
-                                                       check_finite=False)
+            acc = pb[i].copy()
+            for t, j in enumerate(sym.lower_rows[i]):
+                acc -= Lb[start[i] + t] @ nu[j]
+            nu[i] = solve_triangular(Lb[start[i + 1] - 1], acc, lower=True,
+                                     check_finite=False)
         x = np.zeros_like(pb)
         for i in range(J - 1, -1, -1):
-            acc = nu[i * bs:(i + 1) * bs].copy()
-            for k in sym.lower_cols[i]:
-                acc -= self.blocks[(k, i)].T @ x[k * bs:(k + 1) * bs]
-            x[i * bs:(i + 1) * bs] = solve_triangular(self.blocks[(i, i)].T, acc, lower=False,
-                                                      check_finite=False)
-        out = np.zeros_like(b)
-        for pos, orig in enumerate(perm):
-            out[orig * bs:(orig + 1) * bs] = x[pos * bs:(pos + 1) * bs]
-        return out
+            acc = nu[i].copy()
+            for k, s in zip(sym.lower_cols[i], sym.col_slots[i]):
+                acc -= Lb[s].T @ x[k]
+            x[i] = solve_triangular(Lb[start[i + 1] - 1].T, acc, lower=False,
+                                    check_finite=False)
+        out = np.empty_like(x)
+        out[sym.perm] = x
+        return out.reshape(b.shape)
 
     def logdet(self) -> float:
         """log|A|; the permutation leaves the determinant invariant."""
         acc = 0.0
-        for i in range(self.n_blocks):
-            acc += np.sum(np.log(np.diag(self.blocks[(i, i)])))
+        for s in self.symbolic.diag:
+            acc += np.sum(np.log(np.diag(self.blocks[s])))
         return 2.0 * acc
 
 
-def block_cholesky(A: BlockSparseMatrix, perm: np.ndarray | None = None,
-                   symbolic: SymbolicFactor | None = None) -> BlockCholesky:
-    """Numeric block Cholesky on the symbolic fill pattern.
+def block_cholesky(A: BlockSparseMatrix) -> BlockCholesky:
+    """Numeric block Cholesky on the symbolic fill pattern of ``A``.
 
     Raises :class:`FactorizationError` with the failing block index when a
     pivot block is not positive definite; jitter is the caller's policy.  The
@@ -264,76 +315,61 @@ def block_cholesky(A: BlockSparseMatrix, perm: np.ndarray | None = None,
     :func:`partial_inverse` skip scipy's finiteness check: their operands are
     assembled from validated data, and a NaN reaching a pivot fails to factorize.
     """
-    if A.n_block_rows != A.n_block_cols or A.row_block != A.col_block:
-        raise ValueError("factorization needs a square grid of square blocks")
-    J, bs = A.n_block_rows, A.row_block
-    if symbolic is None:
-        symbolic = symbolic_factor(A.pattern(), J, perm=perm)
-    sym = symbolic
-    blocks: dict[tuple[int, int], np.ndarray] = {}
-
-    def a_perm(i: int, j: int) -> np.ndarray:
-        return A.get_block(int(sym.perm[i]), int(sym.perm[j]))
-
-    for i in range(J):
+    sym, a = A.symbolic, A.blocks
+    start = sym.row_start
+    L = np.empty_like(a)
+    for i in range(sym.n_blocks):
         row_i = sym.lower_rows[i]
-        row_set = set(row_i)
-        for j in row_i:
-            acc = a_perm(i, j).copy()
-            for k in sym.lower_rows[j]:
-                if k in row_set:
-                    acc -= blocks[(i, k)] @ blocks[(j, k)].T
+        where = {k: start[i] + t for t, k in enumerate(row_i)}  # slot of L[i, k]
+        for t, j in enumerate(row_i):
+            acc = a[start[i] + t].copy()
+            for u, k in enumerate(sym.lower_rows[j]):
+                s = where.get(k)
+                if s is not None:
+                    acc -= L[s] @ L[start[j] + u].T
             # right-divide by L_jj^T
-            blocks[(i, j)] = solve_triangular(blocks[(j, j)], acc.T, lower=True,
-                                              check_finite=False).T
-        acc = a_perm(i, i).copy()
-        for k in row_i:
-            acc -= blocks[(i, k)] @ blocks[(i, k)].T
+            L[start[i] + t] = solve_triangular(L[start[j + 1] - 1], acc.T, lower=True,
+                                               check_finite=False).T
+        acc = a[start[i + 1] - 1].copy()
+        for t in range(len(row_i)):
+            acc -= L[start[i] + t] @ L[start[i] + t].T
         try:
-            blocks[(i, i)] = np.linalg.cholesky(acc)
+            L[start[i + 1] - 1] = np.linalg.cholesky(acc)
         except np.linalg.LinAlgError:
             raise FactorizationError(int(sym.perm[i])) from None
-    return BlockCholesky(symbolic=sym, block_size=bs, blocks=blocks)
+    return BlockCholesky(symbolic=sym, blocks=L)
 
 
-@dataclass
-class PartialInverse:
-    """Blocks of the inverse on the Cholesky fill pattern, original indexing.
+class PartialInverse(_Slotted):
+    """Blocks of the inverse on the Cholesky fill pattern, read in original
+    block indexing.
 
     Entries outside the pattern were never computed; asking for one is a
     contract violation and raises ``KeyError``.
     """
 
-    symbolic: SymbolicFactor
-    block_size: int
-    blocks: dict[tuple[int, int], np.ndarray] = field(repr=False)  # permuted, lower
+    def _slot(self, i: int, j: int) -> tuple[int, bool]:
+        p, q = int(self.symbolic.inv_perm[i]), int(self.symbolic.inv_perm[j])
+        return int(self.symbolic.slots_of(max(p, q), min(p, q))), p < q
 
     def has_block(self, i: int, j: int) -> bool:
-        p, q = int(self.symbolic.inv_perm[i]), int(self.symbolic.inv_perm[j])
-        if p < q:
-            p, q = q, p
-        return (p, q) in self.blocks
+        return self._slot(i, j)[0] >= 0
 
     def get_block(self, i: int, j: int) -> np.ndarray:
         """Inverse block at original block coordinates ``(i, j)``."""
-        p, q = int(self.symbolic.inv_perm[i]), int(self.symbolic.inv_perm[j])
-        transpose = p < q
-        if transpose:
-            p, q = q, p
-        blk = self.blocks.get((p, q))
-        if blk is None:
+        s, transpose = self._slot(i, j)
+        if s < 0:
             raise KeyError(f"inverse block ({i}, {j}) lies outside the computed pattern")
-        return blk.T if transpose else blk
+        return self.blocks[s].T if transpose else self.blocks[s]
 
-    def gather(self, idx: np.ndarray) -> np.ndarray:
-        """Dense submatrix of the inverse over the block index set ``idx``."""
-        idx = np.asarray(idx, dtype=int)
-        bs = self.block_size
-        out = np.empty((idx.size * bs, idx.size * bs))
-        for a, i in enumerate(idx):
-            for b, j in enumerate(idx):
-                out[a * bs:(a + 1) * bs, b * bs:(b + 1) * bs] = self.get_block(int(i), int(j))
-        return out
+    def gather(self, where: IndexSlots) -> np.ndarray:
+        """Dense submatrix of the inverse over an index set's blocks."""
+        n, bs = where.size, self.block_size
+        out = np.empty((n, bs, n, bs))
+        blocks = self.blocks[where.slots]
+        out[where.rows, :, where.cols] = blocks
+        out[where.cols, :, where.rows] = blocks.transpose(0, 2, 1)
+        return out.reshape(n * bs, n * bs)
 
 
 def partial_inverse(chol: BlockCholesky) -> PartialInverse:
@@ -347,24 +383,25 @@ def partial_inverse(chol: BlockCholesky) -> PartialInverse:
 
     where ``Z[i, k]`` for ``i < k`` means the transpose of the stored block.
     """
-    sym = chol.symbolic
-    J, bs = sym.n_blocks, chol.block_size
+    sym, Lb = chol.symbolic, chol.blocks
+    bs = chol.block_size
     eye = np.eye(bs)
-    Z: dict[tuple[int, int], np.ndarray] = {}
-
-    def zget(i: int, k: int) -> np.ndarray:
-        return Z[(i, k)] if i >= k else Z[(k, i)].T
-
-    for j in range(J - 1, -1, -1):
-        Linv_jj = solve_triangular(chol.blocks[(j, j)], eye, lower=True, check_finite=False)
-        below = sym.lower_cols[j]
-        for i in below:
+    diag = sym.diag
+    Z = np.empty_like(Lb)
+    for j in range(sym.n_blocks - 1, -1, -1):
+        Linv_jj = solve_triangular(Lb[diag[j]], eye, lower=True, check_finite=False)
+        below, cs = sym.lower_cols[j], sym.col_slots[j]
+        # slot of Z[max(i, k), min(i, k)] for i, k in S_j, a clique of the filled graph
+        grid = sym.slots_of(np.maximum.outer(below, below),
+                            np.minimum.outer(below, below)).tolist() if below else []
+        for a in range(len(below)):
             acc = np.zeros((bs, bs))
-            for k in below:
-                acc += zget(i, k) @ chol.blocks[(k, j)]
-            Z[(i, j)] = -acc @ Linv_jj
+            for c in range(len(below)):
+                z = Z[grid[a][c]]
+                acc += (z if a >= c else z.T) @ Lb[cs[c]]
+            Z[cs[a]] = -acc @ Linv_jj
         acc = Linv_jj.T @ Linv_jj
-        for k in below:
-            acc -= zget(j, k) @ chol.blocks[(k, j)] @ Linv_jj
-        Z[(j, j)] = 0.5 * (acc + acc.T)  # enforce exact symmetry of the diagonal block
-    return PartialInverse(symbolic=sym, block_size=bs, blocks=Z)
+        for s in cs:
+            acc -= Z[s].T @ Lb[s] @ Linv_jj
+        Z[diag[j]] = 0.5 * (acc + acc.T)  # enforce exact symmetry of the diagonal block
+    return PartialInverse(symbolic=sym, blocks=Z)

@@ -21,7 +21,9 @@ The prior precision is assembled as a sum of local contributions
 predecessor-plus-self block index sets.  Adding the projection precision
 ``H^T V^{-1} H`` (same scatter over correlation sets) gives the posterior
 precision, which keeps the prior's block pattern and is factorized once per
-hyperparameter setting; the symbolic analysis is reused across refits.  The
+hyperparameter setting; the symbolic analysis, with its flat block layout
+and each expert's slots in it, is reused across refits.  The posterior keeps
+only the partial inverse of the precision, not the precision or its factor.  The
 gradient contracts the projection's derivative ``dH`` without forming it:
 ``sum(dH o G) = sum((dK_xa - H dK_aa) o G K(A_corr, A_corr)^-1)``.
 
@@ -36,6 +38,7 @@ precision as its Gram matrix.
 from __future__ import annotations
 
 import hashlib
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +47,7 @@ from scipy.linalg.lapack import dtrtri
 from .block_sparse import (
     BlockSparseMatrix,
     FactorizationError,
+    PartialInverse,
     SymbolicFactor,
     block_cholesky,
     partial_inverse,
@@ -73,6 +77,7 @@ __all__ = [
     "prior_kl_difference",
 ]
 
+_log = logging.getLogger(__name__)
 _VARIANTS = ("fitc", "dtc", "pitc", "vfe", "pep", "pep_b")
 FORMAT_VERSION = 3  # of the file CpoeModel.save writes
 
@@ -188,12 +193,16 @@ def _variant_terms(variant: VariantSpec, D: np.ndarray, noise_var: float):
 def _inverse_factor(chol: np.ndarray, what: str) -> np.ndarray:
     """``L^-1`` of a lower Cholesky factor ``L``, from one LAPACK ``trtri``.
 
+    ``trtri`` leaves the strict upper triangle as it found it, so ``chol``
+    must be zero there, as ``np.linalg.cholesky`` output is; the inverse is
+    then lower triangular too.  It is returned in C order: BLAS rounds some
+    products differently for the Fortran-ordered array ``trtri`` returns.
     Raises ``LinAlgError`` naming ``what`` when ``L`` is singular.
     """
     inv, info = dtrtri(chol, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"{what} is singular (trtri info {info})")
-    return np.tril(inv)  # trtri leaves the strict upper triangle as it found it
+    return np.ascontiguousarray(inv)
 
 
 def _projection(kernel: Kernel, X: np.ndarray, A: np.ndarray, K_A: np.ndarray,
@@ -274,49 +283,56 @@ def build_local_factors(graph: ExpertGraph, kernel: Kernel, noise: NoiseSpec,
                         experts=experts)
 
 
-def _scatter_symmetric(target: BlockSparseMatrix, idx: np.ndarray, local: np.ndarray,
-                       bs: int) -> None:
-    for a, i in enumerate(idx):
-        for b, j in enumerate(idx):
-            target.add_to_block(int(i), int(j), local[a * bs:(a + 1) * bs, b * bs:(b + 1) * bs])
+def _posterior_symbolic(graph: ExpertGraph) -> SymbolicFactor:
+    """Fill analysis and slot layout of the posterior precision, whose block
+    pattern is the union of the experts' correlation-set blocks; keeps each
+    expert's slots, in expert order.  It depends on the graph only."""
+    return symbolic_factor(set(), graph.J, index_sets=graph.correlation)
 
 
-def assemble_prior_precision(factors: LocalFactors) -> BlockSparseMatrix:
+def assemble_prior_precision(factors: LocalFactors,
+                             symbolic: SymbolicFactor | None = None) -> BlockSparseMatrix:
     """Prior precision: sum of local ``Ft^T Q^{-1} Ft = W^T W`` over
-    predecessor-plus-self sets, with ``W = L_Q^-1 Ft`` the whitened transition."""
-    graph = factors.graph
-    L = graph.L
-    S = BlockSparseMatrix(graph.J, row_block=L)
-    for e in factors.experts:
+    predecessor-plus-self sets, with ``W = L_Q^-1 Ft`` the whitened transition.
+
+    Stored on the posterior precision's layout (``symbolic``, built from the
+    graph unless given), so :func:`assemble_posterior` adds into it in place.
+    Each predecessor-plus-self set is the leading prefix of the expert's
+    correlation set, so its slots are the leading entries of that set's.
+    """
+    if symbolic is None:
+        symbolic = _posterior_symbolic(factors.graph)
+    S = BlockSparseMatrix.zeros(symbolic, factors.graph.L)
+    for e, where in zip(factors.experts, symbolic.index_sets):
         W = e.whitened_transition()
         local = W.T @ W
-        local = 0.5 * (local + local.T)
-        _scatter_symmetric(S, e.pred_plus, local, L)
+        S.add_local(where, 0.5 * (local + local.T), e.pred_plus.size)
     return S
 
 
 @dataclass
 class CpoePosterior:
-    """Assembled posterior: precision, mean, partial inverse, and the cached
-    scalars entering the marginal likelihood.  The block factor is not kept:
-    nothing reads it once these are formed."""
+    """Assembled posterior: mean, partial inverse of the precision, and the
+    cached scalars entering the marginal likelihood.
+
+    Neither the precision nor its block factor is kept; the partial inverse
+    is the only covariance object.  ``pivot_bump`` is the diagonal shift the
+    precision needed to factorize (0.0 when it factorized as assembled).
+    """
 
     factors: LocalFactors
     y: np.ndarray
-    S: BlockSparseMatrix
-    precision: BlockSparseMatrix
     b: np.ndarray
     mu: np.ndarray
-    zbar: "object"
-    symbolic: SymbolicFactor
+    zbar: PartialInverse
     logdet_precision: float
     logdet_V: float
     logdet_Q: float
     yT_Vinv_y: float
-    # per-expert caches for gradients / prediction; vinv holds V_j^-1 for
-    # full-residual variants and None for diagonal ones
+    pivot_bump: float = 0.0
+    # per-expert caches for gradients / prediction: V_j^-1 y_j, and V_j^-1 for
+    # full-residual variants (None for diagonal ones)
     vinv_y: list[np.ndarray] = field(repr=False, default=None)
-    vinv_H: list[np.ndarray] = field(repr=False, default=None)
     vinv: list[np.ndarray | None] = field(repr=False, default=None)
 
     @property
@@ -331,9 +347,10 @@ class CpoePosterior:
         L = self.graph.L
         return np.concatenate([self.mu[int(i) * L:(int(i) + 1) * L] for i in idx])
 
-    def sigma_at(self, idx: np.ndarray) -> np.ndarray:
-        """Posterior covariance over a block index set, from the partial inverse."""
-        return self.zbar.gather(np.asarray(idx, dtype=int))
+    def sigma_psi(self, j: int) -> np.ndarray:
+        """Posterior covariance over expert j's correlation set, from the
+        partial inverse."""
+        return self.zbar.gather(self.zbar.symbolic.index_sets[j])
 
     @property
     def log_marginal_likelihood_uncorrected(self) -> float:
@@ -354,12 +371,14 @@ class CpoePosterior:
         return self.log_marginal_likelihood_uncorrected - self.factors.lam_total
 
 
-def assemble_posterior(factors: LocalFactors, S: BlockSparseMatrix, y: np.ndarray,
-                       symbolic: SymbolicFactor | None = None) -> CpoePosterior:
+def assemble_posterior(factors: LocalFactors, S: BlockSparseMatrix,
+                       y: np.ndarray) -> CpoePosterior:
     """Add the projection precision to the prior, factorize, solve, invert.
 
-    Passing a previously computed ``symbolic`` skips the fill analysis; the
-    pattern only depends on the graph, not on the hyperparameters.
+    ``S`` is the prior precision from :func:`assemble_prior_precision`; the
+    projection precision ``H^T V^-1 H`` is added into it in place, in expert
+    order, and the resulting posterior precision is dropped once it is
+    factorized.  The symbolic analysis is ``S``'s, reused across refits.
     """
     graph = factors.graph
     noise = factors.noise
@@ -368,17 +387,13 @@ def assemble_posterior(factors: LocalFactors, S: BlockSparseMatrix, y: np.ndarra
     if y.size != graph.N:
         raise ValueError(f"y has {y.size} entries, expected {graph.N}")
 
-    precision = BlockSparseMatrix(graph.J, row_block=L)
-    for (i, j) in S.pattern():
-        precision.set_block(i, j, S.get_block(i, j).copy())
-
+    sym = S.symbolic
     b = np.zeros(graph.M)
     yT_Vinv_y = 0.0
     logdet_V = 0.0
     vinv_y_list: list[np.ndarray] = []
-    vinv_H_list: list[np.ndarray] = []
     vinv_list: list[np.ndarray | None] = []
-    for e in factors.experts:
+    for e, where in zip(factors.experts, sym.index_sets):
         y_j = y[e.rows]
         if e.vbar_full is None:
             v = e.vbar_diag + noise.variance
@@ -396,48 +411,46 @@ def assemble_posterior(factors: LocalFactors, S: BlockSparseMatrix, y: np.ndarra
             logdet_V += 2.0 * float(np.sum(np.log(np.diag(cv))))
         yT_Vinv_y += float(y_j @ vinv_y)
         local_T = e.H.T @ vinv_H
-        local_T = 0.5 * (local_T + local_T.T)
-        _scatter_symmetric(precision, e.psi, local_T, L)
-        local_b = e.H.T @ vinv_y
-        for a, i in enumerate(e.psi):
-            b[int(i) * L:(int(i) + 1) * L] += local_b[a * L:(a + 1) * L]
+        S.add_local(where, 0.5 * (local_T + local_T.T))
+        b.reshape(-1, L)[e.psi] += (e.H.T @ vinv_y).reshape(-1, L)
         vinv_y_list.append(vinv_y)
-        vinv_H_list.append(vinv_H)
         vinv_list.append(vinv)
 
-    if symbolic is None:
-        symbolic = symbolic_factor(precision.pattern(), graph.J)
     # jitter on factorization failure is the caller's job: the assembled
     # precision is PSD in exact arithmetic but accumulated rounding from
     # near-singular transition noise can make a pivot fail far from good
     # hyperparameter regions
+    pivot_bump = 0.0
     try:
-        chol = block_cholesky(precision, symbolic=symbolic)
+        chol = block_cholesky(S)
     except FactorizationError:
-        scale = float(np.mean([np.mean(np.diag(precision.get_block(i, i)))
-                               for i in range(graph.J)]))
+        diag = sym.diag
+        scale = float(np.mean([np.mean(np.diag(S.blocks[diag[p]]))
+                               for p in sym.inv_perm]))  # original block order
         chol = None
         applied = 0.0
         for delta in (1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
-            bump = (delta - applied) * scale * np.eye(L)
-            for i in range(graph.J):
-                precision.add_to_block(i, i, bump)
+            S.blocks[diag] += (delta - applied) * scale * np.eye(L)
             applied = delta
             try:
-                chol = block_cholesky(precision, symbolic=symbolic)
+                chol = block_cholesky(S)
                 break
             except FactorizationError:
                 continue
         if chol is None:
             raise
+        pivot_bump = applied * scale
+        _log.warning("posterior precision factorized after a diagonal bump of %.3g "
+                     "(%g of its mean diagonal)", pivot_bump, applied)
+    del S
     mu = chol.solve(b)
+    logdet_precision = chol.logdet()
     zbar = partial_inverse(chol)
     logdet_Q = float(sum(e.logdet_Q for e in factors.experts))
-    return CpoePosterior(factors=factors, y=y, S=S, precision=precision, b=b, mu=mu,
-                         zbar=zbar, symbolic=symbolic,
-                         logdet_precision=chol.logdet(), logdet_V=logdet_V,
-                         logdet_Q=logdet_Q, yT_Vinv_y=yT_Vinv_y,
-                         vinv_y=vinv_y_list, vinv_H=vinv_H_list, vinv=vinv_list)
+    return CpoePosterior(factors=factors, y=y, b=b, mu=mu, zbar=zbar,
+                         logdet_precision=logdet_precision, logdet_V=logdet_V,
+                         logdet_Q=logdet_Q, yT_Vinv_y=yT_Vinv_y, pivot_bump=pivot_bump,
+                         vinv_y=vinv_y_list, vinv=vinv_list)
 
 
 def log_marginal_likelihood(posterior: CpoePosterior, y: np.ndarray | None = None,
@@ -509,7 +522,7 @@ def lml_gradient(posterior: CpoePosterior, y: np.ndarray | None = None) -> np.nd
     for j, e in enumerate(factors.experts):
         p, q = e.pred.size * L, e.pred_plus.size * L
         mu_psi = posterior.mu_at(e.psi)
-        W_T = posterior.sigma_at(e.psi) + np.outer(mu_psi, mu_psi)
+        W_T = posterior.sigma_psi(j) + np.outer(mu_psi, mu_psi)
         W_S = W_T[:q, :q]
         dK_psi = kernel.grad_stack(e.A_psi)
 
@@ -534,12 +547,16 @@ def lml_gradient(posterior: CpoePosterior, y: np.ndarray | None = None) -> np.nd
         # projection side: data fit, log|V|, -1/2 sum(W_T o dT) and db' mu; T is
         # their derivative in V = scale * D + sigma2 I
         a_j = posterior.vinv_y[j]
-        VinvH = posterior.vinv_H[j]
+        if e.D_full is None:
+            v = factors.v_diag(j)
+            VinvH = e.H / v[:, None]
+        else:
+            VinvH = posterior.vinv[j] @ e.H
         G_T = VinvH @ W_T
         u = VinvH @ mu_psi
         if e.D_full is None:
             D = e.d_diag
-            T = (0.5 * a_j * a_j - 0.5 / factors.v_diag(j)
+            T = (0.5 * a_j * a_j - 0.5 / v
                  + 0.5 * np.einsum("bl,bl->b", G_T, VinvH) - u * a_j)
             trace_T = float(np.sum(T))
         else:
@@ -699,6 +716,7 @@ class CpoeModel:
         if graph is None:
             graph = ExpertGraph.build(X, self.J, self.C, self.gamma, seed=self.seed)
         self.graph = graph
+        self._symbolic = None  # the symbolic analysis belongs to the graph
         self.y = np.asarray(y, dtype=float).ravel()
         self._refit()
         return self
@@ -707,10 +725,13 @@ class CpoeModel:
         # until the new posterior exists, nothing describes the current parameters
         self._factors = self._posterior = self._serving = None
         factors = build_local_factors(self.graph, self.kernel, self.noise, self.variant)
-        S = assemble_prior_precision(factors)
-        self._posterior = assemble_posterior(factors, S, self.y, symbolic=self._symbolic)
+        if self._symbolic is None:
+            self._symbolic = _posterior_symbolic(self.graph)
+        # no name holds the prior precision: the posterior's assembly drops it
+        # once factorized
+        self._posterior = assemble_posterior(
+            factors, assemble_prior_precision(factors, self._symbolic), self.y)
         self._factors = factors
-        self._symbolic = self._posterior.symbolic
 
     @property
     def factors(self) -> LocalFactors | None:
@@ -735,7 +756,7 @@ class CpoeModel:
 
             def region(j):
                 e = factors.experts[j]
-                return e.inv_psi, posterior.mu_at(e.psi), posterior.sigma_at(e.psi)
+                return e.inv_psi, posterior.mu_at(e.psi), posterior.sigma_psi(j)
             self._serving = ServingState.build(range(self.graph.C - 1, self.graph.J), region)
         return self._serving
 
@@ -776,7 +797,8 @@ class CpoeModel:
         stored uncompressed.  :meth:`load` predicts from it bit for bit as
         this model does and refuses any other data.  The kernel structure
         itself must be rebuilt by the caller (it is part of the experiment
-        configuration).
+        configuration).  ``np.savez`` stamps every entry 1980-01-01, not the
+        current time, so saving the same model twice writes the same bytes.
         """
         if self.graph is None:
             raise ValueError("fit the model before saving")

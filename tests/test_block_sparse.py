@@ -1,4 +1,4 @@
-"""Block-sparse storage, ordering, factorization, solves and partial inversion.
+"""Flat block storage, ordering, factorization, solves and partial inversion.
 
 Dense linear algebra on the expanded matrices is the normative oracle for
 every operation here.
@@ -42,11 +42,17 @@ def tridiag_pattern(J):
     return pat
 
 
+def stored_pairs(sym):
+    """The permuted lower block coordinates of the slots, in slot order."""
+    rows, cols = np.divmod(sym.keys, sym.n_blocks)
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
 def dense_factor(ch):
     """The block Cholesky factor as one dense lower-triangular matrix."""
     J, bs = ch.n_blocks, ch.block_size
     L = np.zeros((J * bs, J * bs))
-    for (i, j), blk in ch.blocks.items():
+    for (i, j), blk in zip(stored_pairs(ch.symbolic), ch.blocks):
         L[i * bs:(i + 1) * bs, j * bs:(j + 1) * bs] = blk
     return L
 
@@ -63,19 +69,34 @@ class TestBlockSparseMatrix:
         A = random_block_spd(rng, 4, 3, tridiag_pattern(4))
         B = BlockSparseMatrix.from_dense(A, 4, 3)
         np.testing.assert_array_equal(B.to_dense(), A)
-        assert B.pattern() == tridiag_pattern(4)
-
-    def test_rectangular_blocks(self, rng):
-        H = BlockSparseMatrix(2, 3, row_block=4, col_block=2)
-        H.set_block(0, 1, rng.normal(size=(4, 2)))
-        assert H.shape == (8, 6)
-        dense = H.to_dense()
-        assert dense[0:4, 2:4].any() and not dense[4:8].any()
+        # one slot per lower block; a tridiagonal pattern takes no fill
+        perm = B.symbolic.perm
+        stored = {(int(perm[p]), int(perm[q])) for p, q in stored_pairs(B.symbolic)}
+        assert B.blocks.shape == (len(stored), 3, 3)
+        assert stored | {(j, i) for i, j in stored} == tridiag_pattern(4)
 
     def test_block_shape_checked(self):
-        B = BlockSparseMatrix(2, row_block=2)
         with pytest.raises(ValueError):
-            B.set_block(0, 0, np.eye(3))
+            BlockSparseMatrix.from_dense(np.eye(5), 2, 2)
+
+    def test_scatter_over_index_sets_matches_dense(self, rng):
+        # local symmetric matrices over block index sets, added in order, and
+        # leading prefixes of a set (the prior's predecessor-plus-self blocks)
+        J, bs = 7, 2
+        sets = [np.array([0, 3, 5]), np.array([1, 2]), np.array([2, 4, 5, 6]), np.array([6])]
+        sym = symbolic_factor(set(), J, index_sets=sets)
+        B = BlockSparseMatrix.zeros(sym, bs)
+        dense = np.zeros((J * bs, J * bs))
+        for idx, where in zip(sets, sym.index_sets):
+            for k in (idx.size, max(idx.size - 1, 1)):
+                G = rng.normal(size=(k * bs, k * bs))
+                local = G + G.T
+                B.add_local(where, local, k)
+                sel = np.concatenate([np.arange(i * bs, (i + 1) * bs) for i in idx[:k]])
+                dense[np.ix_(sel, sel)] += local
+        np.testing.assert_array_equal(B.to_dense(), dense)
+        with pytest.raises(ValueError, match="outside the fill pattern"):
+            sym.index_slots([np.array([0, 1])])
 
 
 class TestFillReducingPermutation:
@@ -120,7 +141,7 @@ class TestBlockCholesky:
         assert rel < 1e-10
         # diagonal blocks lower-triangular with positive diagonal
         for i in range(J):
-            blk = ch.blocks[(i, i)]
+            blk = ch.blocks[ch.symbolic.diag[i]]
             assert np.allclose(blk, np.tril(blk)) and np.all(np.diag(blk) > 0)
 
     def test_non_pd_reports_block(self):
@@ -130,9 +151,8 @@ class TestBlockCholesky:
         assert err.value.block_index in (0, 1)
 
     def test_requires_square_blocks(self):
-        A = BlockSparseMatrix(2, 2, row_block=2, col_block=3)
         with pytest.raises(ValueError):
-            block_cholesky(A)
+            BlockSparseMatrix.from_dense(np.ones((4, 6)), 2, 2)
 
 
 class TestSolveAndLogdet:
@@ -229,7 +249,8 @@ class TestPartialInverse:
         Ainv = np.linalg.inv(A)
         idx = np.array([1, 2])
         sel = np.concatenate([np.arange(i * bs, (i + 1) * bs) for i in idx])
-        np.testing.assert_allclose(Z.gather(idx), Ainv[np.ix_(sel, sel)], atol=1e-9)
+        np.testing.assert_allclose(Z.gather(Z.symbolic.index_slots([idx])[0]),
+                                   Ainv[np.ix_(sel, sel)], atol=1e-9)
 
     def test_random_patterns_many(self, rng):
         for _ in range(10):
@@ -273,15 +294,19 @@ class TestRandomPatterns:
     @settings(max_examples=60, deadline=None)
     def test_factor_solve_inverse_match_dense(self, problem):
         A, J, bs, pat, perm, r = problem
-        ch = block_cholesky(BlockSparseMatrix.from_dense(A, J, bs), perm=perm)
+        ch = block_cholesky(BlockSparseMatrix.from_dense(A, J, bs, perm=perm))
         sym = ch.symbolic
         if perm is not None:
             np.testing.assert_array_equal(sym.perm, perm)
-        # stored blocks: exactly the symbolic fill pattern, which covers A's
-        assert set(ch.blocks) == sym.fill_pattern()
+        # one slot per block of the symbolic fill pattern, which covers A's
+        stored = stored_pairs(sym)
+        assert len(ch.blocks) == len(set(stored)) == sym.n_slots
+        assert stored == sorted(stored) and all(p >= q for p, q in stored)
+        assert {(p, p) for p in range(J)} | {
+            (p, q) for p, cols in enumerate(sym.lower_rows) for q in cols} == set(stored)
         for (i, j) in pat:
             p, q = int(sym.inv_perm[i]), int(sym.inv_perm[j])
-            assert (max(p, q), min(p, q)) in ch.blocks
+            assert (max(p, q), min(p, q)) in stored
         # P A P' = L L', with lower-triangular diagonal blocks
         order = np.concatenate([np.arange(p * bs, (p + 1) * bs) for p in sym.perm])
         Ld = dense_factor(ch)
@@ -301,7 +326,7 @@ class TestRandomPatterns:
         Ainv = np.linalg.inv(A)
         Z = partial_inverse(ch)
         scale = np.linalg.norm(Ainv)
-        for (p, q) in ch.blocks:
+        for (p, q) in stored:
             i, j = int(sym.perm[p]), int(sym.perm[q])
             ref = Ainv[i * bs:(i + 1) * bs, j * bs:(j + 1) * bs]
             assert np.abs(Z.get_block(i, j) - ref).max() <= tol * scale
@@ -309,7 +334,8 @@ class TestRandomPatterns:
         for q in range(J):
             idx = sym.perm[[q] + sym.lower_cols[q]]
             sel = np.concatenate([np.arange(i * bs, (i + 1) * bs) for i in idx])
-            assert np.abs(Z.gather(idx) - Ainv[np.ix_(sel, sel)]).max() <= tol * scale
+            gathered = Z.gather(sym.index_slots([idx])[0])
+            assert np.abs(gathered - Ainv[np.ix_(sel, sel)]).max() <= tol * scale
         outside = [(i, j) for i in range(J) for j in range(J) if not Z.has_block(i, j)]
         for i, j in outside[:3]:
             with pytest.raises(KeyError):

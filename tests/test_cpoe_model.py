@@ -1,8 +1,9 @@
 """Factors, prior/posterior precision, marginal likelihood and its gradient."""
 
+import logging
 import os
 import tempfile
-import zipfile
+import time
 
 import numpy as np
 import pytest
@@ -28,12 +29,14 @@ from cpoe import (
     SpectralMixture,
     SquaredExponential,
     VariantSpec,
+    assemble_prior_precision,
     full_params,
     prior_kl_difference,
     split_params,
     stochastic_lml_term,
 )
 from cpoe import cpoe_model
+from cpoe.block_sparse import FactorizationError, SymbolicFactor
 from cpoe.kernels import jittered_cholesky
 from cpoe.prediction import local_predict, predict_arrays
 
@@ -134,14 +137,14 @@ class TestLocalFactors:
 class TestPriorPrecision:
     def test_matches_dense_assembly(self, rng):
         model, kern, *_ = make_setup(rng)
-        np.testing.assert_allclose(model.posterior.S.to_dense(),
+        np.testing.assert_allclose(assemble_prior_precision(model.factors).to_dense(),
                                    dense_prior_precision(model.graph, kern), atol=1e-7)
 
     def test_full_degree_inverts_to_kernel_matrix(self, rng):
         model, kern, *_ = make_setup(rng, N=32, J=4, C=4, gamma=1.0)
         A = np.vstack(model.graph.inducing_inputs)
-        np.testing.assert_allclose(np.linalg.inv(model.posterior.S.to_dense()),
-                                   kern(A), atol=1e-8)
+        S = assemble_prior_precision(model.factors).to_dense()
+        np.testing.assert_allclose(np.linalg.inv(S), kern(A), atol=1e-8)
 
     def test_trace_identity_all_degrees(self, rng):
         # the prior precision is exact on the diagonal: tr(S K) = J L
@@ -156,13 +159,14 @@ class TestPriorPrecision:
                 m = CpoeModel(kern, noise, J=J, C=C, gamma=gamma, seed=t)
                 m.fit(X, r2.normal(size=X.shape[0]))
                 A = np.vstack(m.graph.inducing_inputs)
-                assert abs(np.trace(m.posterior.S.to_dense() @ kern(A)) - m.graph.M) < 1e-8
+                S = assemble_prior_precision(m.factors).to_dense()
+                assert abs(np.trace(S @ kern(A)) - m.graph.M) < 1e-8
 
     def test_density_matches_conditional_product(self, rng):
         # log N(a; 0, S^{-1}) must equal the sum of the transition conditionals
         model, kern, *_ = make_setup(rng, N=36, J=4, C=2, gamma=0.5, ls=0.1)
         g = model.graph
-        S = model.posterior.S.to_dense()
+        S = assemble_prior_precision(model.factors).to_dense()
         sign, logdet_S = np.linalg.slogdet(S)
         assert sign > 0
         oracle = dense_local_factors(g, kern)
@@ -196,7 +200,7 @@ class TestPriorPrecision:
                 m.fit(X, rng.normal(size=N), graph=g)
                 A = np.vstack(g.inducing_inputs)
                 KAA = kern(A)
-                Sinv = np.linalg.inv(m.posterior.S.to_dense())
+                Sinv = np.linalg.inv(assemble_prior_precision(m.factors).to_dense())
                 L = g.L
                 for j in range(J):
                     idx = np.concatenate([np.arange(p * L, (p + 1) * L)
@@ -205,11 +209,88 @@ class TestPriorPrecision:
                                                KAA[np.ix_(idx, idx)], atol=1e-8)
 
 
+def rebuilt_posterior(model):
+    """The posterior precision (dense) and ``b``, rebuilt from the model's
+    factors: the assembled prior plus each expert's ``H'V^-1 H`` and ``H'V^-1 y``."""
+    factors, L = model.factors, model.graph.L
+    precision = assemble_prior_precision(factors).to_dense()
+    b = np.zeros(model.graph.M)
+    for j, e in enumerate(factors.experts):
+        if e.vbar_full is None:
+            VinvH = e.H / factors.v_diag(j)[:, None]
+        else:
+            VinvH = np.linalg.solve(e.vbar_full + factors.noise.variance * np.eye(e.H.shape[0]),
+                                    e.H)
+        idx = np.concatenate([np.arange(p * L, (p + 1) * L) for p in e.psi])
+        precision[np.ix_(idx, idx)] += e.H.T @ VinvH
+        b[idx] += VinvH.T @ model.y[e.rows]
+    return precision, b
+
+
+def array_bytes(obj, skip=(cpoe_model.LocalFactors, SymbolicFactor)) -> int:
+    """Bytes of every numpy array reachable from ``obj``, except through the
+    types in ``skip``."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, skip):
+        return 0
+    if isinstance(obj, (list, tuple)):
+        return sum(array_bytes(v, skip) for v in obj)
+    if isinstance(obj, dict):
+        return sum(array_bytes(v, skip) for v in obj.values())
+    if hasattr(obj, "__dict__"):
+        return sum(array_bytes(v, skip) for v in vars(obj).values())
+    return 0
+
+
 class TestPosterior:
     def test_precision_pattern_equals_prior_pattern(self, rng):
+        # the projection's blocks (correlation sets) lie on the prior's
+        # (predecessor-plus-self sets), so one layout holds both, and the
+        # partial inverse covers every one of them
         for (J, C, gamma) in [(4, 1, 1.0), (4, 2, 0.5), (8, 3, 0.5), (4, 4, 1.0)]:
             model, *_ = make_setup(rng, N=8 * J, J=J, C=C, gamma=gamma)
-            assert model.posterior.precision.pattern() == model.posterior.S.pattern()
+            g = model.graph
+            prior = {(i, k) for j in range(J) for i in g.pred_plus(j) for k in g.pred_plus(j)}
+            projection = {(i, k) for psi in g.correlation for i in psi for k in psi}
+            assert projection == prior
+            assert all(model.posterior.zbar.has_block(i, k) for i, k in prior)
+
+    @pytest.mark.parametrize("variant", ["fitc", "pitc"])
+    def test_keeps_only_partial_inverse_and_vectors(self, rng, variant):
+        # memory contract: besides the factors and the symbolic analysis (both
+        # shared across refits), a posterior holds the partial inverse, O(N + M)
+        # vectors, and V_j^-1 per expert for full residuals only
+        X = spread_points(64, 2, rng)
+        model = CpoeModel(SquaredExponential.create(1.0, [0.2, 0.2]), NoiseSpec.create(0.1),
+                          J=8, C=3, gamma=0.5, variant=VariantSpec(variant),
+                          seed=0).fit(X, rng.normal(size=64))
+        post, g = model.posterior, model.graph
+        vinv = sum(v.nbytes for v in post.vinv if v is not None)
+        assert (vinv > 0) == (variant == "pitc")
+        budget = array_bytes(post.zbar) + 8 * (2 * g.N + 2 * g.M) + vinv
+        assert array_bytes(post) <= budget
+
+    def test_pivot_bump_recorded_and_logged(self, rng, monkeypatch, caplog):
+        model, *_ = make_setup(rng)
+        assert model.posterior.pivot_bump == 0.0
+        real, seen = cpoe_model.block_cholesky, []
+
+        def fail_once(A):  # the first factorization fails, as on a bad pivot
+            if not seen:
+                seen.append(A.to_dense())
+                raise FactorizationError(2)
+            return real(A)
+        monkeypatch.setattr(cpoe_model, "block_cholesky", fail_once)
+        with caplog.at_level(logging.WARNING, logger="cpoe.cpoe_model"):
+            model.set_params(model.get_params())
+        L = model.graph.L
+        scale = np.mean([np.mean(np.diag(seen[0][i * L:(i + 1) * L, i * L:(i + 1) * L]))
+                         for i in range(model.graph.J)])
+        assert model.posterior.pivot_bump == pytest.approx(1e-10 * scale, rel=1e-12)
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING and "diagonal bump" in record.getMessage()
+        assert f"{model.posterior.pivot_bump:.3g}" in record.getMessage()
 
     def test_single_expert_full_gamma_is_exact_gp(self, rng):
         # J=1, gamma=1: the posterior over the latent values is the exact one
@@ -248,9 +329,9 @@ class TestPosterior:
 
     def test_precision_solve_consistency(self, rng):
         model, *_ = make_setup(rng)
-        post = model.posterior
-        r = post.precision.to_dense() @ post.mu - post.b
-        assert np.linalg.norm(r) <= 1e-8 * max(np.linalg.norm(post.b), 1.0)
+        precision, b = rebuilt_posterior(model)
+        r = precision @ model.posterior.mu - b
+        assert np.linalg.norm(r) <= 1e-8 * max(np.linalg.norm(b), 1.0)
 
 
 class TestMarginalLikelihood:
@@ -526,6 +607,16 @@ class TestModelLifecycle:
         model.set_params(theta)
         assert model.log_marginal_likelihood() == pytest.approx(before, rel=1e-12)
 
+    def test_fit_on_new_data_matches_fresh_model(self, rng):
+        # a second fit builds a new graph, and with it a new symbolic analysis
+        kern, noise = SquaredExponential.create(1.0, [0.2, 0.2]), NoiseSpec.create(0.1)
+        X1, X2 = rng.uniform(0, 1, (128, 2)), rng.uniform(0, 1, (128, 2))
+        model = CpoeModel(kern, noise, J=16, C=4, gamma=0.5, seed=0).fit(X1, np.sin(6 * X1[:, 0]))
+        model.fit(X2, np.cos(5 * X2[:, 1]))
+        fresh = CpoeModel(kern, noise, J=16, C=4, gamma=0.5, seed=0).fit(X2, np.cos(5 * X2[:, 1]))
+        assert model.log_marginal_likelihood() == fresh.log_marginal_likelihood()
+        np.testing.assert_array_equal(model.posterior.mu, fresh.posterior.mu)
+
     def test_save_load_bit_reproducible(self, rng, tmp_path):
         model, kern, noise, X, y = make_setup(rng, seed=5)
         path = tmp_path / "model.npz"
@@ -573,14 +664,14 @@ class TestModelLifecycle:
         for j in range(2, 8):
             assert local_predict(loaded, j, Xs[3]) == local_predict(model, j, Xs[3])
 
-    def test_save_of_loaded_model_is_byte_identical(self, rng, tmp_path):
+    def test_save_of_loaded_model_is_byte_identical(self, rng, tmp_path, monkeypatch):
         _, loaded, path, kern, X, y = self._loaded(rng, tmp_path)
         again = tmp_path / "again.npz"
+        clock = time.time
+        # a day later: the zip entries' timestamps must not follow the clock
+        monkeypatch.setattr(time, "time", lambda: clock() + 86400.0)
         loaded.save(again)
-        with np.load(path) as first, np.load(again) as second:
-            assert first.files == second.files
-            for name in ("basis", "coef", "eigvals"):
-                assert first[name].tobytes() == second[name].tobytes()
+        assert again.read_bytes() == path.read_bytes()
         CpoeModel.load(again, X, y, kern)
 
     def test_loaded_model_likelihood_and_gradient(self, rng, tmp_path):
@@ -624,7 +715,7 @@ class TestModelLifecycle:
                 # B = L^-T U with U orthogonal and I - S = U diag(lam) U'
                 U = np.linalg.inv(e.inv_psi.T) @ B
                 np.testing.assert_allclose(U.T @ U, np.eye(len(lam)), atol=1e-10)
-                S = e.inv_psi @ model.posterior.sigma_at(e.psi) @ e.inv_psi.T
+                S = e.inv_psi @ model.posterior.sigma_psi(j) @ e.inv_psi.T
                 np.testing.assert_allclose(U @ np.diag(lam) @ U.T, np.eye(len(lam)) - S,
                                            atol=1e-10)
                 np.testing.assert_allclose(U @ c, e.inv_psi @ model.posterior.mu_at(e.psi),
@@ -734,11 +825,8 @@ class TestModelLifecycle:
             for a, b in zip(fitted[:2] + fitted[2], back[:2] + back[2]):
                 np.testing.assert_array_equal(b, a)
             loaded.save(again)
-            # every stored array byte for byte (the zip entries' timestamps differ)
-            with zipfile.ZipFile(path) as first, zipfile.ZipFile(again) as second:
-                assert first.namelist() == second.namelist()
-                for name in first.namelist():
-                    assert first.read(name) == second.read(name)
+            with open(path, "rb") as first, open(again, "rb") as second:
+                assert first.read() == second.read()
 
     @pytest.mark.parametrize("name", ["X", "y"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

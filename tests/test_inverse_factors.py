@@ -97,6 +97,10 @@ class TestLocalFactors:
         factors = build_local_factors(graph, kern, NoiseSpec.create(0.1),
                                       VariantSpec(variant))
         for e in factors.experts:
+            # trtri keeps the input's upper triangle, which is zero in every factor
+            for inv in (e.inv_psi, e.inv_pipi, e.inv_Q):
+                if inv is not None:
+                    np.testing.assert_array_equal(inv, np.tril(inv))
             # projection: H = K_xpsi K_psi^-1, D = K_xx - H K_psix
             chol, K_eff = factored(kern(e.A_psi))
             K_xpsi = kern(e.X, e.A_psi)
@@ -154,7 +158,7 @@ class TestResidualInverse:
             tol = bound(V)
             assert_close(post.vinv[j], cho_solve((cv, True), np.eye(V.shape[0])), tol)
             assert_close(post.vinv_y[j], cho_solve((cv, True), y[e.rows]), tol)
-            assert_close(post.vinv_H[j], cho_solve((cv, True), e.H), tol)
+            assert_close(post.vinv[j] @ e.H, cho_solve((cv, True), e.H), tol)
 
 
 def stochastic_reference(graph, kern, noise, j, y_j, variant):

@@ -117,7 +117,7 @@ class TestLocalMoments:
         worst_cond = worst_jitter = 0.0
         for row, j in enumerate(experts):
             psi, A_psi = model.factors.experts[j].psi, model.factors.experts[j].A_psi
-            mu, sigma = model.posterior.mu_at(psi), model.posterior.sigma_at(psi)
+            mu, sigma = model.posterior.mu_at(psi), model.posterior.sigma_psi(j)
             K_psi = kern(A_psi)
             chol = jittered_cholesky(K_psi)[0]  # the factor the model inverted
             worst_cond = max(worst_cond, np.linalg.cond(K_psi))
@@ -349,7 +349,7 @@ class TestPredict:
             K_xpsi = model.kernel(Xs, e.A_psi)
             H = cho_solve((jittered_cholesky(model.kernel(e.A_psi))[0], True), K_xpsi.T).T
             m = H @ post.mu_at(e.psi)
-            v = (np.einsum("ij,ij->i", H @ post.sigma_at(e.psi), H)
+            v = (np.einsum("ij,ij->i", H @ post.sigma_psi(j), H)
                  + model.kernel.diag(Xs) - np.einsum("ij,ij->i", K_xpsi, H))
             np.testing.assert_allclose(means[row], m, rtol=1e-9, atol=1e-9 * np.abs(m).max())
             np.testing.assert_allclose(variances[row], v, rtol=1e-9)
