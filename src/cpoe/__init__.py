@@ -32,7 +32,6 @@ from .cpoe_model import (
     assemble_prior_precision,
     build_local_factors,
     lml_gradient,
-    log_marginal_likelihood,
     prior_kl_difference,
     stochastic_lml_term,
 )

@@ -85,18 +85,18 @@ def _standardize(train: np.ndarray, test: np.ndarray):
     return (train - mean) / std, (test - mean) / std, mean, std
 
 
-def load_csv(path, target_column="last", test_fraction: float = 0.1, seed: int = 0,
-             standardize: bool = True) -> Dataset:
-    """Parse a rectangular numeric CSV with a header row into a Dataset.
+def _read_csv(path) -> tuple[list[str], np.ndarray]:
+    """The header and the numeric rows of a rectangular CSV file.
 
-    Rows are shuffled with the given seed before the train/test split; test
-    rows are transformed with the training statistics.
+    Raises ``ValueError`` naming the file when it is empty, has no data rows,
+    has a row whose width differs from the header's, or a non-numeric cell.
     """
-    path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         rows = list(reader)
+    if header is None:
+        raise ValueError(f"{path}: empty file, no header row")
     if not rows:
         raise ValueError(f"{path}: no data rows")
     width = len(header)
@@ -108,6 +108,19 @@ def load_csv(path, target_column="last", test_fraction: float = 0.1, seed: int =
             data[r] = [float(c) for c in row]
         except ValueError as exc:
             raise ValueError(f"{path}: non-numeric cell in row {r + 2}: {exc}") from None
+    return header, data
+
+
+def load_csv(path, target_column="last", test_fraction: float = 0.1, seed: int = 0,
+             standardize: bool = True) -> Dataset:
+    """Parse a rectangular numeric CSV with a header row into a Dataset.
+
+    Rows are shuffled with the given seed before the train/test split; test
+    rows are transformed with the training statistics.
+    """
+    path = Path(path)
+    header, data = _read_csv(path)
+    width = len(header)
 
     if target_column == "last":
         t_idx = width - 1
@@ -121,8 +134,8 @@ def load_csv(path, target_column="last", test_fraction: float = 0.1, seed: int =
     X_all = np.delete(data, t_idx, axis=1)
 
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(rows))
-    n_test = int(round(test_fraction * len(rows)))
+    order = rng.permutation(len(data))
+    n_test = int(round(test_fraction * len(data)))
     test_idx, train_idx = order[:n_test], order[n_test:]
     X_train, X_test = X_all[train_idx], X_all[test_idx]
     y_train, y_test = y_all[train_idx], y_all[test_idx]
@@ -626,10 +639,10 @@ def main(argv=None) -> int:
                          seed=cfg.integer("seed"), standardize=cfg.flag("standardize"))
         kernel = build_kernel(cfg, train.D)
         model = CpoeModel.load(args.model, train.X, train.y, kernel)
-        with open(args.input, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            Xq = np.array([[float(c) for c in row] for row in reader])
+        _, Xq = _read_csv(args.input)
+        if Xq.shape[1] != train.D:
+            raise ValueError(f"{args.input}: {Xq.shape[1]} columns, the model was trained "
+                             f"on {train.D}")
         Xq_std = (Xq - train.x_mean) / train.x_std
         from .prediction import predict_arrays
 

@@ -22,7 +22,8 @@ predecessor-plus-self block index sets.  Adding the projection precision
 ``H^T V^{-1} H`` (same scatter over correlation sets) gives the posterior
 precision, which keeps the prior's block pattern and is factorized once per
 hyperparameter setting; the symbolic analysis, with its flat block layout
-and each expert's slots in it, is reused across refits.  The posterior keeps
+and each expert's slots in it, belongs to the graph and is built once per
+graph (:attr:`ExpertGraph.symbolic`).  The posterior keeps
 only the partial inverse of the precision, not the precision or its factor.  The
 gradient contracts the projection's derivative ``dH`` without forming it:
 ``sum(dH o G) = sum((dK_xa - H dK_aa) o G K(A_corr, A_corr)^-1)``.
@@ -48,10 +49,8 @@ from .block_sparse import (
     BlockSparseMatrix,
     FactorizationError,
     PartialInverse,
-    SymbolicFactor,
     block_cholesky,
     partial_inverse,
-    symbolic_factor,
 )
 from .expert_graph import ExpertGraph
 from .kernels import (
@@ -71,7 +70,6 @@ __all__ = [
     "build_local_factors",
     "assemble_prior_precision",
     "assemble_posterior",
-    "log_marginal_likelihood",
     "lml_gradient",
     "stochastic_lml_term",
     "prior_kl_difference",
@@ -110,28 +108,21 @@ class VariantSpec:
 
 @dataclass
 class ExpertFactor:
-    """All per-expert matrices needed for assembly, gradients and prediction.
+    """The numbers one expert's kernel matrices give, for assembly, gradients
+    and prediction; the index sets and inputs they belong to are the graph's.
 
     Each Cholesky factor is kept as its inverse: ``inv_psi``, ``inv_pipi`` and
     ``inv_Q`` are ``L^-1`` for ``K(A_psi, A_psi)``, ``K(A_pred, A_pred)`` and
-    ``Q`` (jitter included), lower triangular.
+    ``Q`` (jitter included), lower triangular.  ``D`` and ``vbar`` are the
+    residual's diagonal for diagonal variants and its full block for
+    full-residual ones (``ndim`` tells which).
     """
 
-    index: int
-    rows: np.ndarray
-    psi: np.ndarray
-    pred: np.ndarray
-    pred_plus: np.ndarray
-    A_self: np.ndarray
-    A_psi: np.ndarray
-    X: np.ndarray
     # projection side
     inv_psi: np.ndarray
     H: np.ndarray
-    d_diag: np.ndarray                  # diagonal of D_j
-    D_full: np.ndarray | None           # only for full-residual variants
-    vbar_diag: np.ndarray | None        # diagonal residual + variant scaling
-    vbar_full: np.ndarray | None
+    D: np.ndarray                       # residual covariance D_j
+    vbar: np.ndarray                    # residual the variant keeps, shaped like D
     lam: float
     dlam: np.ndarray | float            # d lam / d D_j, shaped like the residual
     # prior side
@@ -156,14 +147,6 @@ class LocalFactors:
     noise: NoiseSpec
     variant: VariantSpec
     experts: list[ExpertFactor]
-
-    @property
-    def lam_total(self) -> float:
-        return float(sum(e.lam for e in self.experts))
-
-    def v_diag(self, j: int) -> np.ndarray:
-        """Diagonal of V_j = vbar_j + noise variance (diagonal variants)."""
-        return self.experts[j].vbar_diag + self.noise.variance
 
 
 def _variant_terms(variant: VariantSpec, D: np.ndarray, noise_var: float):
@@ -210,45 +193,36 @@ def _projection(kernel: Kernel, X: np.ndarray, A: np.ndarray, K_A: np.ndarray,
     """Projection of expert j's inputs X on inducing inputs A and its residual
     covariance.
 
-    ``K_A`` is ``K(A, A)``.  Returns ``(inv_A, K_xa, H, d_diag, D_full)`` with
-    ``inv_A`` the inverse of ``K(A, A)``'s factor, ``H = K(X, A) K(A, A)^-1``
-    and ``D = K(X, X) - H K(A, X)``; the full block only when ``full``.
+    ``K_A`` is ``K(A, A)``.  Returns ``(inv_A, K_xa, H, D)`` with ``inv_A``
+    the inverse of ``K(A, A)``'s factor, ``H = K(X, A) K(A, A)^-1`` and
+    ``D = K(X, X) - H K(A, X)``: its full block when ``full``, else its diagonal.
     """
     inv_A = _inverse_factor(jittered_cholesky(K_A)[0],
                             f"factor of K(A, A) of expert {j}")
     K_xa = kernel(X, A)
     H = (K_xa @ inv_A.T) @ inv_A
-    d_diag = kernel.diag(X) - np.einsum("ij,ij->i", K_xa, H)
-    D_full = None
     if full:
-        D_full = kernel(X) - K_xa @ H.T
-        D_full = 0.5 * (D_full + D_full.T)
-    return inv_A, K_xa, H, d_diag, D_full
+        D = kernel(X) - K_xa @ H.T
+        return inv_A, K_xa, H, 0.5 * (D + D.T)
+    return inv_A, K_xa, H, kernel.diag(X) - np.einsum("ij,ij->i", K_xa, H)
 
 
 def _build_expert(j: int, graph: ExpertGraph, kernel: Kernel, noise: NoiseSpec,
                   variant: VariantSpec) -> ExpertFactor:
-    rows = graph.row_indices[j]
-    X_j = graph.X[rows]
-    psi = graph.correlation[j]
-    pred = graph.predecessors[j]
-    pred_plus = graph.pred_plus(j)
-    A_self = graph.inducing_inputs[j]
-    A_psi = np.vstack([graph.inducing_inputs[p] for p in psi])
-
     # projection factors on the correlation region
+    A_psi = graph.correlation_inputs(j)
     K_psi = kernel(A_psi)
-    inv_psi, _, H, d_diag, D_full = _projection(kernel, X_j, A_psi, K_psi,
-                                                variant.full_residual, j)
-    D = d_diag if D_full is None else D_full
+    inv_psi, _, H, D = _projection(kernel, graph.X[graph.row_indices[j]], A_psi, K_psi,
+                                   variant.full_residual, j)
     vbar, lam, dlam = _variant_terms(variant, D, noise.variance)
-    vbar_diag, vbar_full = (vbar, None) if D_full is None else (None, vbar)
 
-    # prior transition factors on the predecessor set; pred_plus is the leading
-    # prefix of psi (the expert itself last), so its kernel blocks are slices of K_psi
-    p, q = pred.size * graph.L, pred_plus.size * graph.L
+    # prior transition factors on the predecessor set; the predecessor-plus-self
+    # set is the leading prefix of psi (the expert itself last), so its kernel
+    # blocks are slices of K_psi
+    p = graph.predecessors[j].size * graph.L
+    q = p + graph.L
     K_aa = K_psi[p:q, p:q]
-    if pred.size:
+    if p:
         inv_pipi = _inverse_factor(jittered_cholesky(K_psi[:p, :p])[0],
                                    f"factor of K(A_pred, A_pred) of expert {j}")
         K_api = K_psi[p:q, :p]
@@ -267,12 +241,8 @@ def _build_expert(j: int, graph: ExpertGraph, kernel: Kernel, noise: NoiseSpec,
     inv_Q = _inverse_factor(chol_Q, f"factor of Q of expert {j}")
     logdet_Q = 2.0 * float(np.sum(np.log(np.diag(chol_Q))))
 
-    return ExpertFactor(index=j, rows=rows, psi=psi, pred=pred, pred_plus=pred_plus,
-                        A_self=A_self, A_psi=A_psi, X=X_j,
-                        inv_psi=inv_psi, H=H, d_diag=d_diag,
-                        D_full=D_full, vbar_diag=vbar_diag, vbar_full=vbar_full,
-                        lam=lam, dlam=dlam, inv_pipi=inv_pipi, F=F, Q=Q_eff,
-                        inv_Q=inv_Q, logdet_Q=logdet_Q)
+    return ExpertFactor(inv_psi=inv_psi, H=H, D=D, vbar=vbar, lam=lam, dlam=dlam,
+                        inv_pipi=inv_pipi, F=F, Q=Q_eff, inv_Q=inv_Q, logdet_Q=logdet_Q)
 
 
 def build_local_factors(graph: ExpertGraph, kernel: Kernel, noise: NoiseSpec,
@@ -283,30 +253,21 @@ def build_local_factors(graph: ExpertGraph, kernel: Kernel, noise: NoiseSpec,
                         experts=experts)
 
 
-def _posterior_symbolic(graph: ExpertGraph) -> SymbolicFactor:
-    """Fill analysis and slot layout of the posterior precision, whose block
-    pattern is the union of the experts' correlation-set blocks; keeps each
-    expert's slots, in expert order.  It depends on the graph only."""
-    return symbolic_factor(set(), graph.J, index_sets=graph.correlation)
-
-
-def assemble_prior_precision(factors: LocalFactors,
-                             symbolic: SymbolicFactor | None = None) -> BlockSparseMatrix:
+def assemble_prior_precision(factors: LocalFactors) -> BlockSparseMatrix:
     """Prior precision: sum of local ``Ft^T Q^{-1} Ft = W^T W`` over
     predecessor-plus-self sets, with ``W = L_Q^-1 Ft`` the whitened transition.
 
-    Stored on the posterior precision's layout (``symbolic``, built from the
-    graph unless given), so :func:`assemble_posterior` adds into it in place.
-    Each predecessor-plus-self set is the leading prefix of the expert's
+    Stored on the posterior precision's layout (the graph's symbolic
+    analysis), so :func:`assemble_posterior` adds into it in place.  Each
+    predecessor-plus-self set is the leading prefix of the expert's
     correlation set, so its slots are the leading entries of that set's.
     """
-    if symbolic is None:
-        symbolic = _posterior_symbolic(factors.graph)
-    S = BlockSparseMatrix.zeros(symbolic, factors.graph.L)
-    for e, where in zip(factors.experts, symbolic.index_sets):
+    graph = factors.graph
+    S = BlockSparseMatrix.zeros(graph.symbolic, graph.L)
+    for e, where, pred in zip(factors.experts, graph.symbolic.index_sets, graph.predecessors):
         W = e.whitened_transition()
         local = W.T @ W
-        S.add_local(where, 0.5 * (local + local.T), e.pred_plus.size)
+        S.add_local(where, 0.5 * (local + local.T), pred.size + 1)
     return S
 
 
@@ -344,8 +305,8 @@ class CpoePosterior:
         return self.y.size
 
     def mu_at(self, idx: np.ndarray) -> np.ndarray:
-        L = self.graph.L
-        return np.concatenate([self.mu[int(i) * L:(int(i) + 1) * L] for i in idx])
+        """The posterior mean over the blocks ``idx``, concatenated."""
+        return self.mu.reshape(-1, self.graph.L)[idx].ravel()
 
     def sigma_psi(self, j: int) -> np.ndarray:
         """Posterior covariance over expert j's correlation set, from the
@@ -353,7 +314,12 @@ class CpoePosterior:
         return self.zbar.gather(self.zbar.symbolic.index_sets[j])
 
     @property
-    def log_marginal_likelihood_uncorrected(self) -> float:
+    def log_marginal_likelihood(self) -> float:
+        """Sparse-form log marginal likelihood, less the variant's correction.
+
+        Raises ``ArithmeticError`` when the value before the correction is not
+        finite or exceeds the bound the noise sets.
+        """
         val = -0.5 * (self.yT_Vinv_y - float(self.b @ self.mu) + self.logdet_precision
                       + self.logdet_V + self.logdet_Q + self.N * np.log(2.0 * np.pi))
         if not np.isfinite(val):
@@ -364,11 +330,7 @@ class CpoePosterior:
         if val > bound + 1e-6 * max(abs(bound), 1.0) + 1e-9:
             raise ArithmeticError(
                 "inconsistent log marginal likelihood (ill-conditioned region)")
-        return float(val)
-
-    @property
-    def log_marginal_likelihood(self) -> float:
-        return self.log_marginal_likelihood_uncorrected - self.factors.lam_total
+        return float(val) - float(sum(e.lam for e in self.factors.experts))
 
 
 def assemble_posterior(factors: LocalFactors, S: BlockSparseMatrix,
@@ -378,7 +340,7 @@ def assemble_posterior(factors: LocalFactors, S: BlockSparseMatrix,
     ``S`` is the prior precision from :func:`assemble_prior_precision`; the
     projection precision ``H^T V^-1 H`` is added into it in place, in expert
     order, and the resulting posterior precision is dropped once it is
-    factorized.  The symbolic analysis is ``S``'s, reused across refits.
+    factorized.  The symbolic analysis is ``S``'s, the graph's.
     """
     graph = factors.graph
     noise = factors.noise
@@ -393,18 +355,18 @@ def assemble_posterior(factors: LocalFactors, S: BlockSparseMatrix,
     logdet_V = 0.0
     vinv_y_list: list[np.ndarray] = []
     vinv_list: list[np.ndarray | None] = []
-    for e, where in zip(factors.experts, sym.index_sets):
-        y_j = y[e.rows]
-        if e.vbar_full is None:
-            v = e.vbar_diag + noise.variance
+    for j, (e, where) in enumerate(zip(factors.experts, sym.index_sets)):
+        y_j = y[graph.row_indices[j]]
+        if e.vbar.ndim == 1:
+            v = e.vbar + noise.variance
             vinv_y = y_j / v
             vinv_H = e.H / v[:, None]
             vinv = None
             logdet_V += float(np.sum(np.log(v)))
         else:
-            V = e.vbar_full + noise.variance * np.eye(y_j.size)
+            V = e.vbar + noise.variance * np.eye(y_j.size)
             cv = np.linalg.cholesky(V)
-            inv_cv = _inverse_factor(cv, f"factor of V of expert {e.index}")
+            inv_cv = _inverse_factor(cv, f"factor of V of expert {j}")
             vinv = inv_cv.T @ inv_cv
             vinv_y = vinv @ y_j
             vinv_H = vinv @ e.H
@@ -412,7 +374,7 @@ def assemble_posterior(factors: LocalFactors, S: BlockSparseMatrix,
         yT_Vinv_y += float(y_j @ vinv_y)
         local_T = e.H.T @ vinv_H
         S.add_local(where, 0.5 * (local_T + local_T.T))
-        b.reshape(-1, L)[e.psi] += (e.H.T @ vinv_y).reshape(-1, L)
+        b.reshape(-1, L)[graph.correlation[j]] += (e.H.T @ vinv_y).reshape(-1, L)
         vinv_y_list.append(vinv_y)
         vinv_list.append(vinv)
 
@@ -453,16 +415,6 @@ def assemble_posterior(factors: LocalFactors, S: BlockSparseMatrix,
                          vinv_y=vinv_y_list, vinv=vinv_list)
 
 
-def log_marginal_likelihood(posterior: CpoePosterior, y: np.ndarray | None = None,
-                            corrected: bool = True) -> float:
-    """Sparse-form log marginal likelihood; ``corrected`` subtracts the variant term."""
-    if y is not None and not np.array_equal(np.asarray(y).ravel(), posterior.y):
-        raise ValueError("posterior was assembled for a different target vector")
-    if corrected:
-        return posterior.log_marginal_likelihood
-    return posterior.log_marginal_likelihood_uncorrected
-
-
 def _contract_grad(kernel: Kernel, X: np.ndarray, A: np.ndarray, H: np.ndarray,
                    inv_A: np.ndarray, dK_aa: np.ndarray, U: np.ndarray,
                    R: np.ndarray | None = None, G: np.ndarray | None = None) -> np.ndarray:
@@ -495,7 +447,7 @@ def _contract_grad(kernel: Kernel, X: np.ndarray, A: np.ndarray, H: np.ndarray,
     return g + 2.0 * np.tensordot(dK_xa, WH, 2) - np.tensordot(dK_aa, H.T @ WH, 2)
 
 
-def lml_gradient(posterior: CpoePosterior, y: np.ndarray | None = None) -> np.ndarray:
+def lml_gradient(posterior: CpoePosterior) -> np.ndarray:
     """Analytic gradient of the (variant-corrected) objective over all parameters.
 
     Vector layout: kernel parameters in spec order, then the log noise
@@ -511,20 +463,20 @@ def lml_gradient(posterior: CpoePosterior, y: np.ndarray | None = None) -> np.nd
     residuals, a matrix for full ones) and contracts it with the kernel
     derivatives in ``_contract_grad``, which :func:`stochastic_lml_term` shares.
     """
-    if y is not None and not np.array_equal(np.asarray(y).ravel(), posterior.y):
-        raise ValueError("posterior was assembled for a different target vector")
-    factors = posterior.factors
+    factors, graph = posterior.factors, posterior.graph
     kernel, sigma2 = factors.kernel, factors.noise.variance
     scale = factors.variant.residual_scale
-    L = factors.graph.L
+    L = graph.L
     grad = np.zeros(kernel.n_params + 1)
 
     for j, e in enumerate(factors.experts):
-        p, q = e.pred.size * L, e.pred_plus.size * L
-        mu_psi = posterior.mu_at(e.psi)
+        p = graph.predecessors[j].size * L
+        q = p + L
+        A_psi = graph.correlation_inputs(j)
+        mu_psi = posterior.mu_at(graph.correlation[j])
         W_T = posterior.sigma_psi(j) + np.outer(mu_psi, mu_psi)
         W_S = W_T[:q, :q]
-        dK_psi = kernel.grad_stack(e.A_psi)
+        dK_psi = kernel.grad_stack(A_psi)
 
         # prior side, S = Ft' Q^-1 Ft: -1/2 sum(W_S o dS) - 1/2 dlog|Q|.  Q^-1 is
         # huge where Q is nearly singular (jittered), so dQ is formed first;
@@ -547,27 +499,27 @@ def lml_gradient(posterior: CpoePosterior, y: np.ndarray | None = None) -> np.nd
         # projection side: data fit, log|V|, -1/2 sum(W_T o dT) and db' mu; T is
         # their derivative in V = scale * D + sigma2 I
         a_j = posterior.vinv_y[j]
-        if e.D_full is None:
-            v = factors.v_diag(j)
+        diagonal = e.D.ndim == 1
+        if diagonal:
+            v = e.vbar + sigma2
             VinvH = e.H / v[:, None]
         else:
             VinvH = posterior.vinv[j] @ e.H
         G_T = VinvH @ W_T
         u = VinvH @ mu_psi
-        if e.D_full is None:
-            D = e.d_diag
+        if diagonal:
             T = (0.5 * a_j * a_j - 0.5 / v
                  + 0.5 * np.einsum("bl,bl->b", G_T, VinvH) - u * a_j)
             trace_T = float(np.sum(T))
         else:
-            D = e.D_full
             T = 0.5 * (np.outer(a_j, a_j) - posterior.vinv[j] + G_T @ VinvH.T
                        - np.outer(u, a_j) - np.outer(a_j, u))
             trace_T = float(np.trace(T))
-        grad[:-1] += _contract_grad(kernel, e.X, e.A_psi, e.H, e.inv_psi, dK_psi,
-                                    scale * T - e.dlam, G=np.outer(a_j, mu_psi) - G_T)
+        grad[:-1] += _contract_grad(kernel, graph.X[graph.row_indices[j]], A_psi, e.H,
+                                    e.inv_psi, dK_psi, scale * T - e.dlam,
+                                    G=np.outer(a_j, mu_psi) - G_T)
         # noise slot: dV = sigma2 I, and d lam / d log sigma2 = -sum(dlam o D)
-        grad[-1] += sigma2 * trace_T + float(np.sum(e.dlam * D))
+        grad[-1] += sigma2 * trace_T + float(np.sum(e.dlam * e.D))
     return grad
 
 
@@ -590,12 +542,10 @@ def stochastic_lml_term(graph: ExpertGraph, kernel: Kernel, noise: NoiseSpec, j:
     A = graph.inducing_inputs[j]
     sigma2 = noise.variance
 
-    inv_aa, K_xa, H, d_diag, D_full = _projection(kernel, X_j, A, kernel(A),
-                                                  variant.full_residual, j)
-    D = d_diag if D_full is None else D_full
+    inv_aa, K_xa, H, D = _projection(kernel, X_j, A, kernel(A), variant.full_residual, j)
     vbar, lam, dlam = _variant_terms(variant, D, sigma2)
 
-    P = K_xa @ H.T + (np.diag(vbar) if D_full is None else vbar)
+    P = K_xa @ H.T + (np.diag(vbar) if D.ndim == 1 else vbar)
     P = 0.5 * (P + P.T) + sigma2 * np.eye(y_j.size)
     cp = np.linalg.cholesky(P)
     inv_cp = _inverse_factor(cp, f"factor of the marginal covariance of expert {j}")
@@ -610,7 +560,7 @@ def stochastic_lml_term(graph: ExpertGraph, kernel: Kernel, noise: NoiseSpec, j:
 
     # d value / d P = T, with P = N + scale * D + sigma2 I
     T = 0.5 * (np.outer(alpha, alpha) - Pinv)
-    T_D = np.diag(T) if D_full is None else T
+    T_D = np.diag(T) if D.ndim == 1 else T
     grad = np.empty(kernel.n_params + 1)
     grad[:-1] = _contract_grad(kernel, X_j, A, H, inv_aa, kernel.grad_stack(A),
                                variant.residual_scale * T_D - dlam, R=T)
@@ -622,7 +572,7 @@ def _check_shared_graph(m1: "CpoeModel", m2: "CpoeModel") -> None:
     g1, g2 = m1.graph, m2.graph
     if g1.J != g2.J or g1.gamma != g2.gamma or g1.L != g2.L:
         raise ValueError("models must share partition, gamma and inducing counts")
-    if not all(np.array_equal(a, b) for a, b in zip(g1.inducing_inputs, g2.inducing_inputs)):
+    if not np.array_equal(g1.inducing_inputs, g2.inducing_inputs):
         raise ValueError("models must share inducing inputs")
     if not np.allclose(full_params(m1.kernel, m1.noise), full_params(m2.kernel, m2.noise)):
         raise ValueError("models must share hyperparameters")
@@ -651,24 +601,24 @@ def prior_kl_difference(model_C: "CpoeModel", model_C2: "CpoeModel"):
     variant = f1.variant
     sigma2 = f1.noise.variance
     if variant.name in ("vfe", "dtc"):
-        tr1 = sum(float(np.sum(e.d_diag)) for e in f1.experts)
-        tr2 = sum(float(np.sum(e.d_diag)) for e in f2.experts)
+        tr1 = sum(float(np.sum(e.D)) for e in f1.experts)
+        tr2 = sum(float(np.sum(e.D)) for e in f2.experts)
         d_proj = (tr1 - tr2) / (2.0 * sigma2)
     elif variant.full_residual:
         floor = 1e-12 * float(np.mean(f1.kernel.diag(model_C.graph.X)))
         d_proj = 0.0
         for e1, e2 in zip(f1.experts, f2.experts):
-            eye = np.eye(e1.vbar_full.shape[0])
-            d_proj += 0.5 * (np.linalg.slogdet(e1.vbar_full + floor * eye)[1]
-                             - np.linalg.slogdet(e2.vbar_full + floor * eye)[1])
+            eye = np.eye(e1.vbar.shape[0])
+            d_proj += 0.5 * (np.linalg.slogdet(e1.vbar + floor * eye)[1]
+                             - np.linalg.slogdet(e2.vbar + floor * eye)[1])
     else:
         # diagonal residual; entries below the floor are deterministic in both
         # models (e.g. gamma = 1) and contribute nothing
         floor = 1e-12 * float(np.mean(f1.kernel.diag(model_C.graph.X)))
         d_proj = 0.0
         for e1, e2 in zip(f1.experts, f2.experts):
-            v1 = np.maximum(e1.vbar_diag, floor)
-            v2 = np.maximum(e2.vbar_diag, floor)
+            v1 = np.maximum(e1.vbar, floor)
+            v2 = np.maximum(e2.vbar, floor)
             d_proj += 0.5 * float(np.sum(np.log(v1) - np.log(v2)))
     return float(d_prior), float(d_proj)
 
@@ -685,7 +635,7 @@ class CpoeModel:
     """User-facing wrapper tying graph, factors and posterior together.
 
     A fitted model is immutable for prediction purposes; refitting with new
-    hyperparameters reuses the graph and the symbolic factorization.  A loaded
+    hyperparameters reuses the graph and its symbolic analysis.  A loaded
     model serves predictions from the saved per-expert state and builds its
     factors and posterior on first use.
     """
@@ -704,7 +654,6 @@ class CpoeModel:
         self._factors: LocalFactors | None = None
         self._posterior: CpoePosterior | None = None
         self._serving: ServingState | None = None
-        self._symbolic: SymbolicFactor | None = None
         self.y: np.ndarray | None = None
 
     # -- fitting ---------------------------------------------------------------
@@ -716,7 +665,6 @@ class CpoeModel:
         if graph is None:
             graph = ExpertGraph.build(X, self.J, self.C, self.gamma, seed=self.seed)
         self.graph = graph
-        self._symbolic = None  # the symbolic analysis belongs to the graph
         self.y = np.asarray(y, dtype=float).ravel()
         self._refit()
         return self
@@ -725,12 +673,10 @@ class CpoeModel:
         # until the new posterior exists, nothing describes the current parameters
         self._factors = self._posterior = self._serving = None
         factors = build_local_factors(self.graph, self.kernel, self.noise, self.variant)
-        if self._symbolic is None:
-            self._symbolic = _posterior_symbolic(self.graph)
         # no name holds the prior precision: the posterior's assembly drops it
         # once factorized
-        self._posterior = assemble_posterior(
-            factors, assemble_prior_precision(factors, self._symbolic), self.y)
+        self._posterior = assemble_posterior(factors, assemble_prior_precision(factors),
+                                             self.y)
         self._factors = factors
 
     @property
@@ -755,8 +701,8 @@ class CpoeModel:
             factors, posterior = self.factors, self.posterior
 
             def region(j):
-                e = factors.experts[j]
-                return e.inv_psi, posterior.mu_at(e.psi), posterior.sigma_psi(j)
+                return (factors.experts[j].inv_psi,
+                        posterior.mu_at(self.graph.correlation[j]), posterior.sigma_psi(j))
             self._serving = ServingState.build(range(self.graph.C - 1, self.graph.J), region)
         return self._serving
 
@@ -772,8 +718,8 @@ class CpoeModel:
 
     # -- quantities --------------------------------------------------------------
 
-    def log_marginal_likelihood(self, corrected: bool = True) -> float:
-        return log_marginal_likelihood(self.posterior, corrected=corrected)
+    def log_marginal_likelihood(self) -> float:
+        return self.posterior.log_marginal_likelihood
 
     def lml_gradient(self) -> np.ndarray:
         return lml_gradient(self.posterior)
@@ -810,7 +756,7 @@ class CpoeModel:
             variant=self.variant.name, alpha_pep=self.variant.alpha_pep,
             ordering=self.graph.ordering,
             assignment=self.graph.assignment,
-            inducing_index=np.stack(self.graph.inducing_index),
+            inducing_index=self.graph.inducing_index,
             fingerprint=_fingerprint(self.graph.X, self.y),
             **self.serving.arrays(),
         )
@@ -870,7 +816,7 @@ class CpoeModel:
         kernel2, noise = split_params(kernel, theta)
         graph = ExpertGraph.from_layout(X, J, C, gamma, seed, ordering,
                                         [np.flatnonzero(assignment == j) for j in range(J)],
-                                        [inducing_index[j] for j in range(J)])
+                                        inducing_index)
         model = cls(kernel2, noise, J=J, C=C, gamma=gamma, variant=variant, seed=seed)
         model.graph, model.y = graph, y
         model._serving = serving

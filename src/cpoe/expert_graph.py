@@ -10,8 +10,11 @@ prediction regions) is indexed against this graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
+
+from .block_sparse import SymbolicFactor, symbolic_factor
 
 __all__ = [
     "ExpertGraph",
@@ -124,11 +127,12 @@ def build_predecessors(centers: np.ndarray, ordering: np.ndarray, C: int) -> lis
     return out
 
 
-def correlation_sets(predecessors: list[np.ndarray], C: int) -> list[np.ndarray]:
+def correlation_sets(predecessors: list[np.ndarray], C: int) -> np.ndarray:
     """Size-``C`` correlation regions derived from the predecessor sets.
 
     Position ``j`` (0-based) gets ``pred(j) + {j..C-1}`` while ``j < C-1``
     (which collapses to ``{0..C-1}``) and ``pred(j) + {j}`` afterwards.
+    Returns a ``(J, C)`` integer array, each row sorted ascending.
     """
     J = len(predecessors)
     out: list[np.ndarray] = []
@@ -141,7 +145,7 @@ def correlation_sets(predecessors: list[np.ndarray], C: int) -> list[np.ndarray]
         if psi.size != C:
             raise AssertionError(f"correlation set of expert {j} has size {psi.size}, wanted {C}")
         out.append(psi)
-    return out
+    return np.array(out, dtype=int).reshape(J, C)
 
 
 @dataclass(frozen=True)
@@ -149,7 +153,9 @@ class ExpertGraph:
     """Immutable expert layout shared by the model, baselines and prediction.
 
     Experts are indexed by their position in the greedy ordering; all index
-    sets (``predecessors``, ``correlation``) refer to these positions.
+    sets (``predecessors``, ``correlation``) refer to these positions.  The
+    graph also owns the symbolic analysis of the posterior precision, built on
+    first use and shared by every model fitted on the graph.
     """
 
     X: np.ndarray
@@ -160,11 +166,11 @@ class ExpertGraph:
     ordering: np.ndarray                 # position -> original KD cell id
     assignment: np.ndarray               # data row -> expert position
     row_indices: list[np.ndarray]        # per expert: rows of X belonging to it
-    inducing_index: list[np.ndarray]     # per expert: rows (within the cell) chosen as inducing
-    inducing_inputs: list[np.ndarray]    # per expert: A_j, shape (L, D)
+    inducing_index: np.ndarray           # (J, L): rows (within the cell) chosen as inducing
+    inducing_inputs: np.ndarray          # (J, L, D): A_j = inducing_inputs[j]
     centers: np.ndarray                  # per expert: mean of its inducing inputs
     predecessors: list[np.ndarray] = field(repr=False, default=None)
-    correlation: list[np.ndarray] = field(repr=False, default=None)
+    correlation: np.ndarray = field(repr=False, default=None)  # (J, C), rows sorted
 
     @property
     def N(self) -> int:
@@ -176,20 +182,27 @@ class ExpertGraph:
 
     @property
     def L(self) -> int:
-        return self.inducing_inputs[0].shape[0]
+        return self.inducing_inputs.shape[1]
 
     @property
     def M(self) -> int:
         return self.J * self.L
 
-    @property
-    def B(self) -> int:
-        """Smallest cell size (cells differ by at most one row)."""
-        return min(r.size for r in self.row_indices)
-
     def pred_plus(self, j: int) -> np.ndarray:
         """Predecessors of expert ``j`` together with ``j`` itself, sorted."""
         return np.sort(np.append(self.predecessors[j], j))
+
+    def correlation_inputs(self, j: int) -> np.ndarray:
+        """``A_psi``: the inducing inputs of expert ``j``'s correlation set,
+        stacked in set order, shape ``(C L, D)``."""
+        return self.inducing_inputs[self.correlation[j]].reshape(-1, self.D)
+
+    @cached_property
+    def symbolic(self) -> SymbolicFactor:
+        """Fill analysis and slot layout of the posterior precision, whose block
+        pattern is the union of the experts' correlation-set blocks; keeps each
+        expert's slots, in expert order (``index_sets``)."""
+        return symbolic_factor(set(), self.J, index_sets=self.correlation)
 
     @classmethod
     def build(cls, X: np.ndarray, J: int, C: int, gamma: float = 1.0,
@@ -224,14 +237,16 @@ class ExpertGraph:
     @classmethod
     def from_layout(cls, X: np.ndarray, J: int, C: int, gamma: float, seed: int,
                     ordering: np.ndarray, row_indices: list[np.ndarray],
-                    inducing_index: list[np.ndarray]) -> "ExpertGraph":
+                    inducing_index: np.ndarray) -> "ExpertGraph":
         """Graph of an ordered layout: each position's rows and inducing subset.
 
         ``row_indices[j]`` and ``inducing_index[j]`` belong to the expert at
         ordering position ``j``.  Inducing inputs, centers, predecessor and
         correlation sets follow from them.
         """
-        inducing_inputs = [X[rows][idx] for rows, idx in zip(row_indices, inducing_index)]
+        inducing_index = np.asarray(inducing_index)
+        inducing_inputs = X[np.stack([rows[idx] for rows, idx in zip(row_indices,
+                                                                       inducing_index)])]
         centers = np.stack([A.mean(axis=0) for A in inducing_inputs])
         assignment = np.empty(X.shape[0], dtype=int)
         for j, rows in enumerate(row_indices):
@@ -246,7 +261,7 @@ class ExpertGraph:
         """Same partition, inducing points and ordering, different degree ``C``.
 
         Because the distance ranking is shared, predecessor sets are nested
-        across increasing ``C``.
+        across increasing ``C``.  The new graph builds its own symbolic analysis.
         """
         if C > self.J:
             raise ValueError(f"C={C} exceeds J={self.J}")

@@ -92,10 +92,6 @@ class Kernel:
     def n_params(self) -> int:
         raise NotImplementedError
 
-    @property
-    def param_names(self) -> list[str]:
-        raise NotImplementedError
-
     def get_params(self) -> np.ndarray:
         """Unconstrained (log-space) parameter vector."""
         raise NotImplementedError
@@ -185,10 +181,6 @@ class SquaredExponential(Kernel):
     def n_params(self) -> int:
         return 1 + self.log_lengthscales.size
 
-    @property
-    def param_names(self) -> list[str]:
-        return ["log_variance"] + [f"log_lengthscale_{d}" for d in range(self.log_lengthscales.size)]
-
     def get_params(self) -> np.ndarray:
         return np.concatenate([[self.log_variance], self.log_lengthscales])
 
@@ -269,10 +261,6 @@ class Periodic(Kernel):
     @property
     def n_params(self) -> int:
         return 3
-
-    @property
-    def param_names(self) -> list[str]:
-        return ["log_variance", "log_lengthscale", "log_period"]
 
     def get_params(self) -> np.ndarray:
         return np.array([self.log_variance, self.log_lengthscale, self.log_period])
@@ -361,12 +349,6 @@ class SpectralMixture(Kernel):
     def n_params(self) -> int:
         return 3 * self.n_components
 
-    @property
-    def param_names(self) -> list[str]:
-        q = range(self.n_components)
-        return ([f"log_weight_{i}" for i in q] + [f"log_mean_{i}" for i in q]
-                + [f"log_variance_{i}" for i in q])
-
     def get_params(self) -> np.ndarray:
         return np.concatenate([self.log_weights, self.log_means, self.log_variances])
 
@@ -431,10 +413,6 @@ class SumKernel(Kernel):
     @property
     def n_params(self) -> int:
         return sum(t.n_params for t in self.terms)
-
-    @property
-    def param_names(self) -> list[str]:
-        return [f"term{i}.{name}" for i, t in enumerate(self.terms) for name in t.param_names]
 
     def get_params(self) -> np.ndarray:
         return np.concatenate([t.get_params() for t in self.terms])

@@ -185,12 +185,11 @@ def _local_arrays(model, Xs: np.ndarray, experts: range):
     # the kernel is evaluated on the blocks some listed expert correlates with
     # (every block, for all predictive experts); expert j's rows of it are the
     # blocks of its correlation set
-    blocks = np.unique(np.concatenate([graph.correlation[j] for j in experts]))
-    slot = {p: k for k, p in enumerate(blocks)}
-    rows_of = [np.concatenate([np.arange(slot[p] * L, (slot[p] + 1) * L)
-                               for p in graph.correlation[j]])
-               for j in experts]
-    A_all = np.vstack([graph.inducing_inputs[p] for p in blocks])
+    corr = graph.correlation[experts]
+    blocks = np.unique(corr)
+    rows_of = (np.searchsorted(blocks, corr)[:, :, None] * L
+               + np.arange(L)).reshape(len(experts), -1)
+    A_all = graph.inducing_inputs[blocks].reshape(-1, graph.D)
     v0 = model.kernel.diag(Xs)
     means = np.empty((len(experts), Xs.shape[0]))
     variances = np.empty_like(means)

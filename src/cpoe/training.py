@@ -45,11 +45,6 @@ class PriorSpec:
             if lam <= 0:
                 raise ValueError(f"prior scale for parameter {idx} must be positive")
 
-    @classmethod
-    def from_arrays(cls, nus, lams) -> "PriorSpec":
-        nus, lams = np.asarray(nus, float), np.asarray(lams, float)
-        return cls({i: (float(n), float(s)) for i, (n, s) in enumerate(zip(nus, lams))})
-
 
 def log_prior(theta: np.ndarray, prior: PriorSpec | None):
     """Sum of log-normal log densities and its gradient in log space.

@@ -58,8 +58,8 @@ def consecutive_graph(X, J, C, gamma=1.0):
     B = N // J
     rows = [np.arange(j * B, (j + 1) * B) for j in range(J)]
     L = int(np.floor(gamma * B))
-    inducing_idx = [np.arange(L) for _ in range(J)]
-    A = [X[r][:L] for r in rows]
+    inducing_idx = np.tile(np.arange(L), (J, 1))
+    A = np.stack([X[r][:L] for r in rows])
     centers = np.stack([a.mean(axis=0) for a in A])
     preds = [np.arange(max(0, j - C + 1), j) for j in range(J)]
     corr = correlation_sets(preds, C)

@@ -346,9 +346,11 @@ class TestCli:
         assert main(["run", "--config", str(cfg)]) == 0
         assert (tmp_path / "out" / "results.csv").exists()
 
-    def test_predict_subcommand(self, tmp_path, rng):
-        from cpoe.bench import load_csv as _load
-        from cpoe import CpoeModel, NoiseSpec
+    @staticmethod
+    def _predict_args(tmp_path):
+        """``bench predict`` arguments up to ``--input``, for a model saved on
+        two-column training data."""
+        from cpoe import NoiseSpec
 
         data = tmp_path / "data.csv"
         main(["synth", "--n", "64", "--d", "2", "--output", str(data)])
@@ -356,27 +358,43 @@ class TestCli:
         cfg.write_text(f"data = {data}\ntarget = y\ntest_fraction = 0.0\nj = 2\n"
                        f"output = {tmp_path}/out\n")
         econf = ExperimentConfig.from_file(cfg)
-        train = _load(data, "y", test_fraction=0.0, seed=0)
+        train = load_csv(data, "y", test_fraction=0.0, seed=0)
         kern = build_kernel(econf, train.D)
         model = CpoeModel(kern, NoiseSpec.create(0.1), J=2, C=1, gamma=1.0, seed=0)
         model.fit(train.X, train.y)
         model.save(tmp_path / "model.npz")
+        return ["predict", "--config", str(cfg), "--model", str(tmp_path / "model.npz"),
+                "--data", str(data)]
+
+    def test_predict_subcommand(self, tmp_path, rng):
+        args = self._predict_args(tmp_path)
         queries = tmp_path / "queries.csv"
         write_csv(queries, ["x0", "x1"], rng.uniform(0, 1, (5, 2)).tolist())
         out = tmp_path / "preds.csv"
-        assert main(["predict", "--config", str(cfg), "--model", str(tmp_path / "model.npz"),
-                     "--data", str(data), "--input", str(queries),
-                     "--output", str(out)]) == 0
+        assert main(args + ["--input", str(queries), "--output", str(out)]) == 0
         with open(out, newline="") as fh:
             preds = list(csv.DictReader(fh))
         assert len(preds) == 5 and "mean" in preds[0] and "variance" in preds[0]
         # per-expert diagnostics are optional extra columns
-        assert main(["predict", "--config", str(cfg), "--model", str(tmp_path / "model.npz"),
-                     "--data", str(data), "--input", str(queries),
-                     "--output", str(out), "--diagnostics"]) == 0
+        assert main(args + ["--input", str(queries), "--output", str(out),
+                            "--diagnostics"]) == 0
         with open(out, newline="") as fh:
             preds = list(csv.DictReader(fh))
         assert "mean_0" in preds[0] and "weight_1" in preds[0]
+
+    @pytest.mark.parametrize("text,message", [
+        ("x0\n0.1\n0.5\n", r"queries\.csv: 1 columns, the model was trained on 2"),
+        ("", r"queries\.csv: empty file, no header row"),
+        ("x0,x1\n", r"queries\.csv: no data rows"),
+        ("x0,x1\n0.1,0.2\n0.3\n", r"queries\.csv: row 3 has 1 cells, header has 2"),
+    ], ids=["narrow", "empty", "header-only", "ragged"])
+    def test_predict_refuses_malformed_query_file(self, tmp_path, text, message):
+        args = self._predict_args(tmp_path)
+        queries, out = tmp_path / "queries.csv", tmp_path / "preds.csv"
+        queries.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            main(args + ["--input", str(queries), "--output", str(out)])
+        assert not out.exists()
 
     def test_console_script_installed(self):
         out = subprocess.run([sys.executable, "-m", "cpoe.bench", "--help"],

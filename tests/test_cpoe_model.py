@@ -55,7 +55,7 @@ class TestLocalFactors:
         model, kern, *_ = make_setup(rng)
         e0 = model.factors.experts[0]
         assert e0.F is None
-        np.testing.assert_allclose(e0.Q, kern(e0.A_self), atol=1e-12)
+        np.testing.assert_allclose(e0.Q, kern(model.graph.inducing_inputs[0]), atol=1e-12)
 
     def test_factor_formulas_match_dense(self, rng):
         model, kern, *_ = make_setup(rng)
@@ -65,7 +65,7 @@ class TestLocalFactors:
                 np.testing.assert_allclose(e.F, F, atol=1e-8)
             np.testing.assert_allclose(e.Q, Q, atol=1e-8)
             np.testing.assert_allclose(e.H, H, atol=1e-8)
-            np.testing.assert_allclose(e.d_diag, np.diag(D), atol=1e-8)
+            np.testing.assert_allclose(e.D, np.diag(D), atol=1e-8)
 
     @pytest.mark.parametrize("kern", [
         SquaredExponential.create(1.2, [0.15, 0.2]),
@@ -84,8 +84,9 @@ class TestLocalFactors:
         for j, e in enumerate(model.factors.experts):
             A_self = g.inducing_inputs[j]
             K_aa = kern(A_self)
-            if e.pred.size:
-                A_pred = np.vstack([g.inducing_inputs[p] for p in e.pred])
+            pred = g.predecessors[j]
+            if pred.size:
+                A_pred = np.vstack([g.inducing_inputs[p] for p in pred])
                 inv_pipi = np.tril(dtrtri(jittered_cholesky(kern(A_pred))[0], lower=1)[0])
                 K_api = kern(A_self, A_pred)
                 F = (K_api @ inv_pipi.T) @ inv_pipi
@@ -104,7 +105,7 @@ class TestLocalFactors:
         # points, so the residual covariance vanishes
         model, *_ = make_setup(rng, N=32, J=4, C=4, gamma=1.0)
         for e in model.factors.experts:
-            assert np.abs(e.vbar_diag).max() < 1e-8
+            assert e.vbar.ndim == 1 and np.abs(e.vbar).max() < 1e-8
 
     def test_vfe_variant_correction(self, rng):
         rngs = np.random.default_rng(0)
@@ -115,7 +116,7 @@ class TestLocalFactors:
         m = CpoeModel(kern, noise, J=4, C=2, gamma=0.5,
                       variant=VariantSpec("vfe"), seed=0).fit(X, y)
         for e, (_, _, _, D) in zip(m.factors.experts, dense_local_factors(m.graph, kern)):
-            assert np.all(e.vbar_diag == 0.0)
+            assert e.vbar.ndim == 1 and np.all(e.vbar == 0.0)
             assert e.lam == pytest.approx(np.trace(D) / (2 * 0.2), rel=1e-8)
 
     def test_pitc_keeps_full_block(self, rng):
@@ -124,8 +125,8 @@ class TestLocalFactors:
         kern, noise = model_setup[1], model_setup[2]
         m = CpoeModel(kern, noise, J=4, C=2, gamma=0.5,
                       variant=VariantSpec("pitc"), seed=0).fit(X, y)
-        for e in m.factors.experts:
-            assert e.vbar_full is not None and e.vbar_full.shape[0] == e.X.shape[0]
+        for e, rows in zip(m.factors.experts, m.graph.row_indices):
+            assert e.vbar.shape == (rows.size, rows.size)
 
     def test_variant_validation(self):
         with pytest.raises(ValueError):
@@ -216,14 +217,14 @@ def rebuilt_posterior(model):
     precision = assemble_prior_precision(factors).to_dense()
     b = np.zeros(model.graph.M)
     for j, e in enumerate(factors.experts):
-        if e.vbar_full is None:
-            VinvH = e.H / factors.v_diag(j)[:, None]
+        if e.vbar.ndim == 1:
+            VinvH = e.H / (e.vbar + factors.noise.variance)[:, None]
         else:
-            VinvH = np.linalg.solve(e.vbar_full + factors.noise.variance * np.eye(e.H.shape[0]),
+            VinvH = np.linalg.solve(e.vbar + factors.noise.variance * np.eye(e.H.shape[0]),
                                     e.H)
-        idx = np.concatenate([np.arange(p * L, (p + 1) * L) for p in e.psi])
+        idx = np.concatenate([np.arange(p * L, (p + 1) * L) for p in model.graph.correlation[j]])
         precision[np.ix_(idx, idx)] += e.H.T @ VinvH
-        b[idx] += VinvH.T @ model.y[e.rows]
+        b[idx] += VinvH.T @ model.y[model.graph.row_indices[j]]
     return precision, b
 
 
@@ -432,7 +433,8 @@ class TestGradient:
         m = CpoeModel(kern, NoiseSpec.create(0.1), J=4, C=3, gamma=0.5,
                       variant=VariantSpec(variant, alpha), seed=0).fit(X, r2.normal(size=128))
         if ls == 1.0:  # a long lengthscale on dense inputs: K(A_psi) needs jitter
-            assert any(jittered_cholesky(kern(e.A_psi))[1] > 0 for e in m.factors.experts)
+            assert any(jittered_cholesky(kern(m.graph.correlation_inputs(j)))[1] > 0
+                       for j in range(m.graph.J))
         g = m.lml_gradient()
         contract = cpoe_model._contract_grad
 
@@ -581,8 +583,8 @@ class TestPriorKl:
     def test_vfe_uses_trace_formula(self, rng):
         models = self._models(rng, 0.5, variant=VariantSpec("vfe"))
         dp, dproj = prior_kl_difference(models[2], models[4])
-        tr2 = sum(float(np.sum(e.d_diag)) for e in models[2].factors.experts)
-        tr4 = sum(float(np.sum(e.d_diag)) for e in models[4].factors.experts)
+        tr2 = sum(float(np.sum(e.D)) for e in models[2].factors.experts)
+        tr4 = sum(float(np.sum(e.D)) for e in models[4].factors.experts)
         assert dproj == pytest.approx((tr2 - tr4) / (2 * 0.1), rel=1e-10)
         assert dproj >= 0
 
@@ -606,6 +608,45 @@ class TestModelLifecycle:
         assert before != after
         model.set_params(theta)
         assert model.log_marginal_likelihood() == pytest.approx(before, rel=1e-12)
+
+    @staticmethod
+    def _count_symbolic(monkeypatch):
+        """Record every symbolic analysis a graph builds."""
+        from cpoe import expert_graph
+
+        calls, real = [], expert_graph.symbolic_factor
+        monkeypatch.setattr(expert_graph, "symbolic_factor",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        return calls
+
+    def test_symbolic_analysis_built_once_per_graph(self, rng, monkeypatch):
+        # a served and a trainee model on one graph, as the benchmark runs them
+        calls = self._count_symbolic(monkeypatch)
+        kern, noise = SquaredExponential.create(1.0, [0.2, 0.2]), NoiseSpec.create(0.1)
+        X = rng.uniform(0, 1, (64, 2))
+        y = np.sin(6 * X[:, 0])
+        graph = ExpertGraph.build(X, 8, 3, gamma=0.5, seed=0)
+        served = CpoeModel(kern, noise, J=8, C=3, gamma=0.5).fit(X, y, graph=graph)
+        trainee = CpoeModel(kern, noise, J=8, C=3, gamma=0.5).fit(X, y, graph=graph)
+        for theta in (trainee.get_params() + 0.1, trainee.get_params() - 0.1):
+            trainee.set_params(theta)
+        served.set_params(served.get_params())
+        assert len(calls) == 1
+        assert served.posterior.zbar.symbolic is trainee.posterior.zbar.symbolic
+
+    def test_new_graph_gets_its_own_symbolic_analysis(self, rng, monkeypatch):
+        calls = self._count_symbolic(monkeypatch)
+        kern, noise = SquaredExponential.create(1.0, [0.2, 0.2]), NoiseSpec.create(0.1)
+        X = rng.uniform(0, 1, (64, 2))
+        y = np.sin(6 * X[:, 0])
+        model = CpoeModel(kern, noise, J=8, C=2, gamma=0.5).fit(X, y)
+        assert len(calls) == 1
+        wider = model.graph.with_correlation(3)
+        CpoeModel(kern, noise, J=8, C=3, gamma=0.5).fit(X, y, graph=wider)
+        assert len(calls) == 2
+        assert wider.symbolic is not model.graph.symbolic
+        model.fit(X[::-1], y[::-1])  # new data: a new graph
+        assert len(calls) == 3
 
     def test_fit_on_new_data_matches_fresh_model(self, rng):
         # a second fit builds a new graph, and with it a new symbolic analysis
@@ -718,8 +759,8 @@ class TestModelLifecycle:
                 S = e.inv_psi @ model.posterior.sigma_psi(j) @ e.inv_psi.T
                 np.testing.assert_allclose(U @ np.diag(lam) @ U.T, np.eye(len(lam)) - S,
                                            atol=1e-10)
-                np.testing.assert_allclose(U @ c, e.inv_psi @ model.posterior.mu_at(e.psi),
-                                           atol=1e-10)
+                mu_psi = model.posterior.mu_at(model.graph.correlation[j])
+                np.testing.assert_allclose(U @ c, e.inv_psi @ mu_psi, atol=1e-10)
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_load_refuses_format(self, rng, tmp_path, version):

@@ -96,29 +96,32 @@ class TestLocalFactors:
                                   seed=seed % 7)
         factors = build_local_factors(graph, kern, NoiseSpec.create(0.1),
                                       VariantSpec(variant))
-        for e in factors.experts:
+        for j, e in enumerate(factors.experts):
             # trtri keeps the input's upper triangle, which is zero in every factor
             for inv in (e.inv_psi, e.inv_pipi, e.inv_Q):
                 if inv is not None:
                     np.testing.assert_array_equal(inv, np.tril(inv))
             # projection: H = K_xpsi K_psi^-1, D = K_xx - H K_psix
-            chol, K_eff = factored(kern(e.A_psi))
-            K_xpsi = kern(e.X, e.A_psi)
+            A_psi, X_j = graph.correlation_inputs(j), graph.X[graph.row_indices[j]]
+            chol, K_eff = factored(kern(A_psi))
+            K_xpsi = kern(X_j, A_psi)
             H = cho_solve((chol, True), K_xpsi.T).T
             tol = bound(K_eff)
             assert_close(e.H, H, tol)
             scale = np.linalg.norm(K_xpsi) * np.linalg.norm(H)
-            D = kern(e.X) - K_xpsi @ H.T
-            assert np.abs(e.d_diag - np.diag(D)).max() <= tol * scale
-            if e.D_full is not None:
-                assert np.abs(e.D_full - 0.5 * (D + D.T)).max() <= tol * scale
+            D = kern(X_j) - K_xpsi @ H.T
+            if e.D.ndim == 1:
+                assert np.abs(e.D - np.diag(D)).max() <= tol * scale
+            else:
+                assert np.abs(e.D - 0.5 * (D + D.T)).max() <= tol * scale
 
             # transition: F = K_api K_pipi^-1, Q = K_aa - K_api F'
-            K_aa = kern(e.A_self)
-            if e.pred.size:
-                A_pred = np.vstack([graph.inducing_inputs[p] for p in e.pred])
+            A_self, pred = graph.inducing_inputs[j], graph.predecessors[j]
+            K_aa = kern(A_self)
+            if pred.size:
+                A_pred = graph.inducing_inputs[pred].reshape(-1, graph.D)
                 chol, K_eff = factored(kern(A_pred))
-                K_api = kern(e.A_self, A_pred)
+                K_api = kern(A_self, A_pred)
                 F = cho_solve((chol, True), K_api.T).T
                 tol = bound(K_eff)
                 assert_close(e.F, F, tol)
@@ -153,11 +156,12 @@ class TestResidualInverse:
         y = r.normal(size=64)
         post = assemble_posterior(factors, assemble_prior_precision(factors), y)
         for j, e in enumerate(factors.experts):
-            V = e.vbar_full + noise.variance * np.eye(e.X.shape[0])
+            rows = graph.row_indices[j]
+            V = e.vbar + noise.variance * np.eye(rows.size)
             cv = np.linalg.cholesky(V)
             tol = bound(V)
             assert_close(post.vinv[j], cho_solve((cv, True), np.eye(V.shape[0])), tol)
-            assert_close(post.vinv_y[j], cho_solve((cv, True), y[e.rows]), tol)
+            assert_close(post.vinv_y[j], cho_solve((cv, True), y[rows]), tol)
             assert_close(post.vinv[j] @ e.H, cho_solve((cv, True), e.H), tol)
 
 

@@ -116,7 +116,7 @@ class TestLocalMoments:
         kxx = kern.diag(Xq)
         worst_cond = worst_jitter = 0.0
         for row, j in enumerate(experts):
-            psi, A_psi = model.factors.experts[j].psi, model.factors.experts[j].A_psi
+            psi, A_psi = model.graph.correlation[j], model.graph.correlation_inputs(j)
             mu, sigma = model.posterior.mu_at(psi), model.posterior.sigma_psi(j)
             K_psi = kern(A_psi)
             chol = jittered_cholesky(K_psi)[0]  # the factor the model inverted
@@ -154,7 +154,7 @@ class TestLocalMoments:
         experts, means, variances, _ = predict_arrays(model, Xs, return_locals=True)[2]
         kxx = kern.diag(Xs)
         for row, j in enumerate(experts):
-            K_xpsi = kern(Xs, model.factors.experts[j].A_psi)
+            K_xpsi = kern(Xs, model.graph.correlation_inputs(j))
             m, v = prediction._local_moments(K_xpsi, kxx, *model.serving.region(j))
             np.testing.assert_allclose(means[row], m, rtol=0, atol=1e-13 * np.abs(m).max())
             np.testing.assert_allclose(variances[row], np.maximum(v, 1e-12 * kxx),
@@ -345,10 +345,10 @@ class TestPredict:
         experts, means, variances, _ = predict_arrays(model, Xs, return_locals=True)[2]
         post = model.posterior
         for row, j in enumerate(experts):
-            e = model.factors.experts[j]
-            K_xpsi = model.kernel(Xs, e.A_psi)
-            H = cho_solve((jittered_cholesky(model.kernel(e.A_psi))[0], True), K_xpsi.T).T
-            m = H @ post.mu_at(e.psi)
+            A_psi = model.graph.correlation_inputs(j)
+            K_xpsi = model.kernel(Xs, A_psi)
+            H = cho_solve((jittered_cholesky(model.kernel(A_psi))[0], True), K_xpsi.T).T
+            m = H @ post.mu_at(model.graph.correlation[j])
             v = (np.einsum("ij,ij->i", H @ post.sigma_psi(j), H)
                  + model.kernel.diag(Xs) - np.einsum("ij,ij->i", K_xpsi, H))
             np.testing.assert_allclose(means[row], m, rtol=1e-9, atol=1e-9 * np.abs(m).max())

@@ -33,3 +33,14 @@ def test_every_loaded_openblas_reports_one_thread():
         pytest.skip("no OpenBLAS loaded in this process")
     assert cpoe.set_num_threads(1) == 1
     assert set(openblas_threads().values()) == {1}
+
+
+def test_openblas_fallback_sets_every_loaded_library():
+    # set_num_threads takes this path only where threadpoolctl is missing
+    if not openblas_threads():
+        pytest.skip("no OpenBLAS loaded in this process")
+    try:
+        assert cpoe._openblas_set_num_threads(1) == 1
+        assert set(openblas_threads().values()) == {1}
+    finally:
+        cpoe.set_num_threads()
