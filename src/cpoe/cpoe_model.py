@@ -489,10 +489,11 @@ def lml_gradient(posterior: CpoePosterior) -> np.ndarray:
         if e.F is not None:
             dKapi, dKpipi = dK_psi[:, p:q, :p], dK_psi[:, :p, :p]
             # dF = (dK_api - F dK_pipi) K_pipi^-1
-            rhs = (dKapi - e.F @ dKpipi).reshape(-1, p)
+            F_dKpipi = e.F @ dKpipi
+            rhs = (dKapi - F_dKpipi).reshape(-1, p)
             dF = ((rhs @ e.inv_pipi.T) @ e.inv_pipi).reshape(-1, L, p)
             dKF = dKapi @ e.F.T
-            dQ = dQ - dKF - dKF.transpose(0, 2, 1) + e.F @ dKpipi @ e.F.T
+            dQ = dQ - dKF - dKF.transpose(0, 2, 1) + F_dKpipi @ e.F.T
             grad[:-1] += np.tensordot(dF, G_S[:, :p], 2)
         grad[:-1] += 0.5 * np.tensordot(dQ, G_S @ QinvFt.T - Qinv, 2)
 
@@ -659,11 +660,23 @@ class CpoeModel:
     # -- fitting ---------------------------------------------------------------
 
     def fit(self, X: np.ndarray, y: np.ndarray, graph: ExpertGraph | None = None) -> "CpoeModel":
+        """Fit on ``(X, y)``; a given ``graph`` must have been built on this ``X``."""
         for name, values in (("X", X), ("y", y)):
             if not np.all(np.isfinite(np.asarray(values, dtype=float))):
                 raise ValueError(f"{name} holds NaN or inf values")
         if graph is None:
             graph = ExpertGraph.build(X, self.J, self.C, self.gamma, seed=self.seed)
+        else:
+            X = np.asarray(X, dtype=float)
+            if X.ndim == 1:
+                X = X[:, None]
+            if X.shape != graph.X.shape:
+                raise ValueError(f"X has shape {X.shape}, the graph was built on inputs "
+                                 f"of shape {graph.X.shape}")
+            if not np.array_equal(X, graph.X):
+                raise ValueError(f"X differs from the graph's inputs in "
+                                 f"{np.count_nonzero(np.any(X != graph.X, axis=1))} "
+                                 f"of {X.shape[0]} rows")
         self.graph = graph
         self.y = np.asarray(y, dtype=float).ravel()
         self._refit()

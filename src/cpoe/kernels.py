@@ -100,14 +100,18 @@ class Kernel:
         """New spec with the given unconstrained parameter vector."""
         raise NotImplementedError
 
-    def __call__(self, X1: np.ndarray, X2: np.ndarray | None = None) -> np.ndarray:
+    def __call__(self, X1: np.ndarray, X2: np.ndarray | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """k(X1, X2), shape (n1, n2); written into ``out`` and returned when given."""
         raise NotImplementedError
 
     def diag(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def grad_stack(self, X1: np.ndarray, X2: np.ndarray | None = None) -> np.ndarray:
-        """d k(X1, X2) / d params (unconstrained space), shape (n_params, n1, n2)."""
+    def grad_stack(self, X1: np.ndarray, X2: np.ndarray | None = None,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        """d k(X1, X2) / d params (unconstrained space), shape (n_params, n1, n2);
+        written into ``out`` and returned when given."""
         raise NotImplementedError
 
     def grad_diag_stack(self, X: np.ndarray) -> np.ndarray:
@@ -132,6 +136,10 @@ def _as2d(X) -> np.ndarray:
     if X.ndim != 2:
         raise ValueError(f"inputs must be (n, d) matrices, got shape {X.shape}")
     return X
+
+
+def _buffer(out, shape) -> np.ndarray:
+    return np.empty(shape) if out is None else out
 
 
 def _check_pair(X1, X2):
@@ -191,40 +199,50 @@ class SquaredExponential(Kernel):
         return dataclasses.replace(self, log_variance=float(params[0]),
                                    log_lengthscales=params[1:].copy())
 
-    def _sq_dist(self, X1, X2, terms=None):
-        """sum_d (x_d - x'_d)^2 / l_d^2, accumulated one input dimension at a time.
+    def _sq_dist(self, X1, X2, out, terms=None):
+        """sum_d (x_d - x'_d)^2 / l_d^2 into ``out``, one input dimension at a time.
 
-        Builds no (n1, n2, D) difference tensor.  Dimension d's term is also
-        copied into ``terms[d]`` when given.  For D <= 7 the sum is bitwise
+        Builds no (n1, n2, D) difference tensor: the first dimension is
+        written into ``out`` and each further one, computed in ``terms[d]``
+        when given and else in one scratch array, is added to it.  Dimension
+        0's term is copied into ``terms[0]``.  For D <= 7 the sum is bitwise
         numpy's sum over the last axis of that tensor, which adds fewer than 8
         elements in order; from D = 8 on they differ at rounding level.
         """
         Z1 = _select_dims(X1, self.active_dims) / self.lengthscales
         Z2 = _select_dims(X2, self.active_dims) / self.lengthscales
-        total = None
-        for d in range(Z1.shape[1]):
-            sq = np.subtract.outer(Z1[:, d], Z2[:, d])
+        np.subtract.outer(Z1[:, 0], Z2[:, 0], out=out)
+        np.square(out, out=out)
+        if terms is not None:
+            terms[0] = out
+        sq = None
+        for d in range(1, Z1.shape[1]):
+            sq = terms[d] if terms is not None else _buffer(sq, out.shape)
+            np.subtract.outer(Z1[:, d], Z2[:, d], out=sq)
             np.square(sq, out=sq)
-            if terms is not None:
-                terms[d] = sq
-            if total is None:
-                total = sq
-            else:
-                total += sq
-        return total
+            out += sq
+        return out
 
-    def __call__(self, X1, X2=None):
+    def _from_sq_dist(self, r2):
+        """variance * exp(-r2 / 2), in place."""
+        r2 *= -0.5
+        np.exp(r2, out=r2)
+        r2 *= self.variance
+        return r2
+
+    def __call__(self, X1, X2=None, out=None):
         X1, X2 = _check_pair(X1, X2)
-        return self.variance * np.exp(-0.5 * self._sq_dist(X1, X2))
+        out = _buffer(out, (X1.shape[0], X2.shape[0]))
+        return self._from_sq_dist(self._sq_dist(X1, X2, out))
 
     def diag(self, X):
         X = _as2d(X)
         return np.full(X.shape[0], self.variance)
 
-    def grad_stack(self, X1, X2=None):
+    def grad_stack(self, X1, X2=None, out=None):
         X1, X2 = _check_pair(X1, X2)
-        out = np.empty((self.n_params, X1.shape[0], X2.shape[0]))
-        out[0] = self.variance * np.exp(-0.5 * self._sq_dist(X1, X2, terms=out[1:]))
+        out = _buffer(out, (self.n_params, X1.shape[0], X2.shape[0]))
+        self._from_sq_dist(self._sq_dist(X1, X2, out[0], terms=out[1:]))
         out[1:] *= out[0]  # d K / d log l_d = K * (x_d - x'_d)^2 / l_d^2
         return out
 
@@ -280,17 +298,17 @@ class Periodic(Kernel):
             raise ValueError("periodic kernel needs exactly one active dimension")
         return t1[:, 0][:, None] - t2[:, 0][None, :]
 
-    def __call__(self, X1, X2=None):
+    def __call__(self, X1, X2=None, out=None):
         X1, X2 = _check_pair(X1, X2)
         r = self._diffs(X1, X2)
         s = np.sin(np.pi * r / self.period)
-        return self.variance * np.exp(-2.0 * s * s / self.lengthscale**2)
+        return np.multiply(self.variance, np.exp(-2.0 * s * s / self.lengthscale**2), out=out)
 
     def diag(self, X):
         X = _as2d(X)
         return np.full(X.shape[0], self.variance)
 
-    def grad_stack(self, X1, X2=None):
+    def grad_stack(self, X1, X2=None, out=None):
         X1, X2 = _check_pair(X1, X2)
         r = self._diffs(X1, X2)
         ell2 = self.lengthscale**2
@@ -299,7 +317,7 @@ class Periodic(Kernel):
         K = self.variance * np.exp(-2.0 * s * s / ell2)
         # d/d log(period): d(arg)/d log p = -arg, so d(-2 sin^2(arg)/l^2) = 2 sin(2 arg) arg / l^2
         return np.stack([K, K * 4.0 * s * s / ell2,
-                         K * 2.0 * np.sin(2.0 * arg) * arg / ell2])
+                         K * 2.0 * np.sin(2.0 * arg) * arg / ell2], out=out)
 
 
 @dataclass(frozen=True)
@@ -372,10 +390,11 @@ class SpectralMixture(Kernel):
         decay = np.exp(-2.0 * np.pi**2 * tau**2 * self.variances[q])
         return decay, np.cos(2.0 * np.pi * tau * self.means[q])
 
-    def __call__(self, X1, X2=None):
+    def __call__(self, X1, X2=None, out=None):
         X1, X2 = _check_pair(X1, X2)
         tau = self._taus(X1, X2)
-        K = np.zeros_like(tau)
+        K = _buffer(out, tau.shape)
+        K.fill(0.0)
         for q in range(self.n_components):
             decay, cosine = self._component(tau, q)
             K += self.weights[q] * decay * cosine
@@ -385,11 +404,11 @@ class SpectralMixture(Kernel):
         X = _as2d(X)
         return np.full(X.shape[0], float(self.weights.sum()))
 
-    def grad_stack(self, X1, X2=None):
+    def grad_stack(self, X1, X2=None, out=None):
         X1, X2 = _check_pair(X1, X2)
         tau = self._taus(X1, X2)
         nq = self.n_components
-        out = np.empty((self.n_params, tau.shape[0], tau.shape[1]))
+        out = _buffer(out, (self.n_params,) + tau.shape)
         for q in range(nq):
             decay, cosine = self._component(tau, q)
             w, mu, v = self.weights[q], self.means[q], self.variances[q]
@@ -427,12 +446,14 @@ class SumKernel(Kernel):
             offset += t.n_params
         return SumKernel(tuple(new_terms))
 
-    def __call__(self, X1, X2=None):
+    def __call__(self, X1, X2=None, out=None):
         X1, X2 = _check_pair(X1, X2)
-        K = self.terms[0](X1, X2)
+        out = self.terms[0](X1, X2, out=out)
+        term = None
         for t in self.terms[1:]:
-            K = K + t(X1, X2)
-        return K
+            term = t(X1, X2, out=term)  # one scratch array serves every further term
+            out += term
+        return out
 
     def diag(self, X):
         d = self.terms[0].diag(X)
@@ -440,13 +461,13 @@ class SumKernel(Kernel):
             d = d + t.diag(X)
         return d
 
-    def grad_stack(self, X1, X2=None):
+    def grad_stack(self, X1, X2=None, out=None):
         X1, X2 = _check_pair(X1, X2)
-        out = np.zeros((self.n_params, X1.shape[0], X2.shape[0]))
+        out = _buffer(out, (self.n_params, X1.shape[0], X2.shape[0]))
         offset = 0
         for t in self.terms:
             # parameters of other summands do not appear in this term
-            out[offset:offset + t.n_params] = t.grad_stack(X1, X2)
+            t.grad_stack(X1, X2, out=out[offset:offset + t.n_params])
             offset += t.n_params
         return out
 

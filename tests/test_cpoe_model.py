@@ -658,6 +658,27 @@ class TestModelLifecycle:
         assert model.log_marginal_likelihood() == fresh.log_marginal_likelihood()
         np.testing.assert_array_equal(model.posterior.mu, fresh.posterior.mu)
 
+    def test_fit_refuses_graph_built_on_other_inputs(self):
+        kern, noise = SquaredExponential.create(1.0, [0.2, 0.2]), NoiseSpec.create(0.1)
+        r = np.random.default_rng(0)
+        X1, X2 = r.uniform(0, 1, (64, 2)), r.uniform(0, 1, (64, 2))
+        g = ExpertGraph.build(X1, 4, 2, 0.5)
+        y = np.sin(6 * X2[:, 0])
+        model = CpoeModel(kern, noise, J=4, C=2, gamma=0.5)
+        with pytest.raises(ValueError, match="X differs from the graph's inputs in 64 of 64 rows"):
+            model.fit(X2, y, graph=g)
+        X3 = X1.copy()
+        X3[5, 1] += 1e-12
+        with pytest.raises(ValueError, match="in 1 of 64 rows"):
+            model.fit(X3, y, graph=g)
+        with pytest.raises(ValueError, match=r"X has shape \(32, 2\), the graph was built on "
+                                             r"inputs of shape \(64, 2\)"):
+            model.fit(X1[:32], y[:32], graph=g)
+        # on the graph's own inputs the fit is the graph-building fit's
+        fitted = model.fit(X1.copy(), y, graph=g)
+        assert fitted.log_marginal_likelihood() == CpoeModel(
+            kern, noise, J=4, C=2, gamma=0.5).fit(X1, y).log_marginal_likelihood()
+
     def test_save_load_bit_reproducible(self, rng, tmp_path):
         model, kern, noise, X, y = make_setup(rng, seed=5)
         path = tmp_path / "model.npz"

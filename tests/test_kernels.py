@@ -173,6 +173,40 @@ class TestSumKernel:
         np.testing.assert_allclose(k2.get_params(), theta + 0.1)
 
 
+def out_kernels():
+    return random_kernels() + [
+        SquaredExponential.create(1.0, [0.5, 0.6])
+        + SquaredExponential.create(0.3, [0.15, 0.2])
+        + SpectralMixture.create([0.5], [0.8], [0.4], active_dims=[1]),
+    ]
+
+
+class TestOutArgument:
+    """``kernel(A, X, out=buf)`` and ``grad_stack(A, X, out=buf)`` fill ``buf``
+    with bitwise the values they would return, also through a strided view."""
+
+    @staticmethod
+    def _buffers(shape):
+        wide = np.full(shape[:-1] + (shape[-1] + 3,), np.nan)
+        return [np.full(shape, np.nan), wide[..., :shape[-1]]]  # contiguous, strided
+
+    @pytest.mark.parametrize("k", out_kernels())
+    def test_call_fills_out(self, k):
+        r = np.random.default_rng(11)
+        A, X = r.uniform(-1, 1, (9, 2)), r.uniform(-1, 1, (6, 2))
+        for buf in self._buffers((9, 6)):
+            assert k(A, X, out=buf) is buf
+            np.testing.assert_array_equal(buf, k(A, X))
+
+    @pytest.mark.parametrize("k", out_kernels())
+    def test_grad_stack_fills_out(self, k):
+        r = np.random.default_rng(12)
+        A, X = r.uniform(-1, 1, (9, 2)), r.uniform(-1, 1, (6, 2))
+        for buf in self._buffers((k.n_params, 9, 6)):
+            assert k.grad_stack(A, X, out=buf) is buf
+            np.testing.assert_array_equal(buf, k.grad_stack(A, X))
+
+
 class TestJitterPolicy:
     def test_psd_after_jitter_on_duplicates(self, rng):
         # exact duplicates make the Gram singular; the policy must recover

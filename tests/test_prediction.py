@@ -153,9 +153,11 @@ class TestLocalMoments:
         Xs = np.random.default_rng(7).uniform(0, 1, (40, 2))
         experts, means, variances, _ = predict_arrays(model, Xs, return_locals=True)[2]
         kxx = kern.diag(Xs)
+        s = model.serving
         for row, j in enumerate(experts):
-            K_xpsi = kern(Xs, model.graph.correlation_inputs(j))
-            m, v = prediction._local_moments(K_xpsi, kxx, *model.serving.region(j))
+            K_psix = kern(model.graph.correlation_inputs(j), Xs)
+            k = j - s.first
+            m, v = prediction._local_moments(K_psix, kxx, s.basis[k], s.coef[k], s.eigvals[k])
             np.testing.assert_allclose(means[row], m, rtol=0, atol=1e-13 * np.abs(m).max())
             np.testing.assert_allclose(variances[row], np.maximum(v, 1e-12 * kxx),
                                        rtol=1e-13)
@@ -180,7 +182,7 @@ class TestLocalMoments:
         model, _, _ = small_model(rng, N=64, J=8, C=3)
         rows = []
 
-        def kernel(A, X):
+        def kernel(A, X, out=None):
             rows.append(A.shape[0])
             return model.kernel(A, X)
         kernel.diag = model.kernel.diag
@@ -332,11 +334,17 @@ class TestPredict:
         Xs = np.random.default_rng(5).uniform(0, 1, (300, 2))
         whole = predict_arrays(model, Xs, return_locals=True)
         assert prediction.CHUNK_ENTRIES // model.graph.M >= 300  # one chunk by default
-        monkeypatch.setattr(prediction, "CHUNK_ENTRIES", 100 * model.graph.M)
-        chunked = predict_arrays(model, Xs, return_locals=True)
-        for a, b in [(whole[0], chunked[0]), (whole[1], chunked[1])] + list(
-                zip(whole[2], chunked[2])):
-            np.testing.assert_allclose(b, a, rtol=1e-12, atol=0)
+        assert len(model.serving.experts) <= prediction.EXPERT_GROUP  # one group by default
+        monkeypatch.setattr(prediction, "MIN_CHUNK_ROWS", 1)
+        # 300 queries in chunks of 100 rows, or of 70 with a last chunk of 20;
+        # the 6 predictive experts in one group, or in groups of 4 and 2
+        for rows, group in [(100, 16), (70, 16), (100, 4), (70, 4)]:
+            monkeypatch.setattr(prediction, "CHUNK_ENTRIES", rows * model.graph.M)
+            monkeypatch.setattr(prediction, "EXPERT_GROUP", group)
+            chunked = predict_arrays(model, Xs, return_locals=True)
+            for a, b in [(whole[0], chunked[0]), (whole[1], chunked[1])] + list(
+                    zip(whole[2], chunked[2])):
+                np.testing.assert_allclose(b, a, rtol=1e-12, atol=0)
 
     def test_locals_match_cho_solve_formula(self, rng):
         # the unwhitened form: H = K_xpsi K_psi^-1, m = H mu, v = k - K_xpsi H' + H Sigma H'
