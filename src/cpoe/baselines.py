@@ -203,8 +203,7 @@ def poe_lml(experts: list[LocalExpertFit]) -> float:
 
 
 def poe_predict(experts: list[LocalExpertFit], kernel: Kernel, Xs,
-                mode: str = "gpoe", add_noise: bool = False,
-                noise: NoiseSpec | None = None):
+                mode: str = "gpoe"):
     """Aggregate independent local predictions.
 
     Modes: ``minvar`` takes the lowest-variance expert pointwise (ties to the
@@ -238,9 +237,4 @@ def poe_predict(experts: list[LocalExpertFit], kernel: Kernel, Xs,
         mean, var = fuse(means, variances, w)
     else:
         raise ValueError(f"unknown aggregation mode {mode!r}")
-
-    if add_noise:
-        if noise is None:
-            raise ValueError("add_noise requires the noise spec")
-        var = var + noise.variance
     return mean, var

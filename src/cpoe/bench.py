@@ -1,4 +1,4 @@
-"""Experiment harness: data loading, method sweeps, timing and results CSVs.
+"""Experiment harness: data loading, timed method sweeps, results CSVs.
 
 Configuration files are flat ``key = value`` text (``#`` comments allowed).
 Every result row carries the configuration hash and the repetition seed, so
@@ -38,7 +38,7 @@ from .kernels import (
     split_params,
 )
 from .metrics import MetricReport, evaluate_predictions
-from .training import OptimizerConfig, PriorSpec, fit_deterministic, fit_stochastic
+from .training import OptimizerConfig, fit_deterministic, fit_stochastic
 
 __all__ = [
     "Dataset",
@@ -154,20 +154,13 @@ def load_csv(path, target_column="last", test_fraction: float = 0.1, seed: int =
 
 
 def synth_gp_data(kernel: Kernel, N: int, D: int, noise_variance: float, seed: int,
-                  n_test: int = 0, cap: int = 8192, grid: bool = False) -> Dataset:
-    """Exact GP sample on uniform (or jittered-grid) inputs in [0, 1]^D."""
+                  n_test: int = 0, cap: int = 8192) -> Dataset:
+    """Exact GP sample on uniform inputs in [0, 1]^D."""
     total = N + n_test
     if total > cap:
         raise ValueError(f"N + n_test = {total} exceeds the dense sampling cap {cap}")
     rng = np.random.default_rng(seed)
-    if grid and D == 2:
-        side = int(np.ceil(np.sqrt(total)))
-        g = (np.arange(side) + 0.5) / side
-        mesh = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
-        mesh = mesh + rng.uniform(-0.25 / side, 0.25 / side, mesh.shape)
-        X_all = mesh[rng.permutation(mesh.shape[0])[:total]]
-    else:
-        X_all = rng.uniform(0.0, 1.0, (total, D))
+    X_all = rng.uniform(0.0, 1.0, (total, D))
     K = kernel(X_all)
     chol = np.linalg.cholesky(K + 1e-10 * np.mean(np.diag(K)) * np.eye(total))
     f = chol @ rng.normal(size=total)
@@ -206,12 +199,12 @@ _DEFAULTS = {
     "learning_rate": "0.01",
     "epochs": "15",
     "tolerance": "1e-2",
-    "objective": "lml",
     "max_iter": "60",
     "dense_cap": "8192",
     "output": "results",
-    "plot": "false",
 }
+
+_OPTIMIZE_MODES = ("none", "deterministic", "stochastic")
 
 
 def parse_config(path) -> dict:
@@ -314,11 +307,10 @@ def _dataset_for_rep(cfg: ExperimentConfig, rep_seed: int) -> Dataset:
                          cap=cfg.integer("dense_cap"))
 
 
-def _optimizer_config(cfg: ExperimentConfig, mode: str, rep_seed: int) -> OptimizerConfig:
-    return OptimizerConfig(mode=mode, learning_rate=cfg.num("learning_rate"),
+def _optimizer_config(cfg: ExperimentConfig, rep_seed: int) -> OptimizerConfig:
+    return OptimizerConfig(learning_rate=cfg.num("learning_rate"),
                            max_epochs=cfg.integer("epochs"), tolerance=cfg.num("tolerance"),
-                           seed=rep_seed, objective=cfg["objective"],
-                           max_iter=cfg.integer("max_iter"))
+                           seed=rep_seed, max_iter=cfg.integer("max_iter"))
 
 
 def _expert_term(graph: ExpertGraph, kernel: Kernel, y: np.ndarray,
@@ -410,7 +402,7 @@ def _method(name: str, arg: int | None, cfg: ExperimentConfig, data: Dataset,
 
 
 def run_method(name: str, arg: int | None, cfg: ExperimentConfig, data: Dataset,
-               rep_seed: int, reference, prior: PriorSpec | None, traces: dict):
+               rep_seed: int, reference, traces: dict):
     """Fit one method, predict on the test block, and evaluate.
 
     Returns (MetricReport, reference_predictions_or_None).  Reference is the
@@ -426,12 +418,12 @@ def run_method(name: str, arg: int | None, cfg: ExperimentConfig, data: Dataset,
     t0 = time.perf_counter()
     label, objective, fit, terms = _method(name, arg, cfg, data, kernel, noise, rep_seed)
     if mode != "none":
-        config = _optimizer_config(cfg, mode, rep_seed)  # rejects an unknown mode
+        config = _optimizer_config(cfg, rep_seed)
         if mode == "stochastic" and terms is not None:
-            res = fit_stochastic(*terms, theta, config, prior,
+            res = fit_stochastic(*terms, theta, config,
                                  constant=-0.5 * data.N * np.log(2 * np.pi))
         else:
-            res = fit_deterministic(objective, theta, config, prior)
+            res = fit_deterministic(objective, theta, config)
         traces[label] = res
         theta = res.theta
     predict, lml = fit(theta)
@@ -452,13 +444,19 @@ def run_method(name: str, arg: int | None, cfg: ExperimentConfig, data: Dataset,
     return report, (mean, var)
 
 
-def run_experiment(config: ExperimentConfig | str, prior: PriorSpec | None = None):
-    """Run every (method, repetition) cell and persist results/timing/summary CSVs.
+def run_experiment(config: ExperimentConfig | str):
+    """Run every (method, repetition) cell and persist results/summary/trace CSVs.
 
     Per-method failures are recorded with an ``error`` column and never abort
-    the sweep.  Returns the list of per-cell result dicts.
+    the sweep; an ``optimize`` value outside none | deterministic | stochastic
+    is refused before any method runs.  Returns the list of per-cell result
+    dicts.
     """
     cfg = ExperimentConfig.from_file(config) if not isinstance(config, ExperimentConfig) else config
+    mode = cfg["optimize"].strip().lower()
+    if mode not in _OPTIMIZE_MODES:
+        raise ValueError(f"unknown optimize value {cfg['optimize']!r}; "
+                         f"expected one of {', '.join(_OPTIMIZE_MODES)}")
     out_dir = Path(cfg["output"])
     out_dir.mkdir(parents=True, exist_ok=True)
     chash = cfg.hash()
@@ -478,8 +476,7 @@ def run_experiment(config: ExperimentConfig | str, prior: PriorSpec | None = Non
             label = name if arg is None else f"{name}:{arg}"
             row = {"method": label, "rep": rep, "seed": rep_seed, "config": chash}
             try:
-                report, ref = run_method(name, arg, cfg, data, rep_seed, reference,
-                                         prior, traces)
+                report, ref = run_method(name, arg, cfg, data, rep_seed, reference, traces)
                 if ref is not None:
                     reference = ref
                 row.update(dict(zip(MetricReport.header(), report.row())))
@@ -494,12 +491,6 @@ def run_experiment(config: ExperimentConfig | str, prior: PriorSpec | None = Non
         w = csv.DictWriter(fh, fieldnames=header)
         w.writeheader()
         w.writerows(rows)
-    with open(out_dir / "timing.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "rep", "seed", "config", "fit_time", "predict_time"])
-        for row in rows:
-            w.writerow([row["method"], row["rep"], row["seed"], row["config"],
-                        row["fit_time"], row["predict_time"]])
     _write_summary(rows, out_dir / "summary.csv")
     for label, res in traces.items():
         with open(out_dir / f"trace_{label}.csv", "w", newline="") as fh:
@@ -507,8 +498,6 @@ def run_experiment(config: ExperimentConfig | str, prior: PriorSpec | None = Non
             w.writerow(["iteration", "objective", "wall_time", "theta..."])
             for r in res.trace_rows():
                 w.writerow(r)
-    if cfg.flag("plot"):
-        _plot_kl_vs_time(rows, out_dir / "kl_vs_time.svg")
     return rows
 
 
@@ -535,45 +524,6 @@ def _write_summary(rows, path):
                 else:
                     out += [np.nan, np.nan]
             w.writerow(out)
-
-
-def _plot_kl_vs_time(rows, path):
-    """Minimal SVG line plot of per-method KL against fit time."""
-    pts = {}
-    for r in rows:
-        if r["error"] or not np.isfinite(r.get("kl_to_full", np.nan)):
-            continue
-        pts.setdefault(r["method"], []).append((r["fit_time"], r["kl_to_full"]))
-    series = {m: (float(np.mean([p[0] for p in v])), float(np.mean([p[1] for p in v])))
-              for m, v in pts.items() if v}
-    if not series:
-        return
-    W, H, pad = 640, 420, 60
-    xs = np.array([v[0] for v in series.values()])
-    ys = np.array([max(v[1], 1e-12) for v in series.values()])
-    lx, ly = np.log10(np.maximum(xs, 1e-9)), np.log10(ys)
-    x0, x1 = lx.min() - 0.2, lx.max() + 0.2
-    y0, y1 = ly.min() - 0.2, ly.max() + 0.2
-
-    def sx(v):
-        return pad + (v - x0) / max(x1 - x0, 1e-9) * (W - 2 * pad)
-
-    def sy(v):
-        return H - pad - (v - y0) / max(y1 - y0, 1e-9) * (H - 2 * pad)
-
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}">',
-             f'<rect width="{W}" height="{H}" fill="white"/>',
-             f'<line x1="{pad}" y1="{H-pad}" x2="{W-pad}" y2="{H-pad}" stroke="black"/>',
-             f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{H-pad}" stroke="black"/>',
-             f'<text x="{W//2}" y="{H-15}" text-anchor="middle">log10 fit time [s]</text>',
-             f'<text x="18" y="{H//2}" transform="rotate(-90 18 {H//2})" '
-             f'text-anchor="middle">log10 KL to exact GP</text>']
-    for i, (m, _) in enumerate(sorted(series.items())):
-        x, y = sx(np.log10(max(series[m][0], 1e-9))), sy(np.log10(max(series[m][1], 1e-12)))
-        parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="4" fill="steelblue"/>')
-        parts.append(f'<text x="{x+6:.1f}" y="{y-6:.1f}" font-size="11">{m}</text>')
-    parts.append("</svg>")
-    Path(path).write_text("\n".join(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -648,9 +598,9 @@ def main(argv=None) -> int:
 
         mean, var, locals_ = predict_arrays(model, Xq_std, add_noise=args.add_noise,
                                             return_locals=True)
-        mean = mean * train.y_std + train.y_mean
-        var = var * train.y_std**2
+        mean, var = train.destandardize_y(mean), var * train.y_std**2
         experts, l_means, l_vars, l_weights = locals_
+        l_means, l_vars = train.destandardize_y(l_means), l_vars * train.y_std**2
         header = [f"x{i}" for i in range(Xq.shape[1])] + ["mean", "variance"]
         if args.diagnostics:
             for j in experts:
@@ -662,8 +612,7 @@ def main(argv=None) -> int:
                 out = [*row, m, v]
                 if args.diagnostics:
                     for e in range(len(experts)):
-                        out += [l_means[e, i] * train.y_std + train.y_mean,
-                                l_vars[e, i] * train.y_std**2, l_weights[e, i]]
+                        out += [l_means[e, i], l_vars[e, i], l_weights[e, i]]
                 w.writerow(out)
         print(f"wrote {len(mean)} predictions to {args.output}")
         return 0

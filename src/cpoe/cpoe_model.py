@@ -765,7 +765,7 @@ class CpoeModel:
             path,
             format_version=FORMAT_VERSION,
             theta=self.get_params(),
-            J=self.J, C=self.C, gamma=self.gamma, seed=self.seed,
+            J=self.graph.J, C=self.graph.C, gamma=self.graph.gamma, seed=self.graph.seed,
             variant=self.variant.name, alpha_pep=self.variant.alpha_pep,
             ordering=self.graph.ordering,
             assignment=self.graph.assignment,

@@ -169,11 +169,9 @@ class SquaredExponential(Kernel):
         )
 
     @classmethod
-    def create(cls, variance: float = 1.0, lengthscales=1.0, input_dim: int | None = None,
+    def create(cls, variance: float = 1.0, lengthscales=1.0,
                active_dims=None) -> "SquaredExponential":
         ls = np.atleast_1d(np.asarray(lengthscales, dtype=float))
-        if input_dim is not None and ls.size == 1:
-            ls = np.full(input_dim, ls[0])
         return cls(np.log(variance), np.log(ls),
                    None if active_dims is None else tuple(active_dims))
 
@@ -487,9 +485,6 @@ class NoiseSpec:
     @property
     def variance(self) -> float:
         return float(np.exp(self.log_variance))
-
-    def with_params(self, log_variance: float) -> "NoiseSpec":
-        return NoiseSpec(float(log_variance))
 
 
 def full_params(kernel: Kernel, noise: NoiseSpec) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import ndtr  # standard normal CDF
@@ -87,26 +87,22 @@ class MetricReport:
     fit_time: float = np.nan
     predict_time: float = np.nan
 
-    COLUMNS = ("kl_to_full", "crps", "rmse", "abse", "nlp", "cov95",
-               "err_to_full", "lml", "fit_time", "predict_time")
-
     def row(self) -> list[float]:
-        return [getattr(self, c) for c in self.COLUMNS]
+        return [getattr(self, c) for c in self.header()]
 
     @classmethod
     def header(cls) -> list[str]:
-        return list(cls.COLUMNS)
+        return [f.name for f in fields(cls)]
 
 
 def evaluate_predictions(mean, var_latent, y_test, noise_variance=0.0, lml=np.nan,
-                         full_mean=None, full_var=None, kl_noisy=False,
+                         full_mean=None, full_var=None,
                          fit_time=np.nan, predict_time=np.nan) -> MetricReport:
     """Pointwise metrics averaged over a test set.
 
     Scores against observations (CRPS, NLP, coverage) use the noisy predictive
     variance ``var_latent + noise_variance``; the KL against the exact-GP
-    reference defaults to latent predictive distributions (set ``kl_noisy`` to
-    add the noise on both sides instead).
+    reference compares latent predictive distributions.
     """
     mean = np.asarray(mean, float)
     var_latent = np.asarray(var_latent, float)
@@ -123,10 +119,8 @@ def evaluate_predictions(mean, var_latent, y_test, noise_variance=0.0, lml=np.na
     if full_mean is not None:
         full_mean = np.asarray(full_mean, float)
         full_var = np.asarray(full_var, float)
-        shift = noise_variance if kl_noisy else 0.0
-        va = var_noisy if kl_noisy else var_latent
-        kls = [kl_univariate((fm, fv + shift), (m, v))
-               for fm, fv, m, v in zip(full_mean, full_var, mean, va)]
+        kls = [kl_univariate((fm, fv), (m, v))
+               for fm, fv, m, v in zip(full_mean, full_var, mean, var_latent)]
         report.kl_to_full = float(np.mean(kls))
         report.err_to_full = rmse(mean, full_mean)
     return report

@@ -6,7 +6,7 @@ stochastic path runs Adam over one expert term per step with epoch-level
 stopping, then the caller refits exactly at the returned parameters (hybrid
 scheme: the factorized objective only steers the search).
 
-Optionally a log-normal prior per positive hyperparameter turns the objective
+Passing a log-normal prior per positive hyperparameter turns the objective
 into a MAP criterion; the prior's value and gradient are expressed directly in
 the unconstrained space.
 """
@@ -28,6 +28,9 @@ __all__ = [
     "fit_deterministic",
     "fit_stochastic",
 ]
+
+BOUND = 15.0              # L-BFGS box half-width in log space (keeps exp finite)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -66,22 +69,15 @@ def log_prior(theta: np.ndarray, prior: PriorSpec | None):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    mode: str = "deterministic"          # deterministic | stochastic
     learning_rate: float = 0.01
     max_epochs: int = 15
     tolerance: float = 1e-2              # relative stopping criterion
     seed: int = 0
-    objective: str = "lml"               # lml | map
     max_iter: int = 200                  # L-BFGS iteration cap
-    bound: float = 15.0                  # box half-width in log space (keeps exp finite)
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.tolerance <= 0:
             raise ValueError("learning rate and tolerance must be positive")
-        if self.mode not in ("deterministic", "stochastic"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.objective not in ("lml", "map"):
-            raise ValueError(f"unknown objective {self.objective!r}")
 
 
 @dataclass
@@ -102,22 +98,20 @@ class FitResult:
 class Adam:
     """Plain first-order adaptive updates, here used for maximization."""
 
-    def __init__(self, theta0: np.ndarray, learning_rate: float = 0.01,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, theta0: np.ndarray, learning_rate: float = 0.01):
         self.theta = np.asarray(theta0, dtype=float).copy()
         self.lr = learning_rate
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = np.zeros_like(self.theta)
         self.v = np.zeros_like(self.theta)
         self.t = 0
 
     def step(self, grad: np.ndarray) -> np.ndarray:
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grad**2
-        m_hat = self.m / (1 - self.beta1**self.t)
-        v_hat = self.v / (1 - self.beta2**self.t)
-        self.theta = self.theta + self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * grad
+        self.v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * grad**2
+        m_hat = self.m / (1 - ADAM_BETA1**self.t)
+        v_hat = self.v / (1 - ADAM_BETA2**self.t)
+        self.theta = self.theta + self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         return self.theta
 
 
@@ -125,13 +119,11 @@ def fit_deterministic(objective, theta0: np.ndarray, config: OptimizerConfig,
                       prior: PriorSpec | None = None) -> FitResult:
     """Quasi-Newton maximization of ``objective(theta) -> (value, gradient)``.
 
-    The prior (if any and if ``config.objective == 'map'``) is added to the
-    objective.  Failed evaluations inside a line search surface the last good
-    parameters rather than aborting.  The start point is evaluated once, for
-    the trace and as L-BFGS's first point.
+    A given prior is added to the objective.  Failed evaluations inside a
+    line search surface the last good parameters rather than aborting.  The
+    start point is evaluated once, for the trace and as L-BFGS's first point.
     """
     theta0 = np.asarray(theta0, dtype=float).copy()
-    use_prior = prior is not None and config.objective == "map"
     t_start = time.perf_counter()
     trace: list[tuple[int, float, float, np.ndarray]] = []
     state = {"n": 0, "last": None, "best": (-np.inf, theta0.copy())}
@@ -140,7 +132,7 @@ def fit_deterministic(objective, theta0: np.ndarray, config: OptimizerConfig,
         state["n"] += 1
         try:
             val, grad = objective(theta)
-            if use_prior:
+            if prior is not None:
                 pv, pg = log_prior(theta, prior)
                 val, grad = val + pv, grad + pg
         except (np.linalg.LinAlgError, ArithmeticError, ValueError):
@@ -169,7 +161,7 @@ def fit_deterministic(objective, theta0: np.ndarray, config: OptimizerConfig,
             return start.pop()
         return negative(theta)
 
-    bounds = [(-config.bound, config.bound)] * theta0.size
+    bounds = [(-BOUND, BOUND)] * theta0.size
     res = optimize.minimize(lbfgs_fun, theta0, jac=True, method="L-BFGS-B",
                             callback=callback, bounds=bounds,
                             options={"maxiter": config.max_iter, "ftol": 1e-12,
@@ -190,14 +182,13 @@ def fit_stochastic(term_fn, n_terms: int, theta0: np.ndarray, config: OptimizerC
     ``term_fn(j, theta, with_grad) -> (value, gradient or None)`` evaluates
     one term of the factorized objective.  The recorded epoch objective is the
     full factorized sum plus ``constant`` (the caller passes the Gaussian
-    normalizer); it asks the terms for values only.  A MAP
+    normalizer); it asks the terms for values only.  A given
     prior contributes ``1/n_terms`` of its gradient to every step.  Training
     stops at the epoch budget, on a relative objective change below the
     tolerance, or after five consecutively worsening epochs (reverting to the
     best parameters seen).
     """
     theta = np.asarray(theta0, dtype=float).copy()
-    use_prior = prior is not None and config.objective == "map"
     rng = np.random.default_rng(config.seed)
     adam = Adam(theta, learning_rate=config.learning_rate)
     t_start = time.perf_counter()
@@ -206,7 +197,7 @@ def fit_stochastic(term_fn, n_terms: int, theta0: np.ndarray, config: OptimizerC
         total = constant
         for j in range(n_terms):
             total += term_fn(j, th, False)[0]
-        if use_prior:
+        if prior is not None:
             total += log_prior(th, prior)[0]
         return float(total)
 
@@ -222,7 +213,7 @@ def fit_stochastic(term_fn, n_terms: int, theta0: np.ndarray, config: OptimizerC
     for epoch in range(1, config.max_epochs + 1):
         for j in rng.permutation(n_terms):
             _, grad = term_fn(int(j), adam.theta, True)
-            if use_prior:
+            if prior is not None:
                 grad = grad + log_prior(adam.theta, prior)[1] / n_terms
             adam.step(grad)
             n_evals += 1

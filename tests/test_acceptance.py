@@ -287,8 +287,8 @@ def test_criterion_6_stochastic_deterministic_agreement():
                                        with_grad=with_grad)
 
         sto = fit_stochastic(term, 16, theta0,
-                             OptimizerConfig(mode="stochastic", learning_rate=0.02,
-                                             max_epochs=60, tolerance=1e-4, seed=seed),
+                             OptimizerConfig(learning_rate=0.02, max_epochs=60,
+                                             tolerance=1e-4, seed=seed),
                              constant=-0.5 * 2048 * np.log(2 * np.pi))
         model.set_params(sto.theta)  # hybrid scheme: exact refit at the solution
         lml_sto = model.log_marginal_likelihood()

@@ -132,6 +132,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown key"):
             parse_config(p)
 
+    @pytest.mark.parametrize("line", ["objective = map", "plot = true"])
+    def test_removed_keys_rejected(self, tmp_path, line):
+        p = tmp_path / "exp.cfg"
+        p.write_text(f"methods = cpoe:2\n{line}\n")
+        with pytest.raises(ValueError, match=f"exp.cfg:2: unknown key '{line.split()[0]}'"):
+            parse_config(p)
+
     def test_hash_stable_and_sensitive(self, tmp_path):
         p = tmp_path / "exp.cfg"
         p.write_text("j = 4\n")
@@ -168,8 +175,25 @@ class TestRunExperiment:
         assert len(rows) == 1
         assert rows[0]["kl_to_full"] == 0.0
         assert (tmp_path / "out" / "results.csv").exists()
-        assert (tmp_path / "out" / "timing.csv").exists()
+        assert not (tmp_path / "out" / "timing.csv").exists()
         assert (tmp_path / "out" / "summary.csv").exists()
+
+    def test_unknown_optimize_refused_before_any_method(self, tmp_path, monkeypatch):
+        import cpoe.bench as bench
+
+        ran = []
+        monkeypatch.setattr(bench, "run_method", lambda *a, **k: ran.append(a))
+        cfg = self._config(tmp_path, f"""
+            synthetic = se
+            n = 64
+            methods = fullgp, cpoe:2
+            optimize = stochastc
+            output = {tmp_path}/out
+        """)
+        with pytest.raises(ValueError, match="unknown optimize value 'stochastc'"):
+            run_experiment(cfg)
+        assert ran == []
+        assert not (tmp_path / "out").exists()
 
     def test_kl_non_increasing_in_degree(self, tmp_path):
         cfg = self._config(tmp_path, f"""

@@ -690,6 +690,22 @@ class TestModelLifecycle:
         np.testing.assert_array_equal(m1, m2)
         np.testing.assert_array_equal(v1, v2)
 
+    def test_save_load_model_fitted_on_other_layout(self, rng, tmp_path):
+        # the file describes the graph the model was fitted on, not the
+        # layout its constructor was given
+        _, kern, noise, X, y = make_setup(rng, seed=5)
+        model = CpoeModel(kern, noise, J=4, C=2, gamma=0.25, seed=0)
+        model.fit(X, y, graph=ExpertGraph.build(X, 8, 3, 0.5, seed=1))
+        path = tmp_path / "model.npz"
+        model.save(path)
+        loaded = CpoeModel.load(path, X, y, kern)
+        assert (loaded.graph.J, loaded.graph.C) == (8, 3)
+        Xs = np.random.default_rng(0).uniform(0, 1, (15, 2))
+        fitted, back = (predict_arrays(m, Xs, add_noise=True, return_locals=True)
+                        for m in (model, loaded))
+        for a, b in zip(fitted[:2] + fitted[2], back[:2] + back[2]):
+            np.testing.assert_array_equal(b, a)
+
     def _saved(self, rng, tmp_path):
         model, kern, noise, X, y = make_setup(rng, seed=5)
         path = tmp_path / "model.npz"

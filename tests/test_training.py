@@ -114,10 +114,8 @@ class TestDeterministic:
         def objective(theta):
             return -float((theta[0] - 2.0) ** 2), np.array([-2.0 * (theta[0] - 2.0)])
 
-        res_lml = fit_deterministic(objective, np.zeros(1),
-                                    OptimizerConfig(objective="lml"), prior)
-        res_map = fit_deterministic(objective, np.zeros(1),
-                                    OptimizerConfig(objective="map"), prior)
+        res_lml = fit_deterministic(objective, np.zeros(1), OptimizerConfig())
+        res_map = fit_deterministic(objective, np.zeros(1), OptimizerConfig(), prior)
         assert res_lml.theta[0] == pytest.approx(2.0, abs=1e-6)
         assert res_map.theta[0] < 0.5
 
@@ -131,8 +129,7 @@ class TestDeterministic:
         theta = np.array([0.8])
         val, _ = objective(theta)
         pv, _ = log_prior(theta, prior)
-        res = fit_deterministic(objective, theta, OptimizerConfig(objective="map",
-                                                                  max_iter=0), prior)
+        res = fit_deterministic(objective, theta, OptimizerConfig(max_iter=0), prior)
         assert res.trace[0][1] == pytest.approx(val + pv, abs=1e-12)
 
 
@@ -145,8 +142,8 @@ class TestStochastic:
             return -d * d, np.array([-2 * d])
 
         res = fit_stochastic(term, 1, np.zeros(1),
-                             OptimizerConfig(mode="stochastic", learning_rate=0.05,
-                                             max_epochs=400, tolerance=1e-12))
+                             OptimizerConfig(learning_rate=0.05, max_epochs=400,
+                                             tolerance=1e-12))
         assert res.theta[0] == pytest.approx(target, abs=0.05)
 
     def test_epoch_objective_equals_direct_sum(self, rng):
@@ -164,8 +161,7 @@ class TestStochastic:
 
         const = -0.5 * 40 * np.log(2 * np.pi)
         res = fit_stochastic(term, 4, full_params(kern, noise),
-                             OptimizerConfig(mode="stochastic", max_epochs=3,
-                                             tolerance=1e-12), constant=const)
+                             OptimizerConfig(max_epochs=3, tolerance=1e-12), constant=const)
         for _, obj, _, theta in res.trace:
             direct = const + sum(term(j, theta, False)[0] for j in range(4))
             assert obj == pytest.approx(direct, abs=1e-9)
@@ -179,7 +175,7 @@ class TestStochastic:
             return -d * d, np.array([-2 * d]) if with_grad else None
 
         fit_stochastic(term, 3, np.zeros(1),
-                       OptimizerConfig(mode="stochastic", max_epochs=2, tolerance=1e-15))
+                       OptimizerConfig(max_epochs=2, tolerance=1e-15))
         # the start objective, then per epoch three steps and the epoch objective
         assert asked == [False] * 3 + ([True] * 3 + [False] * 3) * 2
 
@@ -188,7 +184,7 @@ class TestStochastic:
             d = theta[0] - j
             return -d * d, np.array([-2 * d])
 
-        cfg = OptimizerConfig(mode="stochastic", max_epochs=5, seed=42, tolerance=1e-15)
+        cfg = OptimizerConfig(max_epochs=5, seed=42, tolerance=1e-15)
         r1 = fit_stochastic(term, 3, np.zeros(1), cfg)
         r2 = fit_stochastic(term, 3, np.zeros(1), cfg)
         np.testing.assert_array_equal(r1.theta, r2.theta)
@@ -202,8 +198,8 @@ class TestStochastic:
             return -float(theta[0] ** 2), np.array([100.0])  # gradient pushes away
 
         res = fit_stochastic(term, 1, np.zeros(1),
-                             OptimizerConfig(mode="stochastic", learning_rate=1.0,
-                                             max_epochs=50, tolerance=1e-15))
+                             OptimizerConfig(learning_rate=1.0, max_epochs=50,
+                                             tolerance=1e-15))
         assert "reverted" in res.message
         assert res.theta[0] == pytest.approx(0.0)
 
@@ -214,8 +210,7 @@ class TestStochastic:
             return float(theta[0]), np.array([1.0])  # always push up
 
         res = fit_stochastic(term, 4, np.zeros(1),
-                             OptimizerConfig(mode="stochastic", objective="map",
-                                             learning_rate=0.05, max_epochs=100,
+                             OptimizerConfig(learning_rate=0.05, max_epochs=100,
                                              tolerance=1e-15), prior)
         # tight prior must hold the parameter near zero against the drift
         assert abs(res.theta[0]) < 1.0
@@ -225,8 +220,6 @@ class TestStochastic:
             OptimizerConfig(learning_rate=-1.0)
         with pytest.raises(ValueError):
             OptimizerConfig(tolerance=0.0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(mode="quantum")
 
 
 class TestCompositeKernelMap:
@@ -255,7 +248,7 @@ class TestCompositeKernelMap:
 
         start = model.log_marginal_likelihood() + log_prior(model.get_params(), prior)[0]
         res = fit_deterministic(objective, model.get_params(),
-                                OptimizerConfig(objective="map", max_iter=30), prior)
+                                OptimizerConfig(max_iter=30), prior)
         assert np.isfinite(res.value)
         assert res.value >= start
         # the fitted period stays near the prior location (period ~ 1)
