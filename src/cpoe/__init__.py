@@ -9,10 +9,8 @@ precision matrices.  Special cases recover the exact GP, global sparse GP
 
 from .baselines import (
     FullGp,
+    ProductOfExperts,
     SparseGp,
-    fit_local_experts,
-    poe_lml,
-    poe_predict,
 )
 from .block_sparse import (
     BlockCholesky,
@@ -66,7 +64,6 @@ from .metrics import (
 from .prediction import (
     aggregation_weights,
     fuse,
-    local_predict,
 )
 from .training import (
     Adam,

@@ -1,6 +1,6 @@
-"""Reference models: exact GP, global sparse GP (FITC), independent PoEs.
+"""Reference models: exact GP, global sparse GP (FITC), independent PoE.
 
-These share the kernel and expert-graph machinery with the correlated model so
+These share the kernels and the expert partition with the correlated model so
 that comparisons isolate the aggregation/inference method.  The sparse GP uses
 fixed inducing inputs (a random data subset in the experiment harness) and the
 FITC likelihood, matching the limiting case of the correlated model with full
@@ -9,22 +9,16 @@ correlation degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
-from .expert_graph import ExpertGraph
 from .kernels import Kernel, NoiseSpec, jittered_cholesky
 from .prediction import aggregation_weights, fuse
 
 __all__ = [
     "FullGp",
     "SparseGp",
-    "LocalExpertFit",
-    "fit_local_experts",
-    "poe_predict",
-    "poe_lml",
+    "ProductOfExperts",
 ]
 
 DENSE_CAP = 8192  # default guard for dense factorization
@@ -165,76 +159,44 @@ class SparseGp:
         return grad
 
 
-@dataclass
-class LocalExpertFit:
-    """One independently fitted local GP (the PoE building block)."""
+class ProductOfExperts:
+    """Independent exact GPs, one per block of ``rows``, aggregated at prediction.
 
-    index: int
-    rows: np.ndarray
-    X: np.ndarray
-    y: np.ndarray
-    chol: np.ndarray
-    alpha: np.ndarray
+    ``fit`` fits one :class:`FullGp` on each block's rows of the data; the
+    likelihood and its gradient are the experts' sums.  Modes: ``minvar``
+    takes the lowest-variance expert pointwise (ties to the lowest expert
+    index); ``gpoe`` fuses with the model's clamped entropy-difference weights
+    at sharpening exponent 1, the correlated model's limit at degree one.
+    """
+
+    def __init__(self, kernel: Kernel, noise: NoiseSpec, rows: list[np.ndarray],
+                 mode: str = "gpoe"):
+        if mode not in ("minvar", "gpoe"):
+            raise ValueError(f"unknown aggregation mode {mode!r}")
+        self.kernel = kernel
+        self.noise = noise
+        self.rows = rows
+        self.mode = mode
+        self.experts: list[FullGp] = []
+
+    def fit(self, X, y) -> "ProductOfExperts":
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        y = np.asarray(y, dtype=float).ravel()
+        self.experts = [FullGp(self.kernel, self.noise).fit(X[r], y[r]) for r in self.rows]
+        return self
+
+    def predict(self, Xs):
+        Xs = np.atleast_2d(np.asarray(Xs, dtype=float))
+        means, variances = np.stack([e.predict(Xs) for e in self.experts], axis=1)
+        if self.mode == "minvar":
+            pick = np.argmin(variances, axis=0)  # first minimum: lowest expert index
+            cols = np.arange(Xs.shape[0])
+            return means[pick, cols], variances[pick, cols]
+        v0 = self.kernel.diag(Xs)[None, :]
+        return fuse(means, variances, aggregation_weights(v0, variances, N=1, C=1, exponent=1.0))
 
     def lml(self) -> float:
-        n = self.y.size
-        logdet = 2.0 * float(np.sum(np.log(np.diag(self.chol))))
-        return float(-0.5 * (self.y @ self.alpha + logdet + n * np.log(2 * np.pi)))
+        return float(sum(e.lml() for e in self.experts))
 
-
-def fit_local_experts(graph: ExpertGraph, kernel: Kernel, noise: NoiseSpec,
-                      y: np.ndarray) -> list[LocalExpertFit]:
-    """Fit each expert exactly on its own rows, independently of the others."""
-    y = np.asarray(y, dtype=float).ravel()
-    fits = []
-    for j in range(graph.J):
-        rows = graph.row_indices[j]
-        X_j = graph.X[rows]
-        K = kernel(X_j) + noise.variance * np.eye(rows.size)
-        chol = np.linalg.cholesky(K)
-        fits.append(LocalExpertFit(index=j, rows=rows, X=X_j, y=y[rows], chol=chol,
-                                   alpha=cho_solve((chol, True), y[rows])))
-    return fits
-
-
-def poe_lml(experts: list[LocalExpertFit]) -> float:
-    """Objective of the independent-experts family: sum of local marginals."""
-    return float(sum(e.lml() for e in experts))
-
-
-def poe_predict(experts: list[LocalExpertFit], kernel: Kernel, Xs,
-                mode: str = "gpoe"):
-    """Aggregate independent local predictions.
-
-    Modes: ``minvar`` takes the lowest-variance expert pointwise (ties to the
-    lowest expert index); ``gpoe`` uses normalized entropy-difference weights;
-    ``gpoe_z1`` uses the shared clamped-weight pipeline with sharpening
-    exponent 1 (identical to ``gpoe`` whenever some expert is informative).
-    """
-    Xs = np.atleast_2d(np.asarray(Xs, dtype=float))
-    n = Xs.shape[0]
-    E = len(experts)
-    means = np.empty((E, n))
-    variances = np.empty((E, n))
-    for row, e in enumerate(experts):
-        Ks = kernel(Xs, e.X)
-        means[row] = Ks @ e.alpha
-        W = solve_triangular(e.chol, Ks.T, lower=True)
-        variances[row] = kernel.diag(Xs) - np.einsum("ij,ij->j", W, W)
-    v0 = kernel.diag(Xs)
-
-    if mode == "minvar":
-        pick = np.argmin(variances, axis=0)  # first minimum: lowest expert index
-        mean = means[pick, np.arange(n)]
-        var = variances[pick, np.arange(n)]
-    elif mode == "gpoe":
-        beta = 0.5 * np.log(v0[None, :] / variances)
-        total = beta.sum(axis=0)
-        w = np.where(total > 0, beta / np.where(total > 0, total, 1.0), 1.0 / E)
-        mean, var = fuse(means, variances, w)
-    elif mode == "gpoe_z1":
-        w = aggregation_weights(v0[None, :], variances, N=1, C=1, exponent=1.0)
-        mean, var = fuse(means, variances, w)
-    else:
-        raise ValueError(f"unknown aggregation mode {mode!r}")
-    return mean, var
+    def lml_gradient(self) -> np.ndarray:
+        return sum(e.lml_gradient() for e in self.experts)

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import FullGp, SparseGp, fit_local_experts, poe_lml, poe_predict
+from .baselines import FullGp, ProductOfExperts, SparseGp
 from .cpoe_model import CpoeModel, VariantSpec, stochastic_lml_term
 from .expert_graph import ExpertGraph
 from .kernels import (
@@ -257,7 +257,11 @@ class ExperimentConfig:
         return out
 
     def hash(self) -> str:
-        blob = "\n".join(f"{k}={self.raw[k]}" for k in sorted(self.raw))
+        """Digest of the settings that differ from the defaults, ``output`` aside:
+        the same experiment hashes alike wherever it is written, and a new
+        key with a default leaves existing hashes as they were."""
+        blob = "\n".join(f"{k}={v}" for k, v in sorted(self.raw.items())
+                         if k != "output" and v != _DEFAULTS.get(k))
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
@@ -313,8 +317,7 @@ def _optimizer_config(cfg: ExperimentConfig, rep_seed: int) -> OptimizerConfig:
                            seed=rep_seed, max_iter=cfg.integer("max_iter"))
 
 
-def _expert_term(graph: ExpertGraph, kernel: Kernel, y: np.ndarray,
-                 variant: VariantSpec = VariantSpec()):
+def _expert_term(graph: ExpertGraph, kernel: Kernel, y: np.ndarray, variant: VariantSpec):
     """``term(j, theta, with_grad)``: expert j's factorized likelihood term."""
     def term(j, theta, with_grad=True):
         k2, n2 = split_params(kernel, theta)
@@ -361,23 +364,11 @@ def _method(name: str, arg: int | None, cfg: ExperimentConfig, data: Dataset,
         A = data.X[np.random.default_rng(rep_seed).choice(data.N, size=M, replace=False)]
         return _rebuilt(f"sgp_{M}", lambda theta: SparseGp(*split_params(kernel, theta),
                                                            A).fit(data.X, data.y))
-    if name in ("minvar", "gpoe", "gpoe_z1"):
-        graph = ExpertGraph.build(data.X, cfg.integer("j"), C=1, gamma=1.0, seed=rep_seed)
-        term = _expert_term(graph, kernel, data.y)
-
-        def objective(theta):  # sum of the experts' own marginal likelihoods
-            val, grad = 0.0, np.zeros_like(theta)
-            for j in range(graph.J):
-                v, g = term(j, theta)
-                val += v
-                grad += g
-            return val, grad
-
-        def fit(theta):
-            k2, n2 = split_params(kernel, theta)
-            experts = fit_local_experts(graph, k2, n2, data.y)
-            return (lambda Xs: poe_predict(experts, k2, Xs, mode=name)), poe_lml(experts)
-        return name, objective, fit, None
+    if name in ("minvar", "gpoe"):
+        rows = ExpertGraph.build(data.X, cfg.integer("j"), C=1, gamma=1.0,
+                                 seed=rep_seed).row_indices
+        return _rebuilt(name, lambda theta: ProductOfExperts(*split_params(kernel, theta), rows,
+                                                             mode=name).fit(data.X, data.y))
     if name == "cpoe":
         C = arg or 2
         variant = VariantSpec(cfg["variant"], cfg.num("alpha_pep"))

@@ -84,6 +84,15 @@ def _select_dims(X: np.ndarray, active_dims) -> np.ndarray:
     return X[:, np.asarray(active_dims, dtype=int)]
 
 
+def _lags(X1, X2, active_dims, name: str) -> np.ndarray:
+    """``t - t'`` over the single active dimension of the ``name`` kernel."""
+    t1 = _select_dims(X1, active_dims)
+    t2 = _select_dims(X2, active_dims)
+    if t1.shape[1] != 1:
+        raise ValueError(f"{name} kernel needs exactly one active dimension")
+    return t1[:, 0][:, None] - t2[:, 0][None, :]
+
+
 @dataclass(frozen=True)
 class Kernel:
     """Base class: immutable spec, pure evaluation, stacked parameter gradients."""
@@ -289,16 +298,9 @@ class Periodic(Kernel):
                                    log_lengthscale=float(params[1]),
                                    log_period=float(params[2]))
 
-    def _diffs(self, X1, X2):
-        t1 = _select_dims(X1, self.active_dims)
-        t2 = _select_dims(X2, self.active_dims)
-        if t1.shape[1] != 1:
-            raise ValueError("periodic kernel needs exactly one active dimension")
-        return t1[:, 0][:, None] - t2[:, 0][None, :]
-
     def __call__(self, X1, X2=None, out=None):
         X1, X2 = _check_pair(X1, X2)
-        r = self._diffs(X1, X2)
+        r = _lags(X1, X2, self.active_dims, "periodic")
         s = np.sin(np.pi * r / self.period)
         return np.multiply(self.variance, np.exp(-2.0 * s * s / self.lengthscale**2), out=out)
 
@@ -308,7 +310,7 @@ class Periodic(Kernel):
 
     def grad_stack(self, X1, X2=None, out=None):
         X1, X2 = _check_pair(X1, X2)
-        r = self._diffs(X1, X2)
+        r = _lags(X1, X2, self.active_dims, "periodic")
         ell2 = self.lengthscale**2
         arg = np.pi * r / self.period
         s = np.sin(arg)
@@ -377,20 +379,13 @@ class SpectralMixture(Kernel):
                                    log_means=params[q:2 * q].copy(),
                                    log_variances=params[2 * q:].copy())
 
-    def _taus(self, X1, X2):
-        t1 = _select_dims(X1, self.active_dims)
-        t2 = _select_dims(X2, self.active_dims)
-        if t1.shape[1] != 1:
-            raise ValueError("spectral-mixture kernel needs exactly one active dimension")
-        return t1[:, 0][:, None] - t2[:, 0][None, :]
-
     def _component(self, tau, q):
         decay = np.exp(-2.0 * np.pi**2 * tau**2 * self.variances[q])
         return decay, np.cos(2.0 * np.pi * tau * self.means[q])
 
     def __call__(self, X1, X2=None, out=None):
         X1, X2 = _check_pair(X1, X2)
-        tau = self._taus(X1, X2)
+        tau = _lags(X1, X2, self.active_dims, "spectral-mixture")
         K = _buffer(out, tau.shape)
         K.fill(0.0)
         for q in range(self.n_components):
@@ -404,7 +399,7 @@ class SpectralMixture(Kernel):
 
     def grad_stack(self, X1, X2=None, out=None):
         X1, X2 = _check_pair(X1, X2)
-        tau = self._taus(X1, X2)
+        tau = _lags(X1, X2, self.active_dims, "spectral-mixture")
         nq = self.n_components
         out = _buffer(out, (self.n_params,) + tau.shape)
         for q in range(nq):

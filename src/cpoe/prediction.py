@@ -24,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "ServingState",
-    "local_predict",
     "aggregation_weights",
     "fuse",
     "predict_arrays",
@@ -167,36 +166,20 @@ def _local_moments(K_psix: np.ndarray, kxx: np.ndarray, basis: np.ndarray,
     return m, kxx - (Z @ eigvals[..., None])[..., 0]
 
 
-def local_predict(model, j: int, x_star) -> tuple[float, float]:
-    """Single-expert prediction at one query point: expert j's row of
-    ``predict_arrays(model, x_star, return_locals=True)``."""
-    graph = model.graph
-    if not graph.C - 1 <= j < graph.J:
-        raise ValueError(f"expert {j} is not a predictive expert")
-    _, m, v = _local_arrays(model, np.atleast_2d(np.asarray(x_star, dtype=float)),
-                            range(j, j + 1))
-    return float(m[0, 0]), float(v[0, 0])
-
-
-def _local_arrays(model, Xs: np.ndarray, experts: range):
-    """``(k(x, x), means, variances)``: each listed expert's local prediction at
-    each query row, one row per expert, variances floored at ``1e-12 k(x, x)``."""
+def _local_arrays(model, Xs: np.ndarray):
+    """``(k(x, x), means, variances)``: each predictive expert's local prediction
+    at each query row, one row per expert, variances floored at ``1e-12 k(x, x)``."""
     if Xs.shape[1] != model.graph.D:
         raise ValueError(f"query has {Xs.shape[1]} columns, training data has {model.graph.D}")
     if not np.all(np.isfinite(Xs)):
         raise ValueError("query holds NaN or inf values")
     graph, serving = model.graph, model.serving
-    L = graph.L
-    own = slice(experts.start - serving.first, experts.stop - serving.first)
-    basis, coef, eigvals = serving.basis[own], serving.coef[own], serving.eigvals[own]
-    # the kernel is evaluated on the blocks some listed expert correlates with
-    # (every block, for all predictive experts); expert j's rows of it are the
+    experts, L = serving.experts, graph.L
+    basis, coef, eigvals = serving.basis, serving.coef, serving.eigvals
+    # the kernel is evaluated on every block; expert j's rows of it are the
     # blocks of its correlation set
-    corr = graph.correlation[experts]
-    blocks = np.unique(corr)
-    rows_of = (np.searchsorted(blocks, corr)[:, :, None] * L
-               + np.arange(L)).reshape(len(experts), -1)
-    A_all = graph.inducing_inputs[blocks].reshape(-1, graph.D)
+    rows_of = (graph.correlation[experts][:, :, None] * L + np.arange(L)).reshape(len(experts), -1)
+    A_all = graph.inducing_inputs.reshape(-1, graph.D)
     n, M = Xs.shape[0], A_all.shape[0]
     v0 = model.kernel.diag(Xs)
     means = np.empty((len(experts), n))
@@ -238,13 +221,12 @@ def predict_arrays(model, Xs, add_noise: bool = False,
     Xs = np.asarray(Xs, dtype=float)
     if Xs.ndim == 1:
         Xs = Xs[:, None]
-    experts = model.serving.experts
-    v0, means, variances = _local_arrays(model, Xs, experts)
+    v0, means, variances = _local_arrays(model, Xs)
     weights = aggregation_weights(v0[None, :], variances, N=model.graph.N, C=model.graph.C,
                                   exponent=weight_exponent)
     mean, var = fuse(means, variances, weights)
     if add_noise:
         var = var + model.noise.variance
     if return_locals:
-        return mean, var, (np.array(experts), means, variances, weights)
+        return mean, var, (np.array(model.serving.experts), means, variances, weights)
     return mean, var

@@ -148,6 +148,14 @@ class TestConfig:
         h3 = ExperimentConfig.from_file(p).hash()
         assert h1 == h2 != h3
 
+    def test_hash_ignores_output_and_explicit_defaults(self, tmp_path):
+        p = tmp_path / "exp.cfg"
+        hashes = set()
+        for extra in ("", "output = elsewhere\n", "j = 8\n"):
+            p.write_text(f"methods = cpoe:2\n{extra}")
+            hashes.add(ExperimentConfig.from_file(p).hash())
+        assert len(hashes) == 1
+
     def test_build_kernel_variants(self, tmp_path):
         p = tmp_path / "exp.cfg"
         p.write_text("kernel = composite\nsm_components = 2\n")
@@ -267,17 +275,17 @@ class TestRunExperiment:
             max_iter = 5
             epochs = {epochs}
             tolerance = 1e-12
-            methods = fullgp, sgp:20, minvar, gpoe, gpoe_z1, cpoe:1, cpoe:2
+            methods = fullgp, sgp:20, minvar, gpoe, cpoe:1, cpoe:2
             output = {tmp_path}/out
         """)
         rows = run_experiment(cfg)
         assert [r["method"] for r in rows] == ["fullgp", "sgp:20", "minvar", "gpoe",
-                                               "gpoe_z1", "cpoe:1", "cpoe:2"]
+                                               "cpoe:1", "cpoe:2"]
         for r in rows:
             assert r["error"] == "", r
             assert np.isfinite(r["lml"]), r
         traces = sorted(p.name for p in (tmp_path / "out").glob("trace_*.csv"))
-        labels = ["fullgp", "sgp_20", "minvar", "gpoe", "gpoe_z1", "cpoe_1", "cpoe_2"]
+        labels = ["fullgp", "sgp_20", "minvar", "gpoe", "cpoe_1", "cpoe_2"]
         expected = [] if optimize == "none" else sorted(f"trace_{x}.csv" for x in labels)
         assert traces == expected
         if optimize == "stochastic":
@@ -286,6 +294,27 @@ class TestRunExperiment:
                 with open(tmp_path / "out" / f"trace_{label}.csv", newline="") as fh:
                     n_rows = len(list(csv.reader(fh))) - 1
                 assert (n_rows == epochs + 1) == label.startswith("cpoe"), (label, n_rows)
+
+    def test_trace_objective_is_the_lml(self, tmp_path):
+        # every L-BFGS objective is its model's log marginal likelihood, so the
+        # best row of a trace is the result row's lml
+        cfg = self._config(tmp_path, f"""
+            synthetic = two_se
+            n = 128
+            d = 2
+            n_test = 20
+            j = 4
+            optimize = deterministic
+            max_iter = 5
+            methods = fullgp, sgp:20, minvar, gpoe, cpoe:2
+            output = {tmp_path}/out
+        """)
+        rows = run_experiment(cfg)
+        for row, label in zip(rows, ["fullgp", "sgp_20", "minvar", "gpoe", "cpoe_2"]):
+            assert row["error"] == "", row
+            with open(tmp_path / "out" / f"trace_{label}.csv", newline="") as fh:
+                best = max(float(r["objective"]) for r in csv.DictReader(fh))
+            assert best == pytest.approx(row["lml"], rel=1e-9), label
 
     # L-BFGS starts from the trace's evaluation at theta0, where the model is
     # already fitted

@@ -38,7 +38,7 @@ from cpoe import (
 from cpoe import cpoe_model
 from cpoe.block_sparse import FactorizationError, SymbolicFactor
 from cpoe.kernels import jittered_cholesky
-from cpoe.prediction import local_predict, predict_arrays
+from cpoe.prediction import predict_arrays
 
 
 def make_setup(rng, N=48, D=2, J=4, C=2, gamma=0.5, ls=0.08, noise_var=0.1, seed=0):
@@ -739,8 +739,10 @@ class TestModelLifecycle:
         for a, b in zip(full[:2] + full[2], back[:2] + back[2]):
             np.testing.assert_array_equal(b, a)
         assert list(back[2][0]) == list(range(2, 8))
-        for j in range(2, 8):
-            assert local_predict(loaded, j, Xs[3]) == local_predict(model, j, Xs[3])
+        # one query alone: its local rows, bitwise
+        one, again = (predict_arrays(m, Xs[3:4], return_locals=True)[2] for m in (model, loaded))
+        for a, b in zip(one[1:3], again[1:3]):
+            np.testing.assert_array_equal(b, a)
 
     def test_save_of_loaded_model_is_byte_identical(self, rng, tmp_path, monkeypatch):
         _, loaded, path, kern, X, y = self._loaded(rng, tmp_path)

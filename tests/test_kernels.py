@@ -97,6 +97,17 @@ class TestSpectralMixture:
             assert val == pytest.approx(oracle, abs=1e-8)
 
 
+@pytest.mark.parametrize("k, name", [
+    (Periodic.create(1.0, 0.5, 1.0), "periodic"),
+    (SpectralMixture.create([1.0], [1.0], [1.0]), "spectral-mixture"),
+])
+def test_one_dimensional_kernel_refuses_several_dims(k, name, rng):
+    X = rng.normal(size=(4, 2))
+    for evaluate in (k, k.grad_stack):
+        with pytest.raises(ValueError, match=f"^{name} kernel needs exactly one active dimension"):
+            evaluate(X, X)
+
+
 class TestDiag:
     def test_se_diag_is_constant(self, rng):
         k = SquaredExponential.create(1.7, [0.3, 0.4])

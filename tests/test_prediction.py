@@ -1,7 +1,5 @@
 """Local predictions, aggregation weights and covariance-intersection fusion."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,18 +14,16 @@ from cpoe import (
     FullGp,
     NoiseSpec,
     Periodic,
+    ProductOfExperts,
     SparseGp,
     SpectralMixture,
     SquaredExponential,
-    fit_local_experts,
-    poe_predict,
 )
 from cpoe.kernels import jittered_cholesky
 from cpoe.prediction import (
     ServingState,
     aggregation_weights,
     fuse,
-    local_predict,
     predict_arrays,
 )
 
@@ -41,11 +37,15 @@ def small_model(rng, N=48, J=4, C=2, gamma=0.5, ls=0.09, noise_var=0.1, seed=0):
 
 
 class TestLocalPredict:
+    """Each expert's local prediction: its row of ``predict_arrays``' locals."""
+
     def test_far_point_reverts_to_prior(self, rng):
         model, _, _ = small_model(rng)
-        m, v = local_predict(model, 2, np.array([50.0, -50.0]))
-        assert abs(m) < 1e-8
-        assert v == pytest.approx(1.0, abs=1e-8)  # prior variance
+        _, means, variances, _ = predict_arrays(model, np.array([[50.0, -50.0]]),
+                                                return_locals=True)[2]
+        for m, v in zip(means[:, 0], variances[:, 0]):
+            assert abs(m) < 1e-8
+            assert v == pytest.approx(1.0, abs=1e-8)  # prior variance
 
     def test_single_expert_equals_sparse_gp(self, rng):
         r2 = np.random.default_rng(4)
@@ -56,8 +56,9 @@ class TestLocalPredict:
         model = CpoeModel(kern, noise, J=1, C=1, gamma=0.5, seed=0).fit(X, y)
         sgp = SparseGp(kern, noise, model.graph.inducing_inputs[0]).fit(X, y)
         Xs = r2.uniform(0, 1, (10, 2))
-        for x in Xs:
-            m, v = local_predict(model, 0, x)
+        experts, means, variances, _ = predict_arrays(model, Xs, return_locals=True)[2]
+        assert list(experts) == [0]
+        for m, v, x in zip(means[0], variances[0], Xs):
             ms, vs = sgp.predict(x[None, :])
             assert m == pytest.approx(float(ms[0]), abs=1e-8)
             assert v == pytest.approx(float(vs[0]), abs=1e-8)
@@ -70,23 +71,19 @@ class TestLocalPredict:
         Sigma = np.linalg.inv(prec)
         L = g.L
         Xq = np.random.default_rng(9).uniform(0, 1, (6, 2))
-        for j in range(g.C - 1, g.J):
+        experts, means, variances, _ = predict_arrays(model, Xq, return_locals=True)[2]
+        assert list(experts) == list(range(g.C - 1, g.J))
+        for row, j in enumerate(experts):
             psi = g.correlation[j]
             A_psi = np.vstack([g.inducing_inputs[p] for p in psi])
             idx = np.concatenate([np.arange(p * L, (p + 1) * L) for p in psi])
-            for x in Xq:
+            for q, x in enumerate(Xq):
                 h = (kern(x[None, :], A_psi) @ np.linalg.inv(kern(A_psi)))[0]
                 v_cond = kern.diag(x[None, :])[0] - float(h @ kern(A_psi, x[None, :])[:, 0])
                 m_ref = float(h @ mu[idx])
                 v_ref = float(h @ Sigma[np.ix_(idx, idx)] @ h) + v_cond
-                m, v = local_predict(model, j, x)
-                assert m == pytest.approx(m_ref, abs=1e-8)
-                assert v == pytest.approx(v_ref, abs=1e-8)
-
-    def test_non_predictive_expert_rejected(self, rng):
-        model, _, _ = small_model(rng, C=3)
-        with pytest.raises(ValueError):
-            local_predict(model, 0, np.zeros(2))
+                assert means[row, q] == pytest.approx(m_ref, abs=1e-8)
+                assert variances[row, q] == pytest.approx(v_ref, abs=1e-8)
 
 
 def _forward_substitution(L, B):
@@ -162,34 +159,6 @@ class TestLocalMoments:
             np.testing.assert_allclose(variances[row], np.maximum(v, 1e-12 * kxx),
                                        rtol=1e-13)
 
-    def test_local_predict_is_a_row_of_predict_arrays(self, rng):
-        model, _, _ = small_model(rng, N=64, J=8, C=3)
-        Xs = np.random.default_rng(8).uniform(0, 1, (6, 2))
-        experts, means, variances, _ = predict_arrays(model, Xs, return_locals=True)[2]
-        for row, j in enumerate(experts):
-            for q, x in enumerate(Xs):
-                m, v = local_predict(model, j, x)
-                assert m == pytest.approx(means[row, q], rel=1e-13, abs=1e-15)
-                assert v == pytest.approx(variances[row, q], rel=1e-13)
-        # bitwise at its own query: only the batch size changes the rounding
-        for x in Xs:
-            experts, means, variances, _ = predict_arrays(model, x[None, :],
-                                                           return_locals=True)[2]
-            for row, j in enumerate(experts):
-                assert local_predict(model, j, x) == (means[row, 0], variances[row, 0])
-
-    def test_local_predict_evaluates_its_correlation_blocks_only(self, rng):
-        model, _, _ = small_model(rng, N=64, J=8, C=3)
-        rows = []
-
-        def kernel(A, X, out=None):
-            rows.append(A.shape[0])
-            return model.kernel(A, X)
-        kernel.diag = model.kernel.diag
-        served = SimpleNamespace(graph=model.graph, kernel=kernel, serving=model.serving)
-        local_predict(served, 5, np.array([0.3, 0.6]))
-        assert rows == [model.graph.correlation[5].size * model.graph.L]
-
     def test_serving_eigenvalue_above_one_rejected(self, rng):
         # S is a covariance, so the eigenvalues of I - S are at most 1; the
         # tolerance is the eigensolver's rounding, P u max(1, max|eigvals|)
@@ -216,7 +185,7 @@ class TestServingState:
         first = model.predict(Xs)
         assert len(calls) == 6  # one per predictive expert
         assert all(np.array_equal(a, b) for a, b in zip(model.predict(Xs), first))
-        local_predict(model, 4, Xs[0])
+        predict_arrays(model, Xs[:1], return_locals=True)
         assert len(calls) == 6
         theta = model.get_params() + 0.1
         model.set_params(theta)
@@ -322,10 +291,10 @@ class TestPredict:
 
     def test_independent_degree_matches_gpoe(self, rng):
         model, X, y = small_model(rng, J=4, C=1, gamma=1.0)
-        experts = fit_local_experts(model.graph, model.kernel, model.noise, y)
+        poe = ProductOfExperts(model.kernel, model.noise, model.graph.row_indices).fit(X, y)
         Xs = np.random.default_rng(3).uniform(0, 1, (25, 2))
         m, v = predict_arrays(model, Xs, weight_exponent=1.0)
-        gm, gv = poe_predict(experts, model.kernel, Xs, mode="gpoe_z1")
+        gm, gv = poe.predict(Xs)
         np.testing.assert_allclose(m, gm, atol=1e-8)
         np.testing.assert_allclose(v, gv, atol=1e-8)
 
