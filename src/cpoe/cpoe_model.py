@@ -534,19 +534,31 @@ def stochastic_lml_term(graph: ExpertGraph, kernel: Kernel, noise: NoiseSpec, j:
     any other expert.  Summing the terms and subtracting ``N/2 log(2 pi)``
     gives the factorized objective used for stochastic optimization; exact
     inference is still done with the full posterior afterwards.
+
+    A variant that keeps the whole residual at scale 1 (``pitc``, and
+    ``pep_b`` at ``alpha_pep = 1``) has the marginal covariance
+    ``Q_j + (K(X_j) - Q_j) + sigma2 I = K(X_j) + sigma2 I``: its term is the
+    expert's exact local GP marginal, independent of gamma and the inducing
+    inputs, and is computed so, without ``K(A_j)``.  A PITC model's
+    stochastic phase thus steers by the independent-experts likelihood; the
+    exact refit afterwards restores the correlation.
     """
     rows = graph.row_indices[j]
     X_j = graph.X[rows]
     y_j = np.asarray(y_j, dtype=float).ravel()
     if y_j.size != rows.size:
         raise ValueError(f"expert {j} holds {rows.size} rows, y_j has {y_j.size}")
-    A = graph.inducing_inputs[j]
     sigma2 = noise.variance
+    local = variant.full_residual and variant.residual_scale == 1.0
 
-    inv_aa, K_xa, H, D = _projection(kernel, X_j, A, kernel(A), variant.full_residual, j)
-    vbar, lam, dlam = _variant_terms(variant, D, sigma2)
-
-    P = K_xa @ H.T + (np.diag(vbar) if D.ndim == 1 else vbar)
+    if local:
+        P = kernel(X_j)
+        lam = 0.0
+    else:
+        A = graph.inducing_inputs[j]
+        inv_aa, K_xa, H, D = _projection(kernel, X_j, A, kernel(A), variant.full_residual, j)
+        vbar, lam, dlam = _variant_terms(variant, D, sigma2)
+        P = K_xa @ H.T + (np.diag(vbar) if D.ndim == 1 else vbar)
     P = 0.5 * (P + P.T) + sigma2 * np.eye(y_j.size)
     cp = np.linalg.cholesky(P)
     inv_cp = _inverse_factor(cp, f"factor of the marginal covariance of expert {j}")
@@ -561,11 +573,15 @@ def stochastic_lml_term(graph: ExpertGraph, kernel: Kernel, noise: NoiseSpec, j:
 
     # d value / d P = T, with P = N + scale * D + sigma2 I
     T = 0.5 * (np.outer(alpha, alpha) - Pinv)
-    T_D = np.diag(T) if D.ndim == 1 else T
     grad = np.empty(kernel.n_params + 1)
+    grad[-1] = sigma2 * float(np.trace(T))
+    if local:  # dP = dK(X_j): the projection's terms cancel exactly
+        grad[:-1] = np.tensordot(kernel.grad_stack(X_j), T, 2)
+        return value, grad
+    T_D = np.diag(T) if D.ndim == 1 else T
     grad[:-1] = _contract_grad(kernel, X_j, A, H, inv_aa, kernel.grad_stack(A),
                                variant.residual_scale * T_D - dlam, R=T)
-    grad[-1] = sigma2 * float(np.trace(T)) + float(np.sum(dlam * D))
+    grad[-1] += float(np.sum(dlam * D))
     return value, grad
 
 

@@ -128,9 +128,15 @@ class Kernel:
 
         Every kernel here is stationary, so ``k(x, x)`` and its derivatives are
         the same at every input: the stack at one point, repeated, is exact.
+        A kernel is frozen, so that stack is evaluated once per input width
+        and kept on the instance.
         """
         X = _as2d(X)
-        return np.repeat(self.grad_stack(X[:1])[:, 0, :], X.shape[0], axis=1)
+        at_point = self.__dict__.setdefault("_grad_at_point", {})
+        width = X.shape[1]
+        if width not in at_point:
+            at_point[width] = self.grad_stack(X[:1])[:, 0, :]
+        return np.repeat(at_point[width], X.shape[0], axis=1)
 
     def __add__(self, other: "Kernel") -> "SumKernel":
         left = list(self.terms) if isinstance(self, SumKernel) else [self]

@@ -13,6 +13,7 @@ the unconstrained space.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 
@@ -29,6 +30,7 @@ __all__ = [
     "fit_stochastic",
 ]
 
+_log = logging.getLogger(__name__)
 BOUND = 15.0              # L-BFGS box half-width in log space (keeps exp finite)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -88,6 +90,8 @@ class FitResult:
     converged: bool
     message: str
     n_evaluations: int = 0
+    # (evaluation number, reason) of each evaluation answered with 1e12
+    failures: list[tuple[int, str]] = field(default_factory=list)
 
     def trace_rows(self):
         """Rows for the optimization-trace CSV: iteration, objective, time, theta."""
@@ -120,13 +124,26 @@ def fit_deterministic(objective, theta0: np.ndarray, config: OptimizerConfig,
     """Quasi-Newton maximization of ``objective(theta) -> (value, gradient)``.
 
     A given prior is added to the objective.  Failed evaluations inside a
-    line search surface the last good parameters rather than aborting.  The
-    start point is evaluated once, for the trace and as L-BFGS's first point.
+    line search surface the last good parameters rather than aborting: an
+    evaluation that raises ``LinAlgError``, ``ArithmeticError`` or
+    ``ValueError``, or returns a non-finite value, is answered with ``1e12``
+    and a zero gradient, logged at WARNING and kept in
+    :attr:`FitResult.failures`.  The start point is evaluated once, for the
+    trace and as L-BFGS's first point.
     """
     theta0 = np.asarray(theta0, dtype=float).copy()
     t_start = time.perf_counter()
     trace: list[tuple[int, float, float, np.ndarray]] = []
+    failures: list[tuple[int, str]] = []
     state = {"n": 0, "last": None, "best": (-np.inf, theta0.copy())}
+
+    def failed(reason):
+        # bad region (failed factorization, non-finite kernel matrices):
+        # a large value with a zero gradient makes the line search back off
+        failures.append((state["n"], reason))
+        _log.warning("objective evaluation %d failed (%s); answered with 1e12",
+                     state["n"], reason)
+        return 1e12, np.zeros_like(theta0)
 
     def negative(theta):
         state["n"] += 1
@@ -135,14 +152,12 @@ def fit_deterministic(objective, theta0: np.ndarray, config: OptimizerConfig,
             if prior is not None:
                 pv, pg = log_prior(theta, prior)
                 val, grad = val + pv, grad + pg
-        except (np.linalg.LinAlgError, ArithmeticError, ValueError):
-            # bad region (failed factorization, non-finite kernel matrices):
-            # a large value with a zero gradient makes the line search back off
-            return 1e12, np.zeros_like(theta)
+        except (np.linalg.LinAlgError, ArithmeticError, ValueError) as exc:
+            return failed(f"{type(exc).__name__}: {exc}")
         if not np.isfinite(val):
             if state["n"] == 1:
                 raise ArithmeticError("objective non-finite at the starting point")
-            return 1e12, np.zeros_like(theta)
+            return failed(f"non-finite value {val}")
         if val > state["best"][0]:
             state["best"] = (float(val), np.asarray(theta).copy())
         state["last"] = (np.asarray(theta).copy(), float(val))
@@ -172,7 +187,7 @@ def fit_deterministic(objective, theta0: np.ndarray, config: OptimizerConfig,
         best_val, best_theta = float(-res.fun), np.asarray(res.x).copy()
     return FitResult(theta=best_theta, value=best_val, trace=trace,
                      converged=bool(res.success), message=str(res.message),
-                     n_evaluations=state["n"])
+                     n_evaluations=state["n"], failures=failures)
 
 
 def fit_stochastic(term_fn, n_terms: int, theta0: np.ndarray, config: OptimizerConfig,

@@ -26,6 +26,7 @@ from cpoe import (
     FullGp,
     NoiseSpec,
     Periodic,
+    ProductOfExperts,
     SpectralMixture,
     SquaredExponential,
     VariantSpec,
@@ -493,6 +494,43 @@ class TestStochasticTerm:
             K = kern(X[rows]) + 0.1 * np.eye(rows.size)
             ref = -0.5 * (y[rows] @ np.linalg.solve(K, y[rows]) + np.linalg.slogdet(K)[1])
             assert lj == pytest.approx(ref, abs=1e-8)
+
+    @pytest.mark.parametrize("variant", [VariantSpec("pitc"), VariantSpec("pep_b", 1.0)])
+    def test_full_residual_term_is_local_exact(self, variant):
+        # Q_j + (K(X_j) - Q_j) + sigma2 I = K(X_j) + sigma2 I at any gamma and
+        # inducing inputs: the terms sum to the independent experts' likelihood
+        r2 = np.random.default_rng(7)
+        X = r2.uniform(0.0, 1.0, (96, 3))
+        kern = (SquaredExponential.create(1.0, [0.5, 0.5, 0.5])
+                + SquaredExponential.create(0.3, [0.15, 0.15, 0.15]))
+        noise = NoiseSpec.create(0.1)
+        y = np.sin(6 * X[:, 0]) + X[:, 2] * np.cos(5 * X[:, 1]) + 0.3 * r2.normal(size=96)
+        g = ExpertGraph.build(X, 4, C=2, gamma=0.5, seed=0)
+        terms = [stochastic_lml_term(g, kern, noise, j, y[g.row_indices[j]], variant)
+                 for j in range(g.J)]
+        poe = ProductOfExperts(kern, noise, g.row_indices).fit(X, y)
+        value = sum(v for v, _ in terms) - 0.5 * 96 * np.log(2 * np.pi)
+        grad = sum(gr for _, gr in terms)
+        assert value == pytest.approx(poe.lml(), rel=1e-12)
+        ref = poe.lml_gradient()
+        assert np.linalg.norm(grad - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_pitc_term_factors_no_inducing_block(self, rng, monkeypatch):
+        X = spread_points(32, 2, rng)
+        graph = ExpertGraph.build(X, 2, 1, gamma=0.5, seed=0)
+        kern, noise = SquaredExponential.create(1.0, [0.2, 0.2]), NoiseSpec.create(0.1)
+        y_1 = rng.normal(size=16)
+        expected = stochastic_lml_term(graph, kern, noise, 1, y_1, VariantSpec("pitc"))
+
+        def refuse(K, scale=None):
+            raise np.linalg.LinAlgError("jittered_cholesky called")
+
+        monkeypatch.setattr(cpoe_model, "jittered_cholesky", refuse)
+        value, grad = stochastic_lml_term(graph, kern, noise, 1, y_1, VariantSpec("pitc"))
+        assert value == expected[0]
+        np.testing.assert_array_equal(grad, expected[1])
+        with pytest.raises(np.linalg.LinAlgError, match="jittered_cholesky called"):
+            stochastic_lml_term(graph, kern, noise, 1, y_1, VariantSpec("fitc"))
 
     def test_sum_equals_factorized_objective(self, rng):
         # direct-sum oracle on a 3-predictive-expert instance

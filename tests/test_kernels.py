@@ -150,13 +150,34 @@ class TestGradients:
             scale = max(np.abs(fd).max(), 1e-8)
             assert np.abs(an - fd).max() / scale < 1e-5
 
-    @pytest.mark.parametrize("k", random_kernels())
-    def test_grad_diag_matches_full(self, k, rng):
+    @pytest.mark.parametrize("k", random_kernels() + [
+        SquaredExponential.create(1.0, [0.5, 0.5]) + SquaredExponential.create(0.3, [0.15, 0.2])])
+    def test_grad_diag_matches_full(self, k, rng, monkeypatch):
         X = rng.uniform(-1, 1, size=(6, 2))
         diag = k.grad_diag_stack(X)
         assert diag.shape == (k.n_params, 6)
         np.testing.assert_allclose(diag, np.diagonal(k.grad_stack(X), axis1=1, axis2=2),
                                    atol=1e-12)
+        # the one-point stack is evaluated once per kernel; later calls on
+        # other inputs repeat it, bitwise as evaluated at their own first point
+        X2 = rng.uniform(-1, 1, size=(9, 2))
+        one_point = np.repeat(k.grad_stack(X2[:1])[:, 0, :], 9, axis=1)
+        diag[:] = np.nan  # a returned stack is the caller's own
+        calls = []
+        grad_stack = type(k).grad_stack
+
+        def counted(self, *args, **kwargs):
+            calls.append(self)
+            return grad_stack(self, *args, **kwargs)
+
+        monkeypatch.setattr(type(k), "grad_stack", counted)
+        again = k.grad_diag_stack(X2)
+        assert calls == []
+        np.testing.assert_array_equal(again, one_point)
+        assert np.array_equal(np.signbit(again), np.signbit(one_point))
+        fresh = k.with_params(k.get_params())  # a new instance evaluates its own
+        np.testing.assert_array_equal(fresh.grad_diag_stack(X2), one_point)
+        assert len(calls) == 1
 
     def test_sum_unused_parameter_yields_zero(self, rng):
         k = SumKernel((SquaredExponential.create(1.0, [0.5]),

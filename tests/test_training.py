@@ -108,6 +108,38 @@ class TestDeterministic:
         with pytest.raises(ArithmeticError):
             fit_deterministic(objective, np.zeros(2), OptimizerConfig())
 
+    @pytest.mark.parametrize("fault,reason", [
+        (np.linalg.LinAlgError("matrix not positive definite"),
+         "LinAlgError: matrix not positive definite"),
+        (None, "non-finite value nan")])
+    def test_failed_evaluations_recorded_and_logged(self, fault, reason, caplog):
+        # the maximum at 3 lies beyond theta = 1, where every evaluation fails
+        seen = []
+
+        def objective(theta):
+            seen.append(float(theta[0]))
+            if theta[0] > 1.0:
+                if fault is not None:
+                    raise fault
+                return np.nan, np.zeros_like(theta)
+            return -float((theta[0] - 3.0) ** 2), np.array([-2.0 * (theta[0] - 3.0)])
+
+        with caplog.at_level("WARNING", logger="cpoe.training"):
+            res = fit_deterministic(objective, np.zeros(1), OptimizerConfig(max_iter=20))
+        expected = [n for n, t in enumerate(seen, 1) if t > 1.0]
+        assert expected
+        assert res.failures == [(n, reason) for n in expected]
+        warned = [r for r in caplog.records if r.name == "cpoe.training"]
+        assert [r.levelname for r in warned] == ["WARNING"] * len(expected)
+        assert res.theta[0] <= 1.0 and res.value == pytest.approx(-4.0, abs=0.1)
+
+    def test_no_failures_recorded_by_default(self):
+        res = fit_deterministic(lambda t: (-float(t @ t), -2.0 * t), np.ones(1),
+                                OptimizerConfig())
+        assert res.failures == []
+        assert fit_stochastic(lambda j, t, g: (-float(t @ t), -2.0 * t), 1, np.ones(1),
+                              OptimizerConfig(max_epochs=2)).failures == []
+
     def test_map_adds_prior(self):
         prior = PriorSpec({0: (0.0, 0.1)})  # tight prior pinning theta_0 near 0
 
