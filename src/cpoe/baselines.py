@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
-from .kernels import Kernel, NoiseSpec, jittered_cholesky
+from .kernels import Kernel, NoiseSpec, _as2d, jittered_cholesky
 from .prediction import aggregation_weights, fuse
 
 __all__ = [
@@ -34,7 +34,7 @@ class FullGp:
         self.X = self.y = self._chol = self._alpha = None
 
     def fit(self, X, y) -> "FullGp":
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = _as2d(X)
         y = np.asarray(y, dtype=float).ravel()
         if X.shape[0] > self.cap:
             raise ValueError(f"N={X.shape[0]} exceeds the dense cap {self.cap}")
@@ -45,7 +45,7 @@ class FullGp:
         return self
 
     def predict(self, Xs, add_noise: bool = False):
-        Xs = np.atleast_2d(np.asarray(Xs, dtype=float))
+        Xs = _as2d(Xs)
         Ks = self.kernel(Xs, self.X)
         mean = Ks @ self._alpha
         W = solve_triangular(self._chol, Ks.T, lower=True)
@@ -77,11 +77,11 @@ class SparseGp:
     def __init__(self, kernel: Kernel, noise: NoiseSpec, inducing: np.ndarray):
         self.kernel = kernel
         self.noise = noise
-        self.inducing = np.atleast_2d(np.asarray(inducing, dtype=float))
+        self.inducing = _as2d(inducing)
         self.X = self.y = None
 
     def fit(self, X, y) -> "SparseGp":
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = _as2d(X)
         y = np.asarray(y, dtype=float).ravel()
         if self.inducing.shape[0] > X.shape[0]:
             raise ValueError("more inducing points than data points")
@@ -101,7 +101,7 @@ class SparseGp:
         return self
 
     def predict(self, Xs, add_noise: bool = False):
-        Xs = np.atleast_2d(np.asarray(Xs, dtype=float))
+        Xs = _as2d(Xs)
         Kus = self.kernel(self.inducing, Xs)
         ws = solve_triangular(self._Lu, Kus, lower=True)
         t = solve_triangular(self._LB, ws, lower=True)
@@ -180,13 +180,13 @@ class ProductOfExperts:
         self.experts: list[FullGp] = []
 
     def fit(self, X, y) -> "ProductOfExperts":
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = _as2d(X)
         y = np.asarray(y, dtype=float).ravel()
         self.experts = [FullGp(self.kernel, self.noise).fit(X[r], y[r]) for r in self.rows]
         return self
 
     def predict(self, Xs):
-        Xs = np.atleast_2d(np.asarray(Xs, dtype=float))
+        Xs = _as2d(Xs)
         means, variances = np.stack([e.predict(Xs) for e in self.experts], axis=1)
         if self.mode == "minvar":
             pick = np.argmin(variances, axis=0)  # first minimum: lowest expert index

@@ -7,12 +7,12 @@ of its Cholesky fill pattern, in permuted coordinates.  Slots run block row by
 block row, each row's blocks in increasing column order with the diagonal
 block last.  The matrix, its Cholesky factor and its partial inverse share
 this layout.  Factorization works on the block level throughout: the
-fill-reducing permutation, the symbolic fill pattern and the slot layout are
-computed once on the J x J block graph (:func:`symbolic_factor`) and reused
-across numeric refactorizations, which is what makes repeated hyperparameter
-iterations cheap.  Beside the layout, the symbolic factor keeps the slots of
-the dense matrices over given block index sets, so that scattering a local
-matrix into the array, or gathering one from it, is one indexing operation.
+fill-reducing permutation, the fill pattern, the slot layout and the slot
+schedules the numeric routines walk are computed once on the J x J block
+graph (:func:`symbolic_factor`) and reused across refactorizations, which
+makes repeated hyperparameter iterations cheap.  The symbolic factor also
+keeps the slots of the dense matrices over given block index sets, so that
+scattering a local matrix into the array, or gathering one, is one indexing.
 
 The partial inverse computes exactly those blocks of the inverse that lie in
 the Cholesky fill pattern, by the classic recursion that runs from the last
@@ -96,16 +96,20 @@ class IndexSlots:
 
 @dataclass
 class SymbolicFactor:
-    """Permutation, fill pattern and slot layout, reusable across numeric
-    refactorizations; see the module docstring."""
+    """Permutation, fill pattern, slot layout and the slot schedules of the
+    numeric routines; see the module docstring.  A schedule's entries for
+    item ``t`` are ``slots[ptr[t]:ptr[t + 1]]``; slots are int32."""
 
-    perm: np.ndarray                     # position -> original block index
-    inv_perm: np.ndarray                 # original block index -> position
-    lower_rows: list[list[int]]          # per block row i: sorted j < i with L[i, j] stored
-    lower_cols: list[list[int]]          # per block col j: sorted i > j with L[i, j] stored
-    row_start: list[int]                 # slots of row i: row_start[i] .. row_start[i + 1] - 1
-    col_slots: list[list[int]]           # per block col j: slots of L[i, j], i in lower_cols[j]
-    keys: np.ndarray                     # i * J + j of slot (i, j); increasing
+    perm: np.ndarray          # position -> original block index
+    inv_perm: np.ndarray      # original block index -> position
+    keys: np.ndarray          # i * J + j of slot (i, j); increasing
+    diag: np.ndarray          # slot of each diagonal block, by position
+    update_ptr: np.ndarray    # per slot (i, j), its Cholesky update: the slots of
+    update_pairs: np.ndarray  # (L[i, k], L[j, k]), k < j ascending; shape (n, 2)
+    col_ptr: np.ndarray       # per block col j, the slots of L[i, j] for the rows
+    col_slots: np.ndarray     # i > j in its structure S_j, ascending
+    clique_ptr: np.ndarray    # per block col j, the slots of Z[max(i, k), min(i, k)]
+    clique_slots: np.ndarray  # over i, k in S_j, row-major
     index_sets: list[IndexSlots] = field(default_factory=list, repr=False)
 
     @property
@@ -115,11 +119,6 @@ class SymbolicFactor:
     @property
     def n_slots(self) -> int:
         return self.keys.size
-
-    @property
-    def diag(self) -> np.ndarray:
-        """Slot of each diagonal block, by permuted index."""
-        return np.asarray(self.row_start[1:]) - 1
 
     def slots_of(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Slots of the permuted blocks ``(rows[t], cols[t])``, ``rows >= cols``;
@@ -185,23 +184,35 @@ def symbolic_factor(pattern: set[tuple[int, int]], n_blocks: int,
     lower_cols = [sorted(s) for s in col_struct]
     lower_rows: list[list[int]] = [[] for _ in range(n_blocks)]
     for j, rows in enumerate(lower_cols):
-        for i in rows:
+        for i in rows:  # columns ascend, so each row comes out sorted
             lower_rows[i].append(j)
-    row_start = [0]
-    col_slots: list[list[int]] = [[] for _ in range(n_blocks)]
-    keys: list[int] = []
-    for i, row in enumerate(lower_rows):
-        row.sort()
-        for t, j in enumerate(row):  # rows ascend, so each col_slots list follows lower_cols
-            col_slots[j].append(row_start[i] + t)
-        keys.extend(i * n_blocks + j for j in row)
-        keys.append(i * n_blocks + i)
-        row_start.append(len(keys))
-    sym = SymbolicFactor(perm=perm, inv_perm=inv_perm, lower_rows=lower_rows,
-                         lower_cols=lower_cols, row_start=row_start, col_slots=col_slots,
-                         keys=np.asarray(keys, dtype=np.int64))
+    J = n_blocks
+    keys = sorted([i * J + j for j, rows in enumerate(lower_cols) for i in rows]
+                  + [i * J + i for i in range(J)])
+    slot = {key: s for s, key in enumerate(keys)}
+    # L[i, j] -= L[i, k] L[j, k]^T over the k < j stored in rows i and j; for
+    # i == j, that is each block of row i with itself
+    update_ptr, update_pairs = _csr([
+        [(slot[i * J + k], slot[j * J + k]) for k in lower_rows[j] if i * J + k in slot]
+        for i, j in (divmod(key, J) for key in keys)])
+    # the rows S_j of each column form a clique of the filled graph
+    col_ptr, col_slots = _csr([[slot[i * J + j] for i in rows]
+                               for j, rows in enumerate(lower_cols)])
+    clique_ptr, clique_slots = _csr([[slot[i * J + k] if i >= k else slot[k * J + i]
+                                      for i in rows for k in rows] for rows in lower_cols])
+    sym = SymbolicFactor(perm=perm, inv_perm=inv_perm, keys=np.asarray(keys, dtype=np.int64),
+                         diag=np.asarray([slot[i * J + i] for i in range(J)], dtype=np.int32),
+                         update_ptr=update_ptr, update_pairs=update_pairs.reshape(-1, 2),
+                         col_ptr=col_ptr, col_slots=col_slots,
+                         clique_ptr=clique_ptr, clique_slots=clique_slots)
     sym.index_sets = sym.index_slots(index_sets)
     return sym
+
+
+def _csr(lists: list[list]) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets and concatenated entries, as int32 slots, of a list of lists."""
+    ptr = np.cumsum([0] + [len(x) for x in lists], dtype=np.int64)
+    return ptr, np.array([x for xs in lists for x in xs], dtype=np.int32)
 
 
 @dataclass
@@ -278,22 +289,21 @@ class BlockCholesky(_Slotted):
         J, bs = self.n_blocks, self.block_size
         if b.shape[0] != J * bs:
             raise ValueError(f"right-hand side length {b.shape[0]} != {J * bs}")
-        start = sym.row_start
+        rows, cols = (x.tolist() for x in np.divmod(sym.keys, J))
+        diag, col_ptr, col_slots = sym.diag.tolist(), sym.col_ptr.tolist(), sym.col_slots.tolist()
         pb = b.reshape(J, bs, *b.shape[1:])[sym.perm]
         nu = np.zeros_like(pb)
         for i in range(J):
             acc = pb[i].copy()
-            for t, j in enumerate(sym.lower_rows[i]):
-                acc -= Lb[start[i] + t] @ nu[j]
-            nu[i] = solve_triangular(Lb[start[i + 1] - 1], acc, lower=True,
-                                     check_finite=False)
+            for s in range(diag[i - 1] + 1 if i else 0, diag[i]):  # row i below the diagonal
+                acc -= Lb[s] @ nu[cols[s]]
+            nu[i] = solve_triangular(Lb[diag[i]], acc, lower=True, check_finite=False)
         x = np.zeros_like(pb)
         for i in range(J - 1, -1, -1):
             acc = nu[i].copy()
-            for k, s in zip(sym.lower_cols[i], sym.col_slots[i]):
-                acc -= Lb[s].T @ x[k]
-            x[i] = solve_triangular(Lb[start[i + 1] - 1].T, acc, lower=False,
-                                    check_finite=False)
+            for s in col_slots[col_ptr[i]:col_ptr[i + 1]]:
+                acc -= Lb[s].T @ x[rows[s]]
+            x[i] = solve_triangular(Lb[diag[i]].T, acc, lower=False, check_finite=False)
         out = np.empty_like(x)
         out[sym.perm] = x
         return out.reshape(b.shape)
@@ -316,25 +326,18 @@ def block_cholesky(A: BlockSparseMatrix) -> BlockCholesky:
     assembled from validated data, and a NaN reaching a pivot fails to factorize.
     """
     sym, a = A.symbolic, A.blocks
-    start = sym.row_start
+    rows, cols = (x.tolist() for x in np.divmod(sym.keys, sym.n_blocks))
+    diag, ptr, pairs = sym.diag.tolist(), sym.update_ptr.tolist(), sym.update_pairs.tolist()
     L = np.empty_like(a)
-    for i in range(sym.n_blocks):
-        row_i = sym.lower_rows[i]
-        where = {k: start[i] + t for t, k in enumerate(row_i)}  # slot of L[i, k]
-        for t, j in enumerate(row_i):
-            acc = a[start[i] + t].copy()
-            for u, k in enumerate(sym.lower_rows[j]):
-                s = where.get(k)
-                if s is not None:
-                    acc -= L[s] @ L[start[j] + u].T
-            # right-divide by L_jj^T
-            L[start[i] + t] = solve_triangular(L[start[j + 1] - 1], acc.T, lower=True,
-                                               check_finite=False).T
-        acc = a[start[i + 1] - 1].copy()
-        for t in range(len(row_i)):
-            acc -= L[start[i] + t] @ L[start[i] + t].T
+    for s, (i, j) in enumerate(zip(rows, cols)):
+        acc = a[s].copy()
+        for x, y in pairs[ptr[s]:ptr[s + 1]]:
+            acc -= L[x] @ L[y].T
+        if i > j:  # right-divide by L_jj^T
+            L[s] = solve_triangular(L[diag[j]], acc.T, lower=True, check_finite=False).T
+            continue
         try:
-            L[start[i + 1] - 1] = np.linalg.cholesky(acc)
+            L[s] = np.linalg.cholesky(acc)
         except np.linalg.LinAlgError:
             raise FactorizationError(int(sym.perm[i])) from None
     return BlockCholesky(symbolic=sym, blocks=L)
@@ -386,18 +389,17 @@ def partial_inverse(chol: BlockCholesky) -> PartialInverse:
     sym, Lb = chol.symbolic, chol.blocks
     bs = chol.block_size
     eye = np.eye(bs)
-    diag = sym.diag
+    diag, col_ptr, col_slots = sym.diag.tolist(), sym.col_ptr.tolist(), sym.col_slots.tolist()
+    clique_ptr, clique_slots = sym.clique_ptr.tolist(), sym.clique_slots.tolist()
     Z = np.empty_like(Lb)
     for j in range(sym.n_blocks - 1, -1, -1):
         Linv_jj = solve_triangular(Lb[diag[j]], eye, lower=True, check_finite=False)
-        below, cs = sym.lower_cols[j], sym.col_slots[j]
-        # slot of Z[max(i, k), min(i, k)] for i, k in S_j, a clique of the filled graph
-        grid = sym.slots_of(np.maximum.outer(below, below),
-                            np.minimum.outer(below, below)).tolist() if below else []
-        for a in range(len(below)):
+        cs = col_slots[col_ptr[j]:col_ptr[j + 1]]
+        n, grid = len(cs), clique_slots[clique_ptr[j]:clique_ptr[j + 1]]
+        for a in range(n):
             acc = np.zeros((bs, bs))
-            for c in range(len(below)):
-                z = Z[grid[a][c]]
+            for c in range(n):
+                z = Z[grid[a * n + c]]
                 acc += (z if a >= c else z.T) @ Lb[cs[c]]
             Z[cs[a]] = -acc @ Linv_jj
         acc = Linv_jj.T @ Linv_jj

@@ -219,7 +219,7 @@ def _build_expert(j: int, graph: ExpertGraph, kernel: Kernel, noise: NoiseSpec,
     # prior transition factors on the predecessor set; the predecessor-plus-self
     # set is the leading prefix of psi (the expert itself last), so its kernel
     # blocks are slices of K_psi
-    p = graph.predecessors[j].size * graph.L
+    p = min(j, graph.C - 1) * graph.L
     q = p + graph.L
     K_aa = K_psi[p:q, p:q]
     if p:
@@ -264,10 +264,10 @@ def assemble_prior_precision(factors: LocalFactors) -> BlockSparseMatrix:
     """
     graph = factors.graph
     S = BlockSparseMatrix.zeros(graph.symbolic, graph.L)
-    for e, where, pred in zip(factors.experts, graph.symbolic.index_sets, graph.predecessors):
+    for j, (e, where) in enumerate(zip(factors.experts, graph.symbolic.index_sets)):
         W = e.whitened_transition()
         local = W.T @ W
-        S.add_local(where, 0.5 * (local + local.T), pred.size + 1)
+        S.add_local(where, 0.5 * (local + local.T), min(j, graph.C - 1) + 1)
     return S
 
 
@@ -470,7 +470,7 @@ def lml_gradient(posterior: CpoePosterior) -> np.ndarray:
     grad = np.zeros(kernel.n_params + 1)
 
     for j, e in enumerate(factors.experts):
-        p = graph.predecessors[j].size * L
+        p = min(j, graph.C - 1) * L
         q = p + L
         A_psi = graph.correlation_inputs(j)
         mu_psi = posterior.mu_at(graph.correlation[j])
@@ -594,7 +594,8 @@ def _check_shared_graph(m1: "CpoeModel", m2: "CpoeModel") -> None:
     if not np.allclose(full_params(m1.kernel, m1.noise), full_params(m2.kernel, m2.noise)):
         raise ValueError("models must share hyperparameters")
     for j in range(g1.J):
-        if not set(g1.predecessors[j]).issubset(set(g2.predecessors[j])):
+        pred1, pred2 = (g.correlation[j, :min(j, g.C - 1)] for g in (g1, g2))
+        if not set(pred1).issubset(set(pred2)):
             raise ValueError(f"predecessor sets are not nested at expert {j}")
 
 

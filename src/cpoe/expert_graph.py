@@ -152,9 +152,11 @@ def correlation_sets(predecessors: list[np.ndarray], C: int) -> np.ndarray:
 class ExpertGraph:
     """Immutable expert layout shared by the model, baselines and prediction.
 
-    Experts are indexed by their position in the greedy ordering; all index
-    sets (``predecessors``, ``correlation``) refer to these positions.  The
-    graph also owns the symbolic analysis of the posterior precision, built on
+    Experts are indexed by their position in the greedy ordering; the
+    correlation sets refer to these positions.  Expert ``j``'s predecessor
+    set is the leading prefix ``correlation[j, :min(j, C - 1)]`` of its
+    correlation set, and with ``j`` itself the prefix one longer.  The graph
+    also owns the symbolic analysis of the posterior precision, built on
     first use and shared by every model fitted on the graph.
     """
 
@@ -169,8 +171,7 @@ class ExpertGraph:
     inducing_index: np.ndarray           # (J, L): rows (within the cell) chosen as inducing
     inducing_inputs: np.ndarray          # (J, L, D): A_j = inducing_inputs[j]
     centers: np.ndarray                  # per expert: mean of its inducing inputs
-    predecessors: list[np.ndarray] = field(repr=False, default=None)
-    correlation: np.ndarray = field(repr=False, default=None)  # (J, C), rows sorted
+    correlation: np.ndarray = field(repr=False)  # (J, C), rows sorted
 
     @property
     def N(self) -> int:
@@ -187,10 +188,6 @@ class ExpertGraph:
     @property
     def M(self) -> int:
         return self.J * self.L
-
-    def pred_plus(self, j: int) -> np.ndarray:
-        """Predecessors of expert ``j`` together with ``j`` itself, sorted."""
-        return np.sort(np.append(self.predecessors[j], j))
 
     def correlation_inputs(self, j: int) -> np.ndarray:
         """``A_psi``: the inducing inputs of expert ``j``'s correlation set,
@@ -255,7 +252,7 @@ class ExpertGraph:
         return cls(X=X, J=J, C=C, gamma=gamma, seed=seed, ordering=ordering,
                    assignment=assignment, row_indices=row_indices,
                    inducing_index=inducing_index, inducing_inputs=inducing_inputs,
-                   centers=centers, predecessors=preds, correlation=correlation_sets(preds, C))
+                   centers=centers, correlation=correlation_sets(preds, C))
 
     def with_correlation(self, C: int) -> "ExpertGraph":
         """Same partition, inducing points and ordering, different degree ``C``.
@@ -265,7 +262,5 @@ class ExpertGraph:
         """
         if C > self.J:
             raise ValueError(f"C={C} exceeds J={self.J}")
-        ordered_ids = np.arange(self.J)
-        preds = build_predecessors(self.centers, ordered_ids, C)
-        corr = correlation_sets(preds, C)
-        return replace(self, C=C, predecessors=preds, correlation=corr)
+        preds = build_predecessors(self.centers, np.arange(self.J), C)
+        return replace(self, C=C, correlation=correlation_sets(preds, C))

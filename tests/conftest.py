@@ -67,7 +67,13 @@ def consecutive_graph(X, J, C, gamma=1.0):
     return ExpertGraph(X=X[: J * B], J=J, C=C, gamma=gamma, seed=0,
                        ordering=np.arange(J), assignment=assignment, row_indices=rows,
                        inducing_index=inducing_idx, inducing_inputs=A, centers=centers,
-                       predecessors=preds, correlation=corr)
+                       correlation=corr)
+
+
+def predecessors(graph, j, plus_self=False):
+    """Expert ``j``'s predecessor set, the leading ``min(j, C - 1)`` entries of
+    its correlation set; with ``plus_self``, one entry more (``j`` itself)."""
+    return graph.correlation[j, :min(j, graph.C - 1) + plus_self]
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +83,7 @@ def dense_local_factors(graph, kernel):
     """Per-expert F, Q, H, D from kernel matrices and index sets alone."""
     out = []
     for j in range(graph.J):
-        pred, psi = graph.predecessors[j], graph.correlation[j]
+        pred, psi = predecessors(graph, j), graph.correlation[j]
         A_j = graph.inducing_inputs[j]
         X_j = graph.X[graph.row_indices[j]]
         if len(pred):
@@ -98,7 +104,7 @@ def dense_prior_precision(graph, kernel):
     L, M = graph.L, graph.M
     S = np.zeros((M, M))
     for j, (F, Q, _, _) in enumerate(dense_local_factors(graph, kernel)):
-        pp = np.sort(np.append(graph.predecessors[j], j))
+        pp = predecessors(graph, j, plus_self=True)
         Ft = np.hstack([-F, np.eye(L)]) if F is not None else np.eye(L)
         local = Ft.T @ np.linalg.inv(Q) @ Ft
         for a, i in enumerate(pp):

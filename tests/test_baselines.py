@@ -210,3 +210,31 @@ class TestPoe:
         _, kern, noise, graph, *_ = self._experts(rng, J=1)
         with pytest.raises(ValueError):
             ProductOfExperts(kern, noise, graph.row_indices, mode="bcm")
+
+
+class TestOneDimensionalInputs:
+    """A 1-D input array is N points of one dimension, as for the correlated
+    model: each baseline gives bitwise the results it gives on a column."""
+
+    @pytest.mark.parametrize("name", ["fullgp", "sgp", "minvar", "gpoe"])
+    def test_vector_inputs_match_column_inputs(self, name):
+        x = np.linspace(0, 1, 40)
+        xs = np.linspace(0.03, 0.97, 9)
+        y = np.sin(7 * x) + 0.1 * np.cos(31 * x)
+        kern = SquaredExponential.create(1.0, [0.2])
+        noise = NoiseSpec.create(0.05)
+
+        def make(column):
+            if name == "fullgp":
+                return FullGp(kern, noise)
+            if name == "sgp":
+                return SparseGp(kern, noise, x[::5, None] if column else x[::5])
+            return ProductOfExperts(kern, noise, np.array_split(np.arange(40), 4), mode=name)
+
+        results = []
+        for column in (False, True):
+            model = make(column).fit(x[:, None] if column else x, y)
+            mean, var = model.predict(xs[:, None] if column else xs)
+            results.append((mean, var, model.lml(), model.lml_gradient()))
+        for vec, col in zip(*results):
+            np.testing.assert_array_equal(vec, col)

@@ -5,12 +5,14 @@ every operation here.
 """
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpoe import ExpertGraph
 from cpoe.block_sparse import (
     BlockSparseMatrix,
     FactorizationError,
@@ -19,6 +21,8 @@ from cpoe.block_sparse import (
     partial_inverse,
     symbolic_factor,
 )
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def random_block_spd(rng, J, bs, pattern):
@@ -48,6 +52,16 @@ def stored_pairs(sym):
     return list(zip(rows.tolist(), cols.tolist()))
 
 
+def split(ptr, flat):
+    """The lists of a CSR schedule."""
+    return [flat[a:b].tolist() for a, b in zip(ptr[:-1], ptr[1:])]
+
+
+def column_rows(sym, q):
+    """Permuted rows of column ``q``'s blocks below the diagonal, ascending."""
+    return (sym.keys[sym.col_slots[sym.col_ptr[q]:sym.col_ptr[q + 1]]] // sym.n_blocks).tolist()
+
+
 def dense_factor(ch):
     """The block Cholesky factor as one dense lower-triangular matrix."""
     J, bs = ch.n_blocks, ch.block_size
@@ -59,7 +73,7 @@ def dense_factor(ch):
 
 def count_fill(pattern, J, perm):
     sym = symbolic_factor(pattern, J, perm=np.asarray(perm))
-    filled = sum(len(r) for r in sym.lower_rows)
+    filled = sym.col_slots.size  # every stored block below the diagonal, once
     original = len({(i, j) for (i, j) in pattern if i > j})
     return filled - original
 
@@ -302,8 +316,9 @@ class TestRandomPatterns:
         stored = stored_pairs(sym)
         assert len(ch.blocks) == len(set(stored)) == sym.n_slots
         assert stored == sorted(stored) and all(p >= q for p, q in stored)
+        assert [stored[s] for s in sym.diag] == [(p, p) for p in range(J)]
         assert {(p, p) for p in range(J)} | {
-            (p, q) for p, cols in enumerate(sym.lower_rows) for q in cols} == set(stored)
+            (p, q) for q in range(J) for p in column_rows(sym, q)} == set(stored)
         for (i, j) in pat:
             p, q = int(sym.inv_perm[i]), int(sym.inv_perm[j])
             assert (max(p, q), min(p, q)) in stored
@@ -332,7 +347,7 @@ class TestRandomPatterns:
             assert np.abs(Z.get_block(i, j) - ref).max() <= tol * scale
             assert np.abs(Z.get_block(j, i) - ref.T).max() <= tol * scale
         for q in range(J):
-            idx = sym.perm[[q] + sym.lower_cols[q]]
+            idx = sym.perm[[q] + column_rows(sym, q)]
             sel = np.concatenate([np.arange(i * bs, (i + 1) * bs) for i in idx])
             gathered = Z.gather(sym.index_slots([idx])[0])
             assert np.abs(gathered - Ainv[np.ix_(sel, sel)]).max() <= tol * scale
@@ -340,3 +355,58 @@ class TestRandomPatterns:
         for i, j in outside[:3]:
             with pytest.raises(KeyError):
                 Z.get_block(i, j)
+
+
+def dense_schedules(pattern, perm):
+    """Slot keys, diagonal slots and the three schedules of ``symbolic_factor``,
+    by naive dense symbolic elimination of the pattern permuted by ``perm``."""
+    J = len(perm)
+    inv = np.argsort(perm)
+    M = np.eye(J, dtype=bool)
+    for i, j in pattern:
+        M[inv[i], inv[j]] = M[inv[j], inv[i]] = True
+    below = []
+    for k in range(J):
+        below.append(k + 1 + np.flatnonzero(M[k + 1:, k]))
+        M[np.ix_(below[k], below[k])] = True  # eliminating k joins its rows into a clique
+    rows, cols = np.nonzero(np.tril(M))  # row by row, columns ascending
+    slot = np.full((J, J), -1)
+    slot[rows, cols] = np.arange(rows.size)
+    updates = [[[slot[i, k], slot[j, k]] for k in np.flatnonzero(M[i, :j] & M[j, :j])]
+               for i, j in zip(rows, cols)]
+    columns = [slot[S, k].tolist() for k, S in enumerate(below)]
+    cliques = [[slot[max(a, c), min(a, c)] for a in S for c in S] for S in below]
+    return rows * J + cols, slot[np.arange(J), np.arange(J)], updates, columns, cliques
+
+
+def assert_schedules_match_dense(sym, pattern):
+    keys, diag, updates, columns, cliques = dense_schedules(pattern, sym.perm)
+    np.testing.assert_array_equal(sym.keys, keys)
+    np.testing.assert_array_equal(sym.diag, diag)
+    assert split(sym.update_ptr, sym.update_pairs) == updates
+    assert split(sym.col_ptr, sym.col_slots) == columns
+    assert split(sym.clique_ptr, sym.clique_slots) == cliques
+
+
+class TestSchedules:
+    """The slot schedules against a naive dense symbolic elimination."""
+
+    @given(st.integers(1, 12), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1),
+           st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_random_patterns(self, J, density, seed, given_perm):
+        r = np.random.default_rng(seed)
+        pattern = {(i, j) for i in range(J) for j in range(i) if r.uniform() < density}
+        perm = r.permutation(J) if given_perm else None
+        assert_schedules_match_dense(symbolic_factor(pattern, J, perm=perm), pattern)
+
+    @pytest.mark.parametrize("name", ["c6_fitc", "j256_fitc", "pitc_sum3d"])
+    def test_benchmark_workload_graphs(self, monkeypatch, name):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        from workloads import WORKLOADS
+
+        w = WORKLOADS[name]
+        X, _ = w.make_inputs(np.random.default_rng([0, 0]))
+        g = ExpertGraph.build(X, w.J, w.C, w.gamma, seed=0)
+        pattern = {(int(i), int(k)) for psi in g.correlation for i in psi for k in psi}
+        assert_schedules_match_dense(g.symbolic, pattern)

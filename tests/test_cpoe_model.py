@@ -18,6 +18,7 @@ from conftest import (
     dense_posterior,
     dense_prior_precision,
     gp_sample,
+    predecessors,
     spread_points,
 )
 from cpoe import (
@@ -85,7 +86,7 @@ class TestLocalFactors:
         for j, e in enumerate(model.factors.experts):
             A_self = g.inducing_inputs[j]
             K_aa = kern(A_self)
-            pred = g.predecessors[j]
+            pred = predecessors(g, j)
             if pred.size:
                 A_pred = np.vstack([g.inducing_inputs[p] for p in pred])
                 inv_pipi = np.tril(dtrtri(jittered_cholesky(kern(A_pred))[0], lower=1)[0])
@@ -181,7 +182,7 @@ class TestPriorPrecision:
                 a_j = a[j * L:(j + 1) * L]
                 mean = np.zeros(L)
                 if F is not None:
-                    a_pi = np.concatenate([a[p * L:(p + 1) * L] for p in g.predecessors[j]])
+                    a_pi = np.concatenate([a[p * L:(p + 1) * L] for p in predecessors(g, j)])
                     mean = F @ a_pi
                 resid = a_j - mean
                 rhs += (-0.5 * resid @ np.linalg.solve(Q, resid)
@@ -253,7 +254,8 @@ class TestPosterior:
         for (J, C, gamma) in [(4, 1, 1.0), (4, 2, 0.5), (8, 3, 0.5), (4, 4, 1.0)]:
             model, *_ = make_setup(rng, N=8 * J, J=J, C=C, gamma=gamma)
             g = model.graph
-            prior = {(i, k) for j in range(J) for i in g.pred_plus(j) for k in g.pred_plus(j)}
+            prior = {(i, k) for j in range(J) for i in predecessors(g, j, plus_self=True)
+                     for k in predecessors(g, j, plus_self=True)}
             projection = {(i, k) for psi in g.correlation for i in psi for k in psi}
             assert projection == prior
             assert all(model.posterior.zbar.has_block(i, k) for i, k in prior)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import predecessors
 from cpoe.expert_graph import (
     ExpertGraph,
     build_predecessors,
@@ -240,22 +241,25 @@ class TestGraphBuild:
         np.testing.assert_array_equal(g2.ordering, g5.ordering)
         for j in range(8):
             np.testing.assert_array_equal(g2.inducing_index[j], g5.inducing_index[j])
-            assert set(g2.predecessors[j]).issubset(set(g5.predecessors[j]))
+            assert set(predecessors(g2, j)).issubset(set(predecessors(g5, j)))
 
     @given(st.integers(0, 4), st.integers(0, 500))
     @settings(max_examples=20, deadline=None)
-    def test_pred_plus_is_leading_prefix_of_correlation(self, log2_J, seed):
-        # the model slices the transition's kernel blocks out of K(A_psi)
+    def test_predecessors_are_leading_prefix_of_correlation(self, log2_J, seed):
+        # the graph keeps no predecessor sets: the model reads them, and with
+        # the expert itself the transition's kernel blocks, off the front of
+        # the correlation set and K(A_psi)
         J = 2 ** log2_J
         X = np.random.default_rng(seed).normal(size=(6 * J, 2))
         g1 = ExpertGraph.build(X, J=J, C=1, gamma=0.5, seed=seed)
         graphs = [g1, ExpertGraph.build(X, J=J, C=J, gamma=0.5, seed=seed)]
         graphs += [g1.with_correlation(C) for C in range(2, J + 1)]
         for g in graphs:
+            preds = build_predecessors(g.centers, np.arange(J), g.C)
             for j in range(J):
-                pp = g.pred_plus(j)
+                pp = predecessors(g, j, plus_self=True)
                 assert pp[-1] == j
-                np.testing.assert_array_equal(g.correlation[j][:pp.size], pp)
+                np.testing.assert_array_equal(pp[:-1], preds[j])
 
     def test_C_above_J_clamps_with_warning(self, rng):
         X = rng.normal(size=(16, 2))

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 
-from conftest import spread_points
+from conftest import predecessors, spread_points
 from cpoe import (
     ExpertGraph,
     NoiseSpec,
@@ -116,7 +116,7 @@ class TestLocalFactors:
                 assert np.abs(e.D - 0.5 * (D + D.T)).max() <= tol * scale
 
             # transition: F = K_api K_pipi^-1, Q = K_aa - K_api F'
-            A_self, pred = graph.inducing_inputs[j], graph.predecessors[j]
+            A_self, pred = graph.inducing_inputs[j], predecessors(graph, j)
             K_aa = kern(A_self)
             if pred.size:
                 A_pred = graph.inducing_inputs[pred].reshape(-1, graph.D)
