@@ -35,7 +35,6 @@ from .cpoe_model import (
 )
 from .expert_graph import (
     ExpertGraph,
-    build_predecessors,
     correlation_sets,
     kd_partition,
     order_partitions,

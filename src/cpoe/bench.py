@@ -553,10 +553,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "run":
-        rows = run_experiment(ExperimentConfig.from_file(args.config))
+        cfg = ExperimentConfig.from_file(args.config)
+        rows = run_experiment(cfg)
         failures = [r for r in rows if r["error"]]
-        out = ExperimentConfig.from_file(args.config)["output"]
-        print(f"wrote {len(rows)} result rows to {out}/results.csv "
+        print(f"wrote {len(rows)} result rows to {cfg['output']}/results.csv "
               f"({len(failures)} failures)")
         return 0
 

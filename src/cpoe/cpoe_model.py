@@ -8,13 +8,16 @@ Per expert j the conditional factors are
     D_j = K(X_j, X_j) - K(X_j, A_corr) K(...)^{-1} K(A_corr, X_j)
 
 with ``A_pred`` / ``A_corr`` the stacked inducing inputs over the expert's
-predecessor / correlation sets, ``F_1 = 0`` and ``Q_1 = K(A_1, A_1)``.  The
-predecessor-plus-self set is the leading prefix of the correlation set (the
-expert itself last), so the transition's kernel blocks and their derivatives
-are leading slices of ``K(A_corr, A_corr)`` and its derivative stack, each
-evaluated once per expert.  The residual covariance and the objective
-correction depend on the likelihood variant (FITC keeps the diagonal of D_j,
-PITC the full block, VFE/DTC drop it, PEP scales it by alpha).
+predecessor / correlation sets, ``F_1 = 0`` and ``Q_1 = K(A_1, A_1)``.  Both
+pairs are one Gaussian conditioning, ``A_j`` on ``A_pred`` and ``X_j`` on
+``A_corr``, and one routine (``_condition``) computes both from given kernel
+blocks.  The predecessor-plus-self set is the leading prefix of the
+correlation set (the expert itself last), so the transition's kernel blocks
+and their derivatives are leading slices of ``K(A_corr, A_corr)`` and its
+derivative stack, each evaluated once per expert.  The residual covariance
+and the objective correction depend on the likelihood variant (FITC keeps
+the diagonal of D_j, PITC the full block, VFE/DTC drop it, PEP scales it by
+alpha).
 
 The prior precision is assembled as a sum of local contributions
 ``Ft_j^T Q_j^{-1} Ft_j`` with ``Ft_j = [-F_j, I]`` scattered over the
@@ -113,9 +116,9 @@ class ExpertFactor:
 
     Each Cholesky factor is kept as its inverse: ``inv_psi``, ``inv_pipi`` and
     ``inv_Q`` are ``L^-1`` for ``K(A_psi, A_psi)``, ``K(A_pred, A_pred)`` and
-    ``Q`` (jitter included), lower triangular.  ``D`` and ``vbar`` are the
-    residual's diagonal for diagonal variants and its full block for
-    full-residual ones (``ndim`` tells which).
+    ``Q`` (jitter included), lower triangular; ``Q`` itself is not kept.
+    ``D`` and ``vbar`` are the residual's diagonal for diagonal variants and
+    its full block for full-residual ones (``ndim`` tells which).
     """
 
     # projection side
@@ -128,7 +131,6 @@ class ExpertFactor:
     # prior side
     inv_pipi: np.ndarray | None
     F: np.ndarray | None
-    Q: np.ndarray                       # effective (jitter included)
     inv_Q: np.ndarray
     logdet_Q: float
 
@@ -188,61 +190,55 @@ def _inverse_factor(chol: np.ndarray, what: str) -> np.ndarray:
     return np.ascontiguousarray(inv)
 
 
-def _projection(kernel: Kernel, X: np.ndarray, A: np.ndarray, K_A: np.ndarray,
-                full: bool, j: int):
-    """Projection of expert j's inputs X on inducing inputs A and its residual
-    covariance.
+def _condition(K_aa: np.ndarray, K_xa: np.ndarray, K_xx: np.ndarray, what: str):
+    """Gaussian conditioning of the values at inputs x on those at inputs a.
 
-    ``K_A`` is ``K(A, A)``.  Returns ``(inv_A, K_xa, H, D)`` with ``inv_A``
-    the inverse of ``K(A, A)``'s factor, ``H = K(X, A) K(A, A)^-1`` and
-    ``D = K(X, X) - H K(A, X)``: its full block when ``full``, else its diagonal.
+    From the kernel blocks ``K_aa``, ``K_xa`` and ``K_xx`` (or its diagonal),
+    returns ``(inv_a, H, D)``: ``inv_a`` the inverse of ``K_aa``'s factor,
+    ``H = K_xa K_aa^-1`` and ``D = K_xx - H K_ax``, its full block when
+    ``K_xx`` is one, else its diagonal.  ``what`` names ``K_aa``'s factor in
+    the error a singular one raises.
     """
-    inv_A = _inverse_factor(jittered_cholesky(K_A)[0],
-                            f"factor of K(A, A) of expert {j}")
-    K_xa = kernel(X, A)
-    H = (K_xa @ inv_A.T) @ inv_A
-    if full:
-        D = kernel(X) - K_xa @ H.T
-        return inv_A, K_xa, H, 0.5 * (D + D.T)
-    return inv_A, K_xa, H, kernel.diag(X) - np.einsum("ij,ij->i", K_xa, H)
+    inv_a = _inverse_factor(jittered_cholesky(K_aa)[0], what)
+    H = (K_xa @ inv_a.T) @ inv_a
+    if K_xx.ndim == 1:
+        return inv_a, H, K_xx - np.einsum("ij,ij->i", K_xa, H)
+    # not the Gram form K_xx - B B' (B = K_xa L_a^-T): on acceptance criterion
+    # 6's inputs the transition's Q then factors unjittered at condition numbers
+    # near 1e15, where this one needs jitter, and the LML moves by 60 nats
+    D = K_xx - K_xa @ H.T
+    return inv_a, H, 0.5 * (D + D.T)
 
 
 def _build_expert(j: int, graph: ExpertGraph, kernel: Kernel, noise: NoiseSpec,
                   variant: VariantSpec) -> ExpertFactor:
-    # projection factors on the correlation region
-    A_psi = graph.correlation_inputs(j)
+    # projection: X_j conditioned on the correlation set's inducing inputs
+    A_psi, X_j = graph.correlation_inputs(j), graph.X[graph.row_indices[j]]
     K_psi = kernel(A_psi)
-    inv_psi, _, H, D = _projection(kernel, graph.X[graph.row_indices[j]], A_psi, K_psi,
-                                   variant.full_residual, j)
+    K_xx = kernel(X_j) if variant.full_residual else kernel.diag(X_j)
+    inv_psi, H, D = _condition(K_psi, kernel(X_j, A_psi), K_xx,
+                               f"factor of K(A, A) of expert {j}")
     vbar, lam, dlam = _variant_terms(variant, D, noise.variance)
 
-    # prior transition factors on the predecessor set; the predecessor-plus-self
-    # set is the leading prefix of psi (the expert itself last), so its kernel
-    # blocks are slices of K_psi
+    # prior transition: A_j conditioned on the predecessors' inducing inputs;
+    # the predecessor-plus-self set is the leading prefix of psi (the expert
+    # itself last), so its kernel blocks are slices of K_psi
     p = min(j, graph.C - 1) * graph.L
     q = p + graph.L
     K_aa = K_psi[p:q, p:q]
     if p:
-        inv_pipi = _inverse_factor(jittered_cholesky(K_psi[:p, :p])[0],
-                                   f"factor of K(A_pred, A_pred) of expert {j}")
-        K_api = K_psi[p:q, :p]
-        F = (K_api @ inv_pipi.T) @ inv_pipi
-        # not the Gram form K_aa - B B' (B = K_api L_pipi^-T): on acceptance
-        # criterion 6's inputs that Q factors unjittered at condition numbers
-        # near 1e15, where this one needs jitter, and the LML moves by 60 nats
-        Q = K_aa - K_api @ F.T
-        Q = 0.5 * (Q + Q.T)
+        inv_pipi, F, Q = _condition(K_psi[:p, :p], K_psi[p:q, :p], K_aa,
+                                    f"factor of K(A_pred, A_pred) of expert {j}")
     else:
         inv_pipi = F = None
         Q = K_aa
     # jitter scale: the kernel amplitude, not Q's own (possibly tiny) diagonal
-    chol_Q, q_jitter = jittered_cholesky(Q, scale=float(np.mean(np.diag(K_aa))))
-    Q_eff = Q + q_jitter * np.eye(Q.shape[0])
+    chol_Q = jittered_cholesky(Q, scale=float(np.mean(np.diag(K_aa))))[0]
     inv_Q = _inverse_factor(chol_Q, f"factor of Q of expert {j}")
     logdet_Q = 2.0 * float(np.sum(np.log(np.diag(chol_Q))))
 
     return ExpertFactor(inv_psi=inv_psi, H=H, D=D, vbar=vbar, lam=lam, dlam=dlam,
-                        inv_pipi=inv_pipi, F=F, Q=Q_eff, inv_Q=inv_Q, logdet_Q=logdet_Q)
+                        inv_pipi=inv_pipi, F=F, inv_Q=inv_Q, logdet_Q=logdet_Q)
 
 
 def build_local_factors(graph: ExpertGraph, kernel: Kernel, noise: NoiseSpec,
@@ -282,13 +278,11 @@ class CpoePosterior:
     """
 
     factors: LocalFactors
-    y: np.ndarray
     b: np.ndarray
     mu: np.ndarray
     zbar: PartialInverse
     logdet_precision: float
     logdet_V: float
-    logdet_Q: float
     yT_Vinv_y: float
     pivot_bump: float = 0.0
     # per-expert caches for gradients / prediction: V_j^-1 y_j, and V_j^-1 for
@@ -299,10 +293,6 @@ class CpoePosterior:
     @property
     def graph(self) -> ExpertGraph:
         return self.factors.graph
-
-    @property
-    def N(self) -> int:
-        return self.y.size
 
     def mu_at(self, idx: np.ndarray) -> np.ndarray:
         """The posterior mean over the blocks ``idx``, concatenated."""
@@ -320,13 +310,15 @@ class CpoePosterior:
         Raises ``ArithmeticError`` when the value before the correction is not
         finite or exceeds the bound the noise sets.
         """
+        N = self.graph.N
+        logdet_Q = float(sum(e.logdet_Q for e in self.factors.experts))
         val = -0.5 * (self.yT_Vinv_y - float(self.b @ self.mu) + self.logdet_precision
-                      + self.logdet_V + self.logdet_Q + self.N * np.log(2.0 * np.pi))
+                      + self.logdet_V + logdet_Q + N * np.log(2.0 * np.pi))
         if not np.isfinite(val):
             raise ArithmeticError("non-finite log marginal likelihood")
         # the marginal covariance dominates the noise, bounding any valid value;
         # exceeding it means the sparse log-determinant cancellation collapsed
-        bound = -0.5 * self.N * np.log(2.0 * np.pi * self.factors.noise.variance)
+        bound = -0.5 * N * np.log(2.0 * np.pi * self.factors.noise.variance)
         if val > bound + 1e-6 * max(abs(bound), 1.0) + 1e-9:
             raise ArithmeticError(
                 "inconsistent log marginal likelihood (ill-conditioned region)")
@@ -408,10 +400,9 @@ def assemble_posterior(factors: LocalFactors, S: BlockSparseMatrix,
     mu = chol.solve(b)
     logdet_precision = chol.logdet()
     zbar = partial_inverse(chol)
-    logdet_Q = float(sum(e.logdet_Q for e in factors.experts))
-    return CpoePosterior(factors=factors, y=y, b=b, mu=mu, zbar=zbar,
+    return CpoePosterior(factors=factors, b=b, mu=mu, zbar=zbar,
                          logdet_precision=logdet_precision, logdet_V=logdet_V,
-                         logdet_Q=logdet_Q, yT_Vinv_y=yT_Vinv_y, pivot_bump=pivot_bump,
+                         yT_Vinv_y=yT_Vinv_y, pivot_bump=pivot_bump,
                          vinv_y=vinv_y_list, vinv=vinv_list)
 
 
@@ -556,7 +547,9 @@ def stochastic_lml_term(graph: ExpertGraph, kernel: Kernel, noise: NoiseSpec, j:
         lam = 0.0
     else:
         A = graph.inducing_inputs[j]
-        inv_aa, K_xa, H, D = _projection(kernel, X_j, A, kernel(A), variant.full_residual, j)
+        K_xa = kernel(X_j, A)
+        K_xx = kernel(X_j) if variant.full_residual else kernel.diag(X_j)
+        inv_aa, H, D = _condition(kernel(A), K_xa, K_xx, f"factor of K(A, A) of expert {j}")
         vbar, lam, dlam = _variant_terms(variant, D, sigma2)
         P = K_xa @ H.T + (np.diag(vbar) if D.ndim == 1 else vbar)
     P = 0.5 * (P + P.T) + sigma2 * np.eye(y_j.size)
@@ -663,13 +656,10 @@ class CpoeModel:
                  seed: int = 0):
         self.kernel = kernel
         self.noise = noise
-        self.J = J
-        self.C = min(C, J)
-        self.gamma = gamma
         self.variant = variant
-        self.seed = seed
+        # what fit builds a graph with when given none; the graph owns its layout
+        self._layout = (J, C, gamma, seed)
         self.graph: ExpertGraph | None = None
-        self._factors: LocalFactors | None = None
         self._posterior: CpoePosterior | None = None
         self._serving: ServingState | None = None
         self.y: np.ndarray | None = None
@@ -682,7 +672,7 @@ class CpoeModel:
             if not np.all(np.isfinite(np.asarray(values, dtype=float))):
                 raise ValueError(f"{name} holds NaN or inf values")
         if graph is None:
-            graph = ExpertGraph.build(X, self.J, self.C, self.gamma, seed=self.seed)
+            graph = ExpertGraph.build(X, *self._layout)
         else:
             X = np.asarray(X, dtype=float)
             if X.ndim == 1:
@@ -701,19 +691,17 @@ class CpoeModel:
 
     def _refit(self) -> None:
         # until the new posterior exists, nothing describes the current parameters
-        self._factors = self._posterior = self._serving = None
+        self._posterior = self._serving = None
         factors = build_local_factors(self.graph, self.kernel, self.noise, self.variant)
         # no name holds the prior precision: the posterior's assembly drops it
         # once factorized
         self._posterior = assemble_posterior(factors, assemble_prior_precision(factors),
                                              self.y)
-        self._factors = factors
 
     @property
     def factors(self) -> LocalFactors | None:
-        if self._factors is None and self.graph is not None:
-            self._refit()
-        return self._factors
+        posterior = self.posterior
+        return None if posterior is None else posterior.factors
 
     @property
     def posterior(self) -> CpoePosterior | None:
@@ -778,6 +766,9 @@ class CpoeModel:
         """
         if self.graph is None:
             raise ValueError("fit the model before saving")
+        assignment = np.empty(self.graph.N, dtype=int)  # data row -> expert position
+        for j, rows in enumerate(self.graph.row_indices):
+            assignment[rows] = j
         np.savez(
             path,
             format_version=FORMAT_VERSION,
@@ -785,7 +776,7 @@ class CpoeModel:
             J=self.graph.J, C=self.graph.C, gamma=self.graph.gamma, seed=self.graph.seed,
             variant=self.variant.name, alpha_pep=self.variant.alpha_pep,
             ordering=self.graph.ordering,
-            assignment=self.graph.assignment,
+            assignment=assignment,
             inducing_index=self.graph.inducing_index,
             fingerprint=_fingerprint(self.graph.X, self.y),
             **self.serving.arrays(),

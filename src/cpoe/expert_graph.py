@@ -2,9 +2,9 @@
 
 The construction pipeline is: KD-tree partition into ``J`` cells, random
 subset of each cell as local inducing inputs, greedy nearest-center ordering
-of the cells, then distance-ranked predecessor sets of degree ``C`` and the
-derived correlation sets.  Everything downstream (prior precision, projection,
-prediction regions) is indexed against this graph.
+of the cells, then the distance-ranked correlation sets of degree ``C``, whose
+leading prefixes are the predecessor sets.  Everything downstream (prior
+precision, projection, prediction regions) is indexed against this graph.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "kd_partition",
     "order_partitions",
     "select_inducing",
-    "build_predecessors",
     "correlation_sets",
 ]
 
@@ -102,50 +101,26 @@ def select_inducing(X_j: np.ndarray, gamma: float, rng: np.random.Generator):
     return X_j[idx], idx
 
 
-def build_predecessors(centers: np.ndarray, ordering: np.ndarray, C: int) -> list[np.ndarray]:
-    """Distance-ranked predecessor sets over the ordered experts.
+def correlation_sets(centers: np.ndarray, C: int) -> np.ndarray:
+    """Size-``C`` correlation sets over experts ordered like their ``centers``.
 
-    Expert at ordering position ``j`` gets the ``min(j, C-1)`` previous
-    positions whose centers are closest to its own; ties break toward the
-    lowest position.  Returned sets are sorted ascending (positions, 0-based).
+    Position ``j`` (0-based) gets ``{0..C-1}`` while ``j < C-1``; afterwards
+    its predecessors, the ``C-1`` earlier positions whose centers are closest
+    to its own (ties to the lowest position), then ``j`` itself.  Returns a
+    ``(J, C)`` integer array, each row sorted ascending, so the predecessor
+    set of ``j`` is the leading prefix ``[:min(j, C-1)]`` of its row.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    ordering = np.asarray(ordering, dtype=int)
-    J = ordering.size
+    J = centers.shape[0]
     if not 1 <= C <= J:
         raise ValueError(f"C must be in [1, {J}], got {C}")
-    ordered_centers = centers[ordering]
-    out: list[np.ndarray] = []
-    for j in range(J):
-        take = min(j, C - 1)
-        if take == 0:
-            out.append(np.empty(0, dtype=int))
-            continue
-        d = np.linalg.norm(ordered_centers[:j] - ordered_centers[j], axis=1)
-        ranked = np.argsort(d, kind="stable")[:take]  # stable sort: ties to lowest position
-        out.append(np.sort(ranked))
+    out = np.empty((J, C), dtype=int)
+    out[:C - 1] = np.arange(C)
+    for j in range(C - 1, J):
+        d = np.linalg.norm(centers[:j] - centers[j], axis=1)
+        out[j, :-1] = np.sort(np.argsort(d, kind="stable")[:C - 1])  # stable: ties to lowest
+        out[j, -1] = j
     return out
-
-
-def correlation_sets(predecessors: list[np.ndarray], C: int) -> np.ndarray:
-    """Size-``C`` correlation regions derived from the predecessor sets.
-
-    Position ``j`` (0-based) gets ``pred(j) + {j..C-1}`` while ``j < C-1``
-    (which collapses to ``{0..C-1}``) and ``pred(j) + {j}`` afterwards.
-    Returns a ``(J, C)`` integer array, each row sorted ascending.
-    """
-    J = len(predecessors)
-    out: list[np.ndarray] = []
-    for j in range(J):
-        if j < C - 1:
-            members = set(predecessors[j].tolist()) | set(range(j, C))
-        else:
-            members = set(predecessors[j].tolist()) | {j}
-        psi = np.array(sorted(members), dtype=int)
-        if psi.size != C:
-            raise AssertionError(f"correlation set of expert {j} has size {psi.size}, wanted {C}")
-        out.append(psi)
-    return np.array(out, dtype=int).reshape(J, C)
 
 
 @dataclass(frozen=True)
@@ -166,11 +141,9 @@ class ExpertGraph:
     gamma: float
     seed: int
     ordering: np.ndarray                 # position -> original KD cell id
-    assignment: np.ndarray               # data row -> expert position
     row_indices: list[np.ndarray]        # per expert: rows of X belonging to it
     inducing_index: np.ndarray           # (J, L): rows (within the cell) chosen as inducing
     inducing_inputs: np.ndarray          # (J, L, D): A_j = inducing_inputs[j]
-    centers: np.ndarray                  # per expert: mean of its inducing inputs
     correlation: np.ndarray = field(repr=False)  # (J, C), rows sorted
 
     @property
@@ -238,21 +211,16 @@ class ExpertGraph:
         """Graph of an ordered layout: each position's rows and inducing subset.
 
         ``row_indices[j]`` and ``inducing_index[j]`` belong to the expert at
-        ordering position ``j``.  Inducing inputs, centers, predecessor and
-        correlation sets follow from them.
+        ordering position ``j``.  The inducing inputs and the correlation sets,
+        ranked by the inducing inputs' means, follow from them.
         """
         inducing_index = np.asarray(inducing_index)
         inducing_inputs = X[np.stack([rows[idx] for rows, idx in zip(row_indices,
                                                                        inducing_index)])]
-        centers = np.stack([A.mean(axis=0) for A in inducing_inputs])
-        assignment = np.empty(X.shape[0], dtype=int)
-        for j, rows in enumerate(row_indices):
-            assignment[rows] = j
-        preds = build_predecessors(centers, np.arange(J), C)
         return cls(X=X, J=J, C=C, gamma=gamma, seed=seed, ordering=ordering,
-                   assignment=assignment, row_indices=row_indices,
-                   inducing_index=inducing_index, inducing_inputs=inducing_inputs,
-                   centers=centers, correlation=correlation_sets(preds, C))
+                   row_indices=row_indices, inducing_index=inducing_index,
+                   inducing_inputs=inducing_inputs,
+                   correlation=correlation_sets(inducing_inputs.mean(axis=1), C))
 
     def with_correlation(self, C: int) -> "ExpertGraph":
         """Same partition, inducing points and ordering, different degree ``C``.
@@ -260,7 +228,5 @@ class ExpertGraph:
         Because the distance ranking is shared, predecessor sets are nested
         across increasing ``C``.  The new graph builds its own symbolic analysis.
         """
-        if C > self.J:
-            raise ValueError(f"C={C} exceeds J={self.J}")
-        preds = build_predecessors(self.centers, np.arange(self.J), C)
-        return replace(self, C=C, correlation=correlation_sets(preds, C))
+        return replace(self, C=C,
+                       correlation=correlation_sets(self.inducing_inputs.mean(axis=1), C))

@@ -50,7 +50,11 @@ def gp_sample(kernel, X, noise_variance, rng):
 
 
 def consecutive_graph(X, J, C, gamma=1.0):
-    """Manually built graph with consecutive predecessors over row-ordered cells."""
+    """Manually built graph with consecutive predecessors over row-ordered cells.
+
+    Its correlation sets are ranked on centers at the positions themselves, so
+    each expert's ``C - 1`` nearest earlier centers are the ones just before it.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
@@ -60,20 +64,23 @@ def consecutive_graph(X, J, C, gamma=1.0):
     L = int(np.floor(gamma * B))
     inducing_idx = np.tile(np.arange(L), (J, 1))
     A = np.stack([X[r][:L] for r in rows])
-    centers = np.stack([a.mean(axis=0) for a in A])
-    preds = [np.arange(max(0, j - C + 1), j) for j in range(J)]
-    corr = correlation_sets(preds, C)
-    assignment = np.repeat(np.arange(J), B)
     return ExpertGraph(X=X[: J * B], J=J, C=C, gamma=gamma, seed=0,
-                       ordering=np.arange(J), assignment=assignment, row_indices=rows,
-                       inducing_index=inducing_idx, inducing_inputs=A, centers=centers,
-                       correlation=corr)
+                       ordering=np.arange(J), row_indices=rows,
+                       inducing_index=inducing_idx, inducing_inputs=A,
+                       correlation=correlation_sets(np.arange(J)[:, None], C))
 
 
 def predecessors(graph, j, plus_self=False):
     """Expert ``j``'s predecessor set, the leading ``min(j, C - 1)`` entries of
     its correlation set; with ``plus_self``, one entry more (``j`` itself)."""
     return graph.correlation[j, :min(j, graph.C - 1) + plus_self]
+
+
+def transition_noise(e):
+    """The transition noise ``Q`` an expert factored, jitter included, rebuilt
+    from the inverse factor ``L_Q^-1`` the model keeps."""
+    chol = np.linalg.inv(e.inv_Q)
+    return chol @ chol.T
 
 
 # ---------------------------------------------------------------------------

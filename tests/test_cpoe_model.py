@@ -4,6 +4,7 @@ import logging
 import os
 import tempfile
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from conftest import (
     gp_sample,
     predecessors,
     spread_points,
+    transition_noise,
 )
 from cpoe import (
     CpoeModel,
@@ -57,7 +59,8 @@ class TestLocalFactors:
         model, kern, *_ = make_setup(rng)
         e0 = model.factors.experts[0]
         assert e0.F is None
-        np.testing.assert_allclose(e0.Q, kern(model.graph.inducing_inputs[0]), atol=1e-12)
+        np.testing.assert_allclose(transition_noise(e0), kern(model.graph.inducing_inputs[0]),
+                                   atol=1e-12)
 
     def test_factor_formulas_match_dense(self, rng):
         model, kern, *_ = make_setup(rng)
@@ -65,7 +68,7 @@ class TestLocalFactors:
         for e, (F, Q, H, D) in zip(model.factors.experts, oracle):
             if F is not None:
                 np.testing.assert_allclose(e.F, F, atol=1e-8)
-            np.testing.assert_allclose(e.Q, Q, atol=1e-8)
+            np.testing.assert_allclose(transition_noise(e), Q, atol=1e-8)
             np.testing.assert_allclose(e.H, H, atol=1e-8)
             np.testing.assert_allclose(e.D, np.diag(D), atol=1e-8)
 
@@ -77,7 +80,7 @@ class TestLocalFactors:
         + SquaredExponential.create(1.0, [0.2, 0.3]),
     ], ids=["se", "periodic+se", "sm+se"])
     def test_transition_slices_match_separate_kernel_calls(self, kern, rng):
-        # F, Q and inv_pipi come from slices of K(A_psi); they must equal, bit
+        # F, inv_Q and inv_pipi come from slices of K(A_psi); they must equal, bit
         # for bit, the factors built from separate kernel calls per block
         X = spread_points(128, 2, rng)
         model = CpoeModel(kern, NoiseSpec.create(0.1), J=8, C=3, gamma=0.5,
@@ -99,8 +102,8 @@ class TestLocalFactors:
             else:
                 assert e.F is None and e.inv_pipi is None
                 Q = K_aa
-            _, q_jitter = jittered_cholesky(Q, scale=float(np.mean(np.diag(K_aa))))
-            np.testing.assert_array_equal(e.Q, Q + q_jitter * np.eye(Q.shape[0]))
+            chol_Q = jittered_cholesky(Q, scale=float(np.mean(np.diag(K_aa))))[0]
+            np.testing.assert_array_equal(e.inv_Q, np.tril(dtrtri(chol_Q, lower=1)[0]))
 
     def test_full_conditioning_kills_residual(self, rng):
         # gamma = 1 and C = J: the projection conditions on the expert's own
@@ -745,6 +748,31 @@ class TestModelLifecycle:
                         for m in (model, loaded))
         for a, b in zip(fitted[:2] + fitted[2], back[:2] + back[2]):
             np.testing.assert_array_equal(b, a)
+
+    def test_layout_is_the_graphs(self, rng, tmp_path):
+        # the constructor's J, C, gamma and seed only say which graph a fit
+        # without one builds: a model fitted on a given graph, and its saved
+        # and loaded copy, report that graph's layout and no other
+        _, kern, noise, X, y = make_setup(rng, seed=5)
+        model = CpoeModel(kern, noise, J=4, C=2, gamma=1.0, seed=5)
+        model.fit(X, y, graph=ExpertGraph.build(X, 8, 3, 0.5, seed=0))
+        path = tmp_path / "model.npz"
+        model.save(path)
+        for m in (model, CpoeModel.load(path, X, y, kern)):
+            g = m.graph
+            assert (g.J, g.C, g.gamma, g.seed) == (8, 3, 0.5, 0)
+            for name in ("J", "C", "gamma", "seed"):
+                assert getattr(m, name, getattr(g, name)) == getattr(g, name), name
+
+    def test_C_above_J_warns_once(self, rng):
+        # the graph's build is the one place C is clamped to J
+        X = spread_points(32, 2, rng)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = CpoeModel(SquaredExponential.create(1.0, [0.2, 0.2]),
+                              NoiseSpec.create(0.1), J=2, C=5).fit(X, rng.normal(size=32))
+        assert [str(w.message) for w in caught] == ["C=5 exceeds J=2; clamping to J"]
+        assert model.graph.C == 2
 
     def _saved(self, rng, tmp_path):
         model, kern, noise, X, y = make_setup(rng, seed=5)

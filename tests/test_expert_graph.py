@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import predecessors
 from cpoe.expert_graph import (
     ExpertGraph,
-    build_predecessors,
     correlation_sets,
     kd_partition,
     order_partitions,
@@ -158,52 +157,84 @@ _EXAMPLE_CENTERS = np.array([
 ])
 
 
+def prefixes(corr):
+    """Each expert's predecessor set, the leading ``min(j, C - 1)`` entries of
+    its correlation set."""
+    C = corr.shape[1]
+    return [row[:min(j, C - 1)] for j, row in enumerate(corr)]
+
+
+def nearest_earlier(centers, C):
+    """Predecessor sets by brute force: per position ``j``, the ``min(j, C - 1)``
+    earlier positions with the closest centers (ties to the lowest position),
+    from one scalar norm per pair, sorted ascending."""
+    out = []
+    for j in range(len(centers)):
+        d = [(float(np.linalg.norm(centers[i] - centers[j])), i) for i in range(j)]
+        out.append(sorted(i for _, i in sorted(d)[:min(j, C - 1)]))
+    return out
+
+
 class TestPredecessors:
     def test_example_layout_C2(self):
-        preds = build_predecessors(_EXAMPLE_CENTERS, np.arange(5), 2)
+        preds = prefixes(correlation_sets(_EXAMPLE_CENTERS, 2))
         expected = [[], [0], [0], [1], [2]]
         for got, want in zip(preds, expected):
             assert got.tolist() == want
 
     def test_example_layout_C3(self):
-        preds = build_predecessors(_EXAMPLE_CENTERS, np.arange(5), 3)
+        preds = prefixes(correlation_sets(_EXAMPLE_CENTERS, 3))
         assert preds[2].tolist() == [0, 1]
         assert preds[3].tolist() == [1, 2]
         assert preds[4].tolist() == [2, 3]
 
     def test_C1_all_empty(self, rng):
-        preds = build_predecessors(rng.normal(size=(6, 2)), np.arange(6), 1)
-        assert all(p.size == 0 for p in preds)
+        # degree one: no predecessors, so every transition conditions on nothing
+        X = rng.normal(size=(48, 2))
+        g = ExpertGraph.build(X, J=8, C=1, gamma=0.5, seed=0)
+        for j in range(8):
+            assert predecessors(g, j).size == 0
+            assert predecessors(g, j, plus_self=True).tolist() == [j]
 
     def test_nesting_when_increasing_C(self, rng):
         centers = rng.normal(size=(10, 2))
-        order = np.arange(10)
         for C in range(1, 10):
-            p1 = build_predecessors(centers, order, C)
-            p2 = build_predecessors(centers, order, C + 1)
+            p1 = prefixes(correlation_sets(centers, C))
+            p2 = prefixes(correlation_sets(centers, C + 1))
             for j in range(10):
                 assert set(p1[j]).issubset(set(p2[j]))
                 assert len(p2[j]) - len(p1[j]) in (0, 1)
 
+    def test_ties_break_to_lowest_position(self):
+        # centers rounded to a 1/4 grid tie often; every prefix must be the
+        # brute-force ranking's, which breaks each tie toward the lowest position
+        tied = 0
+        for seed in range(40):
+            r = np.random.default_rng(seed)
+            J = int(r.integers(2, 24))
+            centers = np.round(r.uniform(0, 1, (J, 2)) * 4) / 4
+            tied += len({tuple(c) for c in centers}) < J
+            for C in range(1, J + 1):
+                got = prefixes(correlation_sets(centers, C))
+                assert [p.tolist() for p in got] == nearest_earlier(centers, C), (seed, C)
+        assert tied >= 10
+
 
 class TestCorrelationSets:
-    def test_C1_is_self(self):
-        preds = [np.empty(0, dtype=int) for _ in range(4)]
-        corr = correlation_sets(preds, 1)
+    def test_C1_is_self(self, rng):
+        corr = correlation_sets(rng.normal(size=(4, 2)), 1)
         assert [c.tolist() for c in corr] == [[0], [1], [2], [3]]
 
     def test_first_experts_share_the_full_corner(self, rng):
         # experts below the degree all use the leading block {0..C-1}
         centers = rng.normal(size=(6, 2))
         for C in (2, 3, 4):
-            preds = build_predecessors(centers, np.arange(6), C)
-            corr = correlation_sets(preds, C)
+            corr = correlation_sets(centers, C)
             for j in range(C):
                 assert corr[j].tolist() == list(range(C))
 
     def test_example_layout_psi4_C2(self):
-        preds = build_predecessors(_EXAMPLE_CENTERS, np.arange(5), 2)
-        corr = correlation_sets(preds, 2)
+        corr = correlation_sets(_EXAMPLE_CENTERS, 2)
         assert corr[3].tolist() == [1, 3]  # predecessors {1} plus self
 
     @given(st.integers(2, 16), st.integers(0, 500))
@@ -211,12 +242,21 @@ class TestCorrelationSets:
     def test_cardinalities_for_all_C(self, J, seed):
         centers = np.random.default_rng(seed).normal(size=(J, 2))
         for C in range(1, J + 1):
-            preds = build_predecessors(centers, np.arange(J), C)
-            corr = correlation_sets(preds, C)
-            for j in range(J):
-                assert preds[j].size == min(j, C - 1)
-                assert np.all(preds[j] < j)
-                assert corr[j].size == C
+            corr = correlation_sets(centers, C)
+            assert corr.shape == (J, C)
+            for j, pred in enumerate(prefixes(corr)):
+                assert pred.size == min(j, C - 1)
+                assert np.all(pred < j)
+                assert len(set(corr[j].tolist())) == C
+                assert corr[j].tolist() == sorted(corr[j].tolist())
+                if j >= C - 1:
+                    assert corr[j, -1] == j
+
+    def test_rejects_C_outside_one_to_J(self, rng):
+        centers = rng.normal(size=(4, 2))
+        for C in (0, 5):
+            with pytest.raises(ValueError, match=r"C must be in \[1, 4\]"):
+                correlation_sets(centers, C)
 
 
 class TestGraphBuild:
@@ -225,8 +265,6 @@ class TestGraphBuild:
         g = ExpertGraph.build(X, J=4, C=2, gamma=0.5, seed=1)
         assert sorted(np.concatenate(g.row_indices).tolist()) == list(range(40))
         assert sorted(g.ordering.tolist()) == list(range(4))
-        for j, rows in enumerate(g.row_indices):
-            np.testing.assert_array_equal(g.assignment[rows], j)
 
     def test_L_uses_smallest_cell(self, rng):
         X = rng.normal(size=(41, 2))  # cells of 10 and 11 rows
@@ -255,11 +293,12 @@ class TestGraphBuild:
         graphs = [g1, ExpertGraph.build(X, J=J, C=J, gamma=0.5, seed=seed)]
         graphs += [g1.with_correlation(C) for C in range(2, J + 1)]
         for g in graphs:
-            preds = build_predecessors(g.centers, np.arange(J), g.C)
+            # the ranking is on the experts' centers, the means of their inducing inputs
+            preds = nearest_earlier([A.mean(axis=0) for A in g.inducing_inputs], g.C)
             for j in range(J):
                 pp = predecessors(g, j, plus_self=True)
                 assert pp[-1] == j
-                np.testing.assert_array_equal(pp[:-1], preds[j])
+                assert pp[:-1].tolist() == preds[j]
 
     def test_C_above_J_clamps_with_warning(self, rng):
         X = rng.normal(size=(16, 2))

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dtrtri
 
 from conftest import predecessors, spread_points
 from cpoe import (
@@ -118,6 +119,7 @@ class TestLocalFactors:
             # transition: F = K_api K_pipi^-1, Q = K_aa - K_api F'
             A_self, pred = graph.inducing_inputs[j], predecessors(graph, j)
             K_aa = kern(A_self)
+            Q_model = K_aa  # the model's Q before jitter
             if pred.size:
                 A_pred = graph.inducing_inputs[pred].reshape(-1, graph.D)
                 chol, K_eff = factored(kern(A_pred))
@@ -126,19 +128,20 @@ class TestLocalFactors:
                 tol = bound(K_eff)
                 assert_close(e.F, F, tol)
                 Q = K_aa - K_api @ F.T
-                # the model's Q before jitter, and the jitter its factorization needed
                 Q_model = K_aa - K_api @ e.F.T
                 Q_model = 0.5 * (Q_model + Q_model.T)
-                _, q_jitter = jittered_cholesky(Q_model, scale=float(np.mean(np.diag(K_aa))))
-                np.testing.assert_array_equal(e.Q, Q_model + q_jitter * np.eye(Q.shape[0]))
                 assert np.abs(Q_model - 0.5 * (Q + Q.T)).max() <= (
                     tol * np.linalg.norm(K_api) * np.linalg.norm(F) + 4 * EPS * np.abs(K_aa).max())
+            # the jitter the factorization of Q needed, and the inverse factor kept
+            chol_Q, q_jitter = jittered_cholesky(Q_model, scale=float(np.mean(np.diag(K_aa))))
+            Q_eff = Q_model + q_jitter * np.eye(graph.L)
+            np.testing.assert_array_equal(e.inv_Q, np.tril(dtrtri(chol_Q, lower=1)[0]))
 
             # local prior block: Ft' Q^-1 Ft against the Gram matrix of L_Q^-1 Ft
             Ft = np.eye(graph.L) if e.F is None else np.hstack([-e.F, np.eye(graph.L)])
-            local = Ft.T @ cho_solve((np.linalg.cholesky(e.Q), True), Ft)
+            local = Ft.T @ cho_solve((np.linalg.cholesky(Q_eff), True), Ft)
             W = e.whitened_transition()
-            assert_close(W.T @ W, local, bound(e.Q))
+            assert_close(W.T @ W, local, bound(Q_eff))
 
 
 class TestResidualInverse:
