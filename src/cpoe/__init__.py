@@ -12,15 +12,7 @@ from .baselines import (
     ProductOfExperts,
     SparseGp,
 )
-from .block_sparse import (
-    BlockCholesky,
-    BlockSparseMatrix,
-    FactorizationError,
-    PartialInverse,
-    block_cholesky,
-    fill_reducing_permutation,
-    partial_inverse,
-)
+from .block_sparse import FactorizationError
 from .cpoe_model import (
     CpoeModel,
     CpoePosterior,

@@ -12,7 +12,10 @@ schedules the numeric routines walk are computed once on the J x J block
 graph (:func:`symbolic_factor`) and reused across refactorizations, which
 makes repeated hyperparameter iterations cheap.  The symbolic factor also
 keeps the slots of the dense matrices over given block index sets, so that
-scattering a local matrix into the array, or gathering one, is one indexing.
+scattering a local matrix into the array, or gathering one, is one indexing,
+and the ascending slots those sets hold (``read_slots``): a caller that reads
+the partial inverse only over the sets keeps just those blocks, and gathers
+from them through each set's positions in ``read_slots``.
 
 The partial inverse computes exactly those blocks of the inverse that lie in
 the Cholesky fill pattern, by the classic recursion that runs from the last
@@ -23,7 +26,7 @@ cliques of the filled graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -31,7 +34,6 @@ from scipy.linalg import solve_triangular
 __all__ = [
     "BlockSparseMatrix",
     "BlockCholesky",
-    "PartialInverse",
     "FactorizationError",
     "IndexSlots",
     "SymbolicFactor",
@@ -85,13 +87,24 @@ class IndexSlots:
     row (``(0, 0), (1, 0), (1, 1), (2, 0), ...``), so the first ``k(k+1)/2``
     entries are those of the set's leading ``k`` positions.  Entry ``t``: the
     local block at block coordinates ``(rows[t], cols[t])`` is stored,
-    untransposed, in slot ``slots[t]``.
+    untransposed, in slot ``slots[t]``.  For the symbolic factor's own
+    ``index_sets``, that slot is ``read_slots[read[t]]``.
     """
 
     size: int
     slots: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
+    read: np.ndarray | None = None
+
+    def dense(self, blocks: np.ndarray) -> np.ndarray:
+        """The dense symmetric matrix over the set whose entry ``t`` is
+        ``blocks[t]``, as gathered by ``slots`` or ``read``."""
+        n, bs = self.size, blocks.shape[1]
+        out = np.empty((n, bs, n, bs))
+        out[self.rows, :, self.cols] = blocks
+        out[self.cols, :, self.rows] = blocks.transpose(0, 2, 1)
+        return out.reshape(n * bs, n * bs)
 
 
 @dataclass
@@ -111,6 +124,7 @@ class SymbolicFactor:
     clique_ptr: np.ndarray    # per block col j, the slots of Z[max(i, k), min(i, k)]
     clique_slots: np.ndarray  # over i, k in S_j, row-major
     index_sets: list[IndexSlots] = field(default_factory=list, repr=False)
+    read_slots: np.ndarray = field(default=None, repr=False)  # held by index_sets
 
     @property
     def n_blocks(self) -> int:
@@ -149,16 +163,17 @@ class SymbolicFactor:
         return out
 
 
-def symbolic_factor(pattern: set[tuple[int, int]], n_blocks: int,
-                    perm: np.ndarray | None = None, index_sets=()) -> SymbolicFactor:
+def symbolic_factor(index_sets, n_blocks: int,
+                    perm: np.ndarray | None = None) -> SymbolicFactor:
     """Fill-reducing permutation (unless given), symbolic Cholesky fill and
-    slot layout of a symmetric block pattern.
+    slot layout of the symmetric block pattern of dense matrices over the
+    block index sets ``index_sets``.
 
-    The pattern factored is ``pattern``, the diagonal, and every pair within
-    each of ``index_sets``; the slots of each index set are kept, in order,
-    as ``index_sets`` of the result.
+    The pattern factored is the diagonal and every pair within each index
+    set.  The slots of each index set are kept, in order, as ``index_sets``
+    of the result, and the slots any of them holds as ``read_slots``.
     """
-    pattern = set(pattern) | {(i, i) for i in range(n_blocks)}
+    pattern = {(i, i) for i in range(n_blocks)}
     pattern |= {(int(i), int(j)) for idx in index_sets for i in idx for j in idx}
     if perm is None:
         perm = fill_reducing_permutation(pattern | {(j, i) for i, j in pattern})
@@ -205,7 +220,11 @@ def symbolic_factor(pattern: set[tuple[int, int]], n_blocks: int,
                          update_ptr=update_ptr, update_pairs=update_pairs.reshape(-1, 2),
                          col_ptr=col_ptr, col_slots=col_slots,
                          clique_ptr=clique_ptr, clique_slots=clique_slots)
-    sym.index_sets = sym.index_slots(index_sets)
+    sets = sym.index_slots(index_sets)
+    sym.read_slots = np.unique(np.concatenate([np.empty(0, dtype=np.int64)]
+                                              + [w.slots for w in sets]))
+    sym.index_sets = [replace(w, read=np.searchsorted(sym.read_slots, w.slots))
+                      for w in sets]
     return sym
 
 
@@ -235,22 +254,6 @@ class BlockSparseMatrix(_Slotted):
     def zeros(cls, symbolic: SymbolicFactor, block_size: int) -> "BlockSparseMatrix":
         return cls(symbolic, np.zeros((symbolic.n_slots, block_size, block_size)))
 
-    @classmethod
-    def from_dense(cls, A: np.ndarray, n_blocks: int, block_size: int,
-                   perm: np.ndarray | None = None) -> "BlockSparseMatrix":
-        """The symmetric matrix ``A`` on the pattern of its nonzero blocks,
-        ordered by ``perm`` or by minimum degree."""
-        A = np.asarray(A, dtype=float)
-        n = n_blocks * block_size
-        if A.shape != (n, n):
-            raise ValueError(f"matrix of shape {A.shape} is not {n_blocks} x {n_blocks} "
-                             f"blocks of size {block_size}")
-        A4 = A.reshape(n_blocks, block_size, n_blocks, block_size)
-        nonzero = np.argwhere(np.any(A4 != 0.0, axis=(1, 3)))
-        sym = symbolic_factor({(int(i), int(j)) for i, j in nonzero}, n_blocks, perm=perm)
-        rows, cols = np.divmod(sym.keys, n_blocks)
-        return cls(sym, A4[sym.perm[rows], :, sym.perm[cols]])
-
     def add_local(self, where: IndexSlots, local: np.ndarray, size: int | None = None) -> None:
         """Add the symmetric dense ``local`` over an index set's leading
         ``size`` positions (all of them by default) into the stored blocks."""
@@ -259,16 +262,6 @@ class BlockSparseMatrix(_Slotted):
         bs = self.block_size
         self.blocks[where.slots[:t]] += local.reshape(size, bs, size, bs)[
             where.rows[:t], :, where.cols[:t]]
-
-    def to_dense(self) -> np.ndarray:
-        sym = self.symbolic
-        J, bs = sym.n_blocks, self.block_size
-        rows, cols = np.divmod(sym.keys, J)
-        i, j = sym.perm[rows], sym.perm[cols]
-        out = np.zeros((J, bs, J, bs))
-        out[i, :, j] = self.blocks
-        out[j, :, i] = self.blocks.transpose(0, 2, 1)
-        return out.reshape(J * bs, J * bs)
 
 
 class BlockCholesky(_Slotted):
@@ -343,40 +336,9 @@ def block_cholesky(A: BlockSparseMatrix) -> BlockCholesky:
     return BlockCholesky(symbolic=sym, blocks=L)
 
 
-class PartialInverse(_Slotted):
-    """Blocks of the inverse on the Cholesky fill pattern, read in original
-    block indexing.
-
-    Entries outside the pattern were never computed; asking for one is a
-    contract violation and raises ``KeyError``.
-    """
-
-    def _slot(self, i: int, j: int) -> tuple[int, bool]:
-        p, q = int(self.symbolic.inv_perm[i]), int(self.symbolic.inv_perm[j])
-        return int(self.symbolic.slots_of(max(p, q), min(p, q))), p < q
-
-    def has_block(self, i: int, j: int) -> bool:
-        return self._slot(i, j)[0] >= 0
-
-    def get_block(self, i: int, j: int) -> np.ndarray:
-        """Inverse block at original block coordinates ``(i, j)``."""
-        s, transpose = self._slot(i, j)
-        if s < 0:
-            raise KeyError(f"inverse block ({i}, {j}) lies outside the computed pattern")
-        return self.blocks[s].T if transpose else self.blocks[s]
-
-    def gather(self, where: IndexSlots) -> np.ndarray:
-        """Dense submatrix of the inverse over an index set's blocks."""
-        n, bs = where.size, self.block_size
-        out = np.empty((n, bs, n, bs))
-        blocks = self.blocks[where.slots]
-        out[where.rows, :, where.cols] = blocks
-        out[where.cols, :, where.rows] = blocks.transpose(0, 2, 1)
-        return out.reshape(n * bs, n * bs)
-
-
-def partial_inverse(chol: BlockCholesky) -> PartialInverse:
-    """Blocks of ``(L L^T)^{-1}`` on the fill pattern of ``L``.
+def partial_inverse(chol: BlockCholesky) -> np.ndarray:
+    """Blocks of ``(L L^T)^{-1}`` on the fill pattern of ``L``, in ``L``'s
+    slot layout: one ``(n_slots, bs, bs)`` array.
 
     Sweeps block columns from last to first.  For column j with below-diagonal
     structure ``S_j``:
@@ -406,4 +368,4 @@ def partial_inverse(chol: BlockCholesky) -> PartialInverse:
         for s in cs:
             acc -= Z[s].T @ Lb[s] @ Linv_jj
         Z[diag[j]] = 0.5 * (acc + acc.T)  # enforce exact symmetry of the diagonal block
-    return PartialInverse(symbolic=sym, blocks=Z)
+    return Z

@@ -26,8 +26,10 @@ predecessor-plus-self block index sets.  Adding the projection precision
 precision, which keeps the prior's block pattern and is factorized once per
 hyperparameter setting; the symbolic analysis, with its flat block layout
 and each expert's slots in it, belongs to the graph and is built once per
-graph (:attr:`ExpertGraph.symbolic`).  The posterior keeps
-only the partial inverse of the precision, not the precision or its factor.  The
+graph (:attr:`ExpertGraph.symbolic`).  The posterior keeps neither the
+precision nor its factor, and of the precision's partial inverse only the
+blocks over the correlation sets, which the gradient and prediction read: a
+few per expert, however far the Cholesky fill grows with J.  The
 gradient contracts the projection's derivative ``dH`` without forming it:
 ``sum(dH o G) = sum((dK_xa - H dK_aa) o G K(A_corr, A_corr)^-1)``.
 
@@ -51,7 +53,6 @@ from scipy.linalg.lapack import dtrtri
 from .block_sparse import (
     BlockSparseMatrix,
     FactorizationError,
-    PartialInverse,
     block_cholesky,
     partial_inverse,
 )
@@ -269,18 +270,20 @@ def assemble_prior_precision(factors: LocalFactors) -> BlockSparseMatrix:
 
 @dataclass
 class CpoePosterior:
-    """Assembled posterior: mean, partial inverse of the precision, and the
-    cached scalars entering the marginal likelihood.
+    """Assembled posterior: mean, the covariance blocks over the correlation
+    sets, and the cached scalars entering the marginal likelihood.
 
-    Neither the precision nor its block factor is kept; the partial inverse
-    is the only covariance object.  ``pivot_bump`` is the diagonal shift the
-    precision needed to factorize (0.0 when it factorized as assembled).
+    ``sigma_blocks`` holds the partial inverse of the precision at the
+    graph's ``symbolic.read_slots``, the only blocks any reader gathers;
+    neither the precision nor its block factor is kept.  ``pivot_bump`` is
+    the diagonal shift the precision needed to factorize (0.0 when it
+    factorized as assembled).
     """
 
     factors: LocalFactors
-    b: np.ndarray
     mu: np.ndarray
-    zbar: PartialInverse
+    sigma_blocks: np.ndarray
+    b_mu: float                         # b' mu, b the projection's H' V^-1 y
     logdet_precision: float
     logdet_V: float
     yT_Vinv_y: float
@@ -299,9 +302,9 @@ class CpoePosterior:
         return self.mu.reshape(-1, self.graph.L)[idx].ravel()
 
     def sigma_psi(self, j: int) -> np.ndarray:
-        """Posterior covariance over expert j's correlation set, from the
-        partial inverse."""
-        return self.zbar.gather(self.zbar.symbolic.index_sets[j])
+        """Posterior covariance over expert j's correlation set."""
+        where = self.graph.symbolic.index_sets[j]
+        return where.dense(self.sigma_blocks[where.read])
 
     @property
     def log_marginal_likelihood(self) -> float:
@@ -312,7 +315,7 @@ class CpoePosterior:
         """
         N = self.graph.N
         logdet_Q = float(sum(e.logdet_Q for e in self.factors.experts))
-        val = -0.5 * (self.yT_Vinv_y - float(self.b @ self.mu) + self.logdet_precision
+        val = -0.5 * (self.yT_Vinv_y - self.b_mu + self.logdet_precision
                       + self.logdet_V + logdet_Q + N * np.log(2.0 * np.pi))
         if not np.isfinite(val):
             raise ArithmeticError("non-finite log marginal likelihood")
@@ -332,7 +335,8 @@ def assemble_posterior(factors: LocalFactors, S: BlockSparseMatrix,
     ``S`` is the prior precision from :func:`assemble_prior_precision`; the
     projection precision ``H^T V^-1 H`` is added into it in place, in expert
     order, and the resulting posterior precision is dropped once it is
-    factorized.  The symbolic analysis is ``S``'s, the graph's.
+    factorized, the factor once it is inverted.  The symbolic analysis is
+    ``S``'s, the graph's.
     """
     graph = factors.graph
     noise = factors.noise
@@ -399,10 +403,11 @@ def assemble_posterior(factors: LocalFactors, S: BlockSparseMatrix,
     del S
     mu = chol.solve(b)
     logdet_precision = chol.logdet()
-    zbar = partial_inverse(chol)
-    return CpoePosterior(factors=factors, b=b, mu=mu, zbar=zbar,
-                         logdet_precision=logdet_precision, logdet_V=logdet_V,
-                         yT_Vinv_y=yT_Vinv_y, pivot_bump=pivot_bump,
+    Z = partial_inverse(chol)
+    del chol  # before the copy, so the peak stays the factor's and Z's
+    return CpoePosterior(factors=factors, mu=mu, sigma_blocks=Z[sym.read_slots],
+                         b_mu=float(b @ mu), logdet_precision=logdet_precision,
+                         logdet_V=logdet_V, yT_Vinv_y=yT_Vinv_y, pivot_bump=pivot_bump,
                          vinv_y=vinv_y_list, vinv=vinv_list)
 
 
@@ -443,16 +448,16 @@ def lml_gradient(posterior: CpoePosterior) -> np.ndarray:
 
     Vector layout: kernel parameters in spec order, then the log noise
     variance.  The trace against the posterior covariance only touches blocks
-    inside the precision pattern, which is exactly what the partial inverse
-    provides.  One pass over the experts serves all six variants.  Per expert
-    one derivative stack of ``K(A_psi)`` serves both sides: the predecessor-
-    plus-self set is the leading prefix of the correlation set, so the
-    transition's blocks are its leading slices.  The transition side forms dF
-    and dQ, with ``Q^-1 Ft = L_Q^-T W`` from the whitened transition W; the
-    projection side collects the objective's derivative in the
-    residual covariance into one coefficient T (a vector for diagonal
-    residuals, a matrix for full ones) and contracts it with the kernel
-    derivatives in ``_contract_grad``, which :func:`stochastic_lml_term` shares.
+    over the correlation sets, the ones the posterior keeps.  One pass over
+    the experts serves all six variants.  Per expert one derivative stack of
+    ``K(A_psi)`` serves both sides: the predecessor-plus-self set is the
+    leading prefix of the correlation set, so the transition's blocks are its
+    leading slices.  The transition side forms dF and dQ, with
+    ``Q^-1 Ft = L_Q^-T W`` from the whitened transition W; the projection side
+    collects the objective's derivative in the residual covariance into one
+    coefficient T (a vector for diagonal residuals, a matrix for full ones)
+    and contracts it with the kernel derivatives in ``_contract_grad``, which
+    :func:`stochastic_lml_term` shares.
     """
     factors, graph = posterior.factors, posterior.graph
     kernel, sigma2 = factors.kernel, factors.noise.variance

@@ -172,7 +172,7 @@ class ExpertGraph:
         """Fill analysis and slot layout of the posterior precision, whose block
         pattern is the union of the experts' correlation-set blocks; keeps each
         expert's slots, in expert order (``index_sets``)."""
-        return symbolic_factor(set(), self.J, index_sets=self.correlation)
+        return symbolic_factor(self.correlation, self.J)
 
     @classmethod
     def build(cls, X: np.ndarray, J: int, C: int, gamma: float = 1.0,

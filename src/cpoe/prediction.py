@@ -2,9 +2,10 @@
 
 Each predictive expert projects the query onto its correlation region,
 producing a Gaussian whose variance combines the conditional residual with
-the posterior covariance of the region (read off the partial inverse, never
-recomputed densely).  Experts below the correlation degree are only
-implicitly represented, since their regions coincide with the first full one.
+the posterior covariance of the region (gathered from the blocks of the
+partial inverse the posterior keeps, never recomputed densely).  Experts
+below the correlation degree are only implicitly represented, since their
+regions coincide with the first full one.
 Prediction reads a model only through its graph, kernel, noise and
 :class:`ServingState`, which a fitted model builds from its posterior once per
 fit and a loaded model reads from its file.

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import settings
 
 import cpoe
+from cpoe import cpoe_model
+from cpoe.block_sparse import BlockSparseMatrix, symbolic_factor
 from cpoe.expert_graph import ExpertGraph, correlation_sets
 
 cpoe.set_num_threads()  # single-threaded BLAS: the suite works on small blocks
@@ -81,6 +83,46 @@ def transition_noise(e):
     from the inverse factor ``L_Q^-1`` the model keeps."""
     chol = np.linalg.inv(e.inv_Q)
     return chol @ chol.T
+
+
+# ---------------------------------------------------------------------------
+# dense converters of the flat block layout
+
+def pair_sets(pattern):
+    """A symmetric block pattern, given as ``(i, j)`` pairs, as the index sets
+    ``symbolic_factor`` takes: one set per off-diagonal pair."""
+    return sorted({(max(i, j), min(i, j)) for i, j in pattern if i != j})
+
+
+def from_dense(A, n_blocks, block_size, perm=None):
+    """The symmetric matrix ``A`` as a :class:`BlockSparseMatrix` on the
+    pattern of its nonzero blocks, ordered by ``perm`` or by minimum degree."""
+    A4 = np.asarray(A, dtype=float).reshape(n_blocks, block_size, n_blocks, block_size)
+    nonzero = np.argwhere(np.any(A4 != 0.0, axis=(1, 3)))
+    sym = symbolic_factor(pair_sets(nonzero.tolist()), n_blocks, perm=perm)
+    rows, cols = np.divmod(sym.keys, n_blocks)
+    return BlockSparseMatrix(sym, A4[sym.perm[rows], :, sym.perm[cols]])
+
+
+def to_dense(B):
+    """The symmetric matrix whose lower blocks a block-layout object holds."""
+    sym, bs = B.symbolic, B.block_size
+    J = sym.n_blocks
+    rows, cols = np.divmod(sym.keys, J)
+    i, j = sym.perm[rows], sym.perm[cols]
+    out = np.zeros((J, bs, J, bs))
+    out[i, :, j] = B.blocks
+    out[j, :, i] = B.blocks.transpose(0, 2, 1)
+    return out.reshape(J * bs, J * bs)
+
+
+def capture_partial_inverse(monkeypatch):
+    """A list that records every partial inverse a model computes (all fill
+    blocks, in the graph's slot layout), before the posterior keeps its part."""
+    real, out = cpoe_model.partial_inverse, []
+    monkeypatch.setattr(cpoe_model, "partial_inverse",
+                        lambda chol: out.append(real(chol)) or out[-1])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,14 @@ import time
 import numpy as np
 from scipy.integrate import quad
 
-from conftest import consecutive_graph, gp_sample, jittered_grid_2d, spread_points
+from conftest import (
+    capture_partial_inverse,
+    consecutive_graph,
+    gp_sample,
+    jittered_grid_2d,
+    spread_points,
+    to_dense,
+)
 from cpoe import (
     CpoeModel,
     ExpertGraph,
@@ -140,7 +147,7 @@ def test_criterion_3_structural_identities():
         for C in range(1, J + 1):
             m = CpoeModel(kern, noise, J=J, C=C, gamma=gamma, seed=t).fit(X, y)
             A = np.vstack(m.graph.inducing_inputs)
-            S = assemble_prior_precision(m.factors).to_dense()
+            S = to_dense(assemble_prior_precision(m.factors))
             dev = abs(np.trace(S @ kern(A)) - m.graph.M)
             worst_trace = max(worst_trace, dev)
 
@@ -155,7 +162,7 @@ def test_criterion_3_structural_identities():
             m.fit(X, rng.normal(size=N), graph=g)
             A = np.vstack(g.inducing_inputs)
             KAA = kern(A)
-            Sinv = np.linalg.inv(assemble_prior_precision(m.factors).to_dense())
+            Sinv = np.linalg.inv(to_dense(assemble_prior_precision(m.factors)))
             L = g.L
             for j in range(J):
                 idx = np.concatenate([np.arange(p * L, (p + 1) * L)
@@ -168,13 +175,15 @@ def test_criterion_3_structural_identities():
            f"band identity dev {worst_band:.2e} (<= 1e-8)")
 
 
-def test_criterion_4_sparse_pipeline_oracles():
+def test_criterion_4_sparse_pipeline_oracles(monkeypatch):
     """Sparse LML, partial inverse and posterior mean against dense oracles."""
     from conftest import dense_lml, dense_posterior
 
+    inverses = capture_partial_inverse(monkeypatch)
     rng = np.random.default_rng(11)
     noise_levels = (0.1, 0.2)
     worst_lml = worst_inv = worst_mu = 0.0
+    gathered = True
     for t in range(20):
         r2 = np.random.default_rng(400 + t)
         J = int(r2.choice([2, 3, 4, 5]))
@@ -201,17 +210,20 @@ def test_criterion_4_sparse_pipeline_oracles():
         prec, _, mu = dense_posterior(graph, kern, noise, m.y)
         worst_mu = max(worst_mu, np.abs(m.posterior.mu - mu).max())
         Sigma = np.linalg.inv(prec)
-        L = graph.L
-        for i in range(graph.J):
-            for k in range(graph.J):
-                if m.posterior.zbar.has_block(i, k):
-                    dev = np.abs(m.posterior.zbar.get_block(i, k)
-                                 - Sigma[i * L:(i + 1) * L, k * L:(k + 1) * L]).max()
-                    worst_inv = max(worst_inv, dev)
-    ok = worst_lml <= 1e-6 and worst_inv <= 1e-9 and worst_mu <= 1e-8
+        L, sym, Z = graph.L, graph.symbolic, inverses[-1]
+        # every fill block, not only those the posterior keeps
+        rows, cols = np.divmod(sym.keys, graph.J)
+        for i, k, z in zip(sym.perm[rows], sym.perm[cols], Z):
+            dev = np.abs(z - Sigma[i * L:(i + 1) * L, k * L:(k + 1) * L]).max()
+            worst_inv = max(worst_inv, dev)
+        # and each expert's covariance is a gather of those blocks
+        gathered &= all(np.array_equal(m.posterior.sigma_psi(j), w.dense(Z[w.slots]))
+                        for j, w in enumerate(sym.index_sets))
+    ok = worst_lml <= 1e-6 and worst_inv <= 1e-9 and worst_mu <= 1e-8 and gathered
     report("4 (sparse pipeline oracles)", ok,
            f"LML dev {worst_lml:.2e} (<= 1e-6), partial-inverse dev {worst_inv:.2e} "
-           f"(<= 1e-9), mean dev {worst_mu:.2e} (<= 1e-8)")
+           f"(<= 1e-9), mean dev {worst_mu:.2e} (<= 1e-8), sigma_psi the fill's "
+           f"blocks bitwise: {gathered}")
 
 
 def test_criterion_5_gradient_all_variants():
@@ -352,6 +364,27 @@ def test_criterion_7_complexity_scaling():
     report("7 (complexity scaling)", ok,
            f"fit-time ratios {r1:.2f}, {r2:.2f} (in [1.5, 3.0]); KL decreasing in "
            f"C: {kl_ok}; time increasing in C: {time_c_ok}, in gamma: {time_g_ok}")
+
+
+def test_posterior_covariance_linear_in_experts():
+    """The posterior keeps at most C(C+1)/2 covariance blocks per expert while
+    the Cholesky fill per expert grows with J (counts, no wall time)."""
+    kern, noise = SquaredExponential.create(1.0, [0.05, 0.05]), NoiseSpec.create(0.1)
+    C = 3
+    fill, kept, within = [], [], True
+    for J in (64, 256, 1024):
+        rng = np.random.default_rng(0)
+        X = rng.uniform(0, 1, (16 * J, 2))
+        y = np.sin(6 * X[:, 0]) + 0.1 * rng.normal(size=16 * J)
+        m = CpoeModel(kern, noise, J=J, C=C, gamma=0.5, seed=0).fit(X, y)
+        L, post = m.graph.L, m.posterior
+        within &= post.sigma_blocks.nbytes <= J * C * (C + 1) // 2 * L * L * 8
+        fill.append(m.graph.symbolic.n_slots / J)
+        kept.append(post.sigma_blocks.shape[0] / J)
+    grows = fill[0] < fill[1] < fill[2] and fill[2] > C * (C + 1) // 2
+    report("posterior covariance linear in J", within and grows,
+           f"blocks kept per expert {np.round(kept, 2)} (<= {C * (C + 1) // 2}), "
+           f"fill blocks per expert {np.round(fill, 2)} (growing) at J = 64, 256, 1024")
 
 
 def test_criterion_8_aggregation_consistency():

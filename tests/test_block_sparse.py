@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import from_dense, pair_sets, to_dense
 from cpoe import ExpertGraph
 from cpoe.block_sparse import (
     BlockSparseMatrix,
@@ -71,8 +72,17 @@ def dense_factor(ch):
     return L
 
 
+def inverse_blocks(sym, Z):
+    """The partial inverse's blocks by original block pair, both orientations."""
+    out = {}
+    for (p, q), z in zip(stored_pairs(sym), Z):
+        i, j = int(sym.perm[p]), int(sym.perm[q])
+        out[i, j], out[j, i] = z, z.T
+    return out
+
+
 def count_fill(pattern, J, perm):
-    sym = symbolic_factor(pattern, J, perm=np.asarray(perm))
+    sym = symbolic_factor(pair_sets(pattern), J, perm=np.asarray(perm))
     filled = sym.col_slots.size  # every stored block below the diagonal, once
     original = len({(i, j) for (i, j) in pattern if i > j})
     return filled - original
@@ -81,24 +91,20 @@ def count_fill(pattern, J, perm):
 class TestBlockSparseMatrix:
     def test_dense_roundtrip(self, rng):
         A = random_block_spd(rng, 4, 3, tridiag_pattern(4))
-        B = BlockSparseMatrix.from_dense(A, 4, 3)
-        np.testing.assert_array_equal(B.to_dense(), A)
+        B = from_dense(A, 4, 3)
+        np.testing.assert_array_equal(to_dense(B), A)
         # one slot per lower block; a tridiagonal pattern takes no fill
         perm = B.symbolic.perm
         stored = {(int(perm[p]), int(perm[q])) for p, q in stored_pairs(B.symbolic)}
         assert B.blocks.shape == (len(stored), 3, 3)
         assert stored | {(j, i) for i, j in stored} == tridiag_pattern(4)
 
-    def test_block_shape_checked(self):
-        with pytest.raises(ValueError):
-            BlockSparseMatrix.from_dense(np.eye(5), 2, 2)
-
     def test_scatter_over_index_sets_matches_dense(self, rng):
         # local symmetric matrices over block index sets, added in order, and
         # leading prefixes of a set (the prior's predecessor-plus-self blocks)
         J, bs = 7, 2
         sets = [np.array([0, 3, 5]), np.array([1, 2]), np.array([2, 4, 5, 6]), np.array([6])]
-        sym = symbolic_factor(set(), J, index_sets=sets)
+        sym = symbolic_factor(sets, J)
         B = BlockSparseMatrix.zeros(sym, bs)
         dense = np.zeros((J * bs, J * bs))
         for idx, where in zip(sets, sym.index_sets):
@@ -108,7 +114,7 @@ class TestBlockSparseMatrix:
                 B.add_local(where, local, k)
                 sel = np.concatenate([np.arange(i * bs, (i + 1) * bs) for i in idx[:k]])
                 dense[np.ix_(sel, sel)] += local
-        np.testing.assert_array_equal(B.to_dense(), dense)
+        np.testing.assert_array_equal(to_dense(B), dense)
         with pytest.raises(ValueError, match="outside the fill pattern"):
             sym.index_slots([np.array([0, 1])])
 
@@ -137,7 +143,7 @@ class TestFillReducingPermutation:
 
 class TestBlockCholesky:
     def test_identity(self):
-        A = BlockSparseMatrix.from_dense(np.eye(6), 3, 2)
+        A = from_dense(np.eye(6), 3, 2)
         ch = block_cholesky(A)
         np.testing.assert_allclose(dense_factor(ch), np.eye(6), atol=1e-14)
 
@@ -145,7 +151,7 @@ class TestBlockCholesky:
         J, bs = 3, 3
         pat = tridiag_pattern(J)
         A = random_block_spd(rng, J, bs, pat)
-        ch = block_cholesky(BlockSparseMatrix.from_dense(A, J, bs))
+        ch = block_cholesky(from_dense(A, J, bs))
         Ld = dense_factor(ch)
         n = J * bs
         P = np.zeros((n, n))
@@ -159,25 +165,21 @@ class TestBlockCholesky:
             assert np.allclose(blk, np.tril(blk)) and np.all(np.diag(blk) > 0)
 
     def test_non_pd_reports_block(self):
-        A = BlockSparseMatrix.from_dense(-np.eye(4), 2, 2)
+        A = from_dense(-np.eye(4), 2, 2)
         with pytest.raises(FactorizationError) as err:
             block_cholesky(A)
         assert err.value.block_index in (0, 1)
 
-    def test_requires_square_blocks(self):
-        with pytest.raises(ValueError):
-            BlockSparseMatrix.from_dense(np.ones((4, 6)), 2, 2)
-
 
 class TestSolveAndLogdet:
     def test_identity_passthrough(self, rng):
-        ch = block_cholesky(BlockSparseMatrix.from_dense(np.eye(6), 2, 3))
+        ch = block_cholesky(from_dense(np.eye(6), 2, 3))
         b = rng.normal(size=6)
         np.testing.assert_allclose(ch.solve(b), b, atol=1e-14)
 
     def test_zero_rhs(self, rng):
         A = random_block_spd(rng, 3, 2, tridiag_pattern(3))
-        ch = block_cholesky(BlockSparseMatrix.from_dense(A, 3, 2))
+        ch = block_cholesky(from_dense(A, 3, 2))
         np.testing.assert_array_equal(ch.solve(np.zeros(6)), np.zeros(6))
 
     def test_random_solve_matches_dense(self, rng):
@@ -186,7 +188,7 @@ class TestSolveAndLogdet:
             J, bs = 4, 2
             pat = tridiag_pattern(J) | {(3, 0), (0, 3)}
             A = random_block_spd(rng, J, bs, pat)
-            ch = block_cholesky(BlockSparseMatrix.from_dense(A, J, bs))
+            ch = block_cholesky(from_dense(A, J, bs))
             b = rng.normal(size=J * bs)
             x = ch.solve(b)
             assert np.linalg.norm(A @ x - b) <= 1e-8 * np.linalg.norm(b)
@@ -194,27 +196,26 @@ class TestSolveAndLogdet:
                 np.testing.assert_allclose(x, np.linalg.solve(A, b), atol=1e-8)
 
     def test_logdet_trivial_cases(self):
-        assert block_cholesky(BlockSparseMatrix.from_dense(np.eye(4), 4, 1)).logdet() == 0.0
-        ch = block_cholesky(BlockSparseMatrix.from_dense(np.diag([2.0, 2.0]), 2, 1))
+        assert block_cholesky(from_dense(np.eye(4), 4, 1)).logdet() == 0.0
+        ch = block_cholesky(from_dense(np.diag([2.0, 2.0]), 2, 1))
         assert ch.logdet() == pytest.approx(2 * np.log(2.0), abs=1e-12)
 
     def test_logdet_random_matches_dense(self, rng):
         A = random_block_spd(rng, 5, 2, tridiag_pattern(5))
-        ch = block_cholesky(BlockSparseMatrix.from_dense(A, 5, 2))
+        ch = block_cholesky(from_dense(A, 5, 2))
         assert ch.logdet() == pytest.approx(np.linalg.slogdet(A)[1], abs=1e-9)
 
     def test_logdet_plus_inverse_logdet_is_zero(self, rng):
         A = random_block_spd(rng, 3, 2, tridiag_pattern(3))
-        ch = block_cholesky(BlockSparseMatrix.from_dense(A, 3, 2))
+        ch = block_cholesky(from_dense(A, 3, 2))
         assert abs(ch.logdet() + np.linalg.slogdet(np.linalg.inv(A))[1]) < 1e-8
 
 
 class TestPartialInverse:
     def test_single_block_is_full_inverse(self, rng):
         A = random_block_spd(rng, 1, 4, {(0, 0)})
-        ch = block_cholesky(BlockSparseMatrix.from_dense(A, 1, 4))
-        Z = partial_inverse(ch)
-        np.testing.assert_allclose(Z.get_block(0, 0), np.linalg.inv(A), atol=1e-9)
+        ch = block_cholesky(from_dense(A, 1, 4))
+        np.testing.assert_allclose(partial_inverse(ch)[0], np.linalg.inv(A), atol=1e-9)
 
     def test_block_diagonal_decouples(self, rng):
         J, bs = 3, 2
@@ -222,48 +223,36 @@ class TestPartialInverse:
         A = np.zeros((J * bs, J * bs))
         for i, blk in enumerate(blocks):
             A[i * bs:(i + 1) * bs, i * bs:(i + 1) * bs] = blk
-        Z = partial_inverse(block_cholesky(BlockSparseMatrix.from_dense(A, J, bs)))
+        ch = block_cholesky(from_dense(A, J, bs))
+        Z = inverse_blocks(ch.symbolic, partial_inverse(ch))
         for i, blk in enumerate(blocks):
-            np.testing.assert_allclose(Z.get_block(i, i), np.linalg.inv(blk), atol=1e-10)
+            np.testing.assert_allclose(Z[i, i], np.linalg.inv(blk), atol=1e-10)
 
     def test_tridiagonal_matches_dense_inverse(self, rng):
         J, bs = 4, 3
         A = random_block_spd(rng, J, bs, tridiag_pattern(J))
-        ch = block_cholesky(BlockSparseMatrix.from_dense(A, J, bs))
-        Z = partial_inverse(ch)
+        ch = block_cholesky(from_dense(A, J, bs))
         Ainv = np.linalg.inv(A)
-        for i in range(J):
-            for j in range(J):
-                if Z.has_block(i, j):
-                    np.testing.assert_allclose(
-                        Z.get_block(i, j), Ainv[i * bs:(i + 1) * bs, j * bs:(j + 1) * bs],
-                        atol=1e-9)
+        for (i, j), z in inverse_blocks(ch.symbolic, partial_inverse(ch)).items():
+            np.testing.assert_allclose(z, Ainv[i * bs:(i + 1) * bs, j * bs:(j + 1) * bs],
+                                       atol=1e-9)
 
     def test_pattern_covers_original_matrix(self, rng):
         J, bs = 5, 2
         pat = tridiag_pattern(J) | {(4, 1), (1, 4)}
         A = random_block_spd(rng, J, bs, pat)
-        Z = partial_inverse(block_cholesky(BlockSparseMatrix.from_dense(A, J, bs)))
-        for (i, j) in pat:
-            assert Z.has_block(i, j)
-
-    def test_outside_pattern_raises(self, rng):
-        J, bs = 4, 2
-        A = random_block_spd(rng, J, bs, tridiag_pattern(J))
-        Z = partial_inverse(block_cholesky(BlockSparseMatrix.from_dense(A, J, bs)))
-        outside = [(i, j) for i in range(J) for j in range(J) if not Z.has_block(i, j)]
-        if outside:
-            with pytest.raises(KeyError):
-                Z.get_block(*outside[0])
+        ch = block_cholesky(from_dense(A, J, bs))
+        assert pat <= inverse_blocks(ch.symbolic, partial_inverse(ch)).keys()
 
     def test_gather_submatrix(self, rng):
         J, bs = 4, 2
         A = random_block_spd(rng, J, bs, tridiag_pattern(J))
-        Z = partial_inverse(block_cholesky(BlockSparseMatrix.from_dense(A, J, bs)))
+        ch = block_cholesky(from_dense(A, J, bs))
         Ainv = np.linalg.inv(A)
         idx = np.array([1, 2])
         sel = np.concatenate([np.arange(i * bs, (i + 1) * bs) for i in idx])
-        np.testing.assert_allclose(Z.gather(Z.symbolic.index_slots([idx])[0]),
+        where = ch.symbolic.index_slots([idx])[0]
+        np.testing.assert_allclose(where.dense(partial_inverse(ch)[where.slots]),
                                    Ainv[np.ix_(sel, sel)], atol=1e-9)
 
     def test_random_patterns_many(self, rng):
@@ -273,14 +262,11 @@ class TestPartialInverse:
             extra = tuple(rng.choice(J, size=2, replace=False))
             pat |= {extra, extra[::-1]}
             A = random_block_spd(rng, J, bs, pat)
-            Z = partial_inverse(block_cholesky(BlockSparseMatrix.from_dense(A, J, bs)))
+            ch = block_cholesky(from_dense(A, J, bs))
             Ainv = np.linalg.inv(A)
-            for i in range(J):
-                for j in range(J):
-                    if Z.has_block(i, j):
-                        np.testing.assert_allclose(
-                            Z.get_block(i, j),
-                            Ainv[i * bs:(i + 1) * bs, j * bs:(j + 1) * bs], atol=1e-9)
+            for (i, j), z in inverse_blocks(ch.symbolic, partial_inverse(ch)).items():
+                np.testing.assert_allclose(z, Ainv[i * bs:(i + 1) * bs, j * bs:(j + 1) * bs],
+                                           atol=1e-9)
 
 
 @st.composite
@@ -308,7 +294,7 @@ class TestRandomPatterns:
     @settings(max_examples=60, deadline=None)
     def test_factor_solve_inverse_match_dense(self, problem):
         A, J, bs, pat, perm, r = problem
-        ch = block_cholesky(BlockSparseMatrix.from_dense(A, J, bs, perm=perm))
+        ch = block_cholesky(from_dense(A, J, bs, perm=perm))
         sym = ch.symbolic
         if perm is not None:
             np.testing.assert_array_equal(sym.perm, perm)
@@ -340,21 +326,22 @@ class TestRandomPatterns:
         # structure gathered as one dense submatrix
         Ainv = np.linalg.inv(A)
         Z = partial_inverse(ch)
+        assert Z.shape == (sym.n_slots, bs, bs)
         scale = np.linalg.norm(Ainv)
-        for (p, q) in stored:
-            i, j = int(sym.perm[p]), int(sym.perm[q])
+        for (i, j), z in inverse_blocks(sym, Z).items():
             ref = Ainv[i * bs:(i + 1) * bs, j * bs:(j + 1) * bs]
-            assert np.abs(Z.get_block(i, j) - ref).max() <= tol * scale
-            assert np.abs(Z.get_block(j, i) - ref.T).max() <= tol * scale
+            assert np.abs(z - ref).max() <= tol * scale
         for q in range(J):
             idx = sym.perm[[q] + column_rows(sym, q)]
             sel = np.concatenate([np.arange(i * bs, (i + 1) * bs) for i in idx])
-            gathered = Z.gather(sym.index_slots([idx])[0])
+            where = sym.index_slots([idx])[0]
+            gathered = where.dense(Z[where.slots])
             assert np.abs(gathered - Ainv[np.ix_(sel, sel)]).max() <= tol * scale
-        outside = [(i, j) for i in range(J) for j in range(J) if not Z.has_block(i, j)]
-        for i, j in outside[:3]:
-            with pytest.raises(KeyError):
-                Z.get_block(i, j)
+        # the pattern's index sets read the same blocks from the compact copy
+        assert sym.read_slots.tolist() == sorted({s for w in sym.index_sets for s in w.slots})
+        kept = Z[sym.read_slots]
+        for w in sym.index_sets:
+            np.testing.assert_array_equal(kept[w.read], Z[w.slots])
 
 
 def dense_schedules(pattern, perm):
@@ -398,7 +385,8 @@ class TestSchedules:
         r = np.random.default_rng(seed)
         pattern = {(i, j) for i in range(J) for j in range(i) if r.uniform() < density}
         perm = r.permutation(J) if given_perm else None
-        assert_schedules_match_dense(symbolic_factor(pattern, J, perm=perm), pattern)
+        assert_schedules_match_dense(symbolic_factor(pair_sets(pattern), J, perm=perm),
+                                     pattern)
 
     @pytest.mark.parametrize("name", ["c6_fitc", "j256_fitc", "pitc_sum3d"])
     def test_benchmark_workload_graphs(self, monkeypatch, name):

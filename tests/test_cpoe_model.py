@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import dtrtri
 
 from conftest import (
+    capture_partial_inverse,
     consecutive_graph,
     dense_lml,
     dense_local_factors,
@@ -21,6 +22,7 @@ from conftest import (
     gp_sample,
     predecessors,
     spread_points,
+    to_dense,
     transition_noise,
 )
 from cpoe import (
@@ -143,13 +145,13 @@ class TestLocalFactors:
 class TestPriorPrecision:
     def test_matches_dense_assembly(self, rng):
         model, kern, *_ = make_setup(rng)
-        np.testing.assert_allclose(assemble_prior_precision(model.factors).to_dense(),
+        np.testing.assert_allclose(to_dense(assemble_prior_precision(model.factors)),
                                    dense_prior_precision(model.graph, kern), atol=1e-7)
 
     def test_full_degree_inverts_to_kernel_matrix(self, rng):
         model, kern, *_ = make_setup(rng, N=32, J=4, C=4, gamma=1.0)
         A = np.vstack(model.graph.inducing_inputs)
-        S = assemble_prior_precision(model.factors).to_dense()
+        S = to_dense(assemble_prior_precision(model.factors))
         np.testing.assert_allclose(np.linalg.inv(S), kern(A), atol=1e-8)
 
     def test_trace_identity_all_degrees(self, rng):
@@ -165,14 +167,14 @@ class TestPriorPrecision:
                 m = CpoeModel(kern, noise, J=J, C=C, gamma=gamma, seed=t)
                 m.fit(X, r2.normal(size=X.shape[0]))
                 A = np.vstack(m.graph.inducing_inputs)
-                S = assemble_prior_precision(m.factors).to_dense()
+                S = to_dense(assemble_prior_precision(m.factors))
                 assert abs(np.trace(S @ kern(A)) - m.graph.M) < 1e-8
 
     def test_density_matches_conditional_product(self, rng):
         # log N(a; 0, S^{-1}) must equal the sum of the transition conditionals
         model, kern, *_ = make_setup(rng, N=36, J=4, C=2, gamma=0.5, ls=0.1)
         g = model.graph
-        S = assemble_prior_precision(model.factors).to_dense()
+        S = to_dense(assemble_prior_precision(model.factors))
         sign, logdet_S = np.linalg.slogdet(S)
         assert sign > 0
         oracle = dense_local_factors(g, kern)
@@ -206,7 +208,7 @@ class TestPriorPrecision:
                 m.fit(X, rng.normal(size=N), graph=g)
                 A = np.vstack(g.inducing_inputs)
                 KAA = kern(A)
-                Sinv = np.linalg.inv(assemble_prior_precision(m.factors).to_dense())
+                Sinv = np.linalg.inv(to_dense(assemble_prior_precision(m.factors)))
                 L = g.L
                 for j in range(J):
                     idx = np.concatenate([np.arange(p * L, (p + 1) * L)
@@ -219,7 +221,7 @@ def rebuilt_posterior(model):
     """The posterior precision (dense) and ``b``, rebuilt from the model's
     factors: the assembled prior plus each expert's ``H'V^-1 H`` and ``H'V^-1 y``."""
     factors, L = model.factors, model.graph.L
-    precision = assemble_prior_precision(factors).to_dense()
+    precision = to_dense(assemble_prior_precision(factors))
     b = np.zeros(model.graph.M)
     for j, e in enumerate(factors.experts):
         if e.vbar.ndim == 1:
@@ -250,10 +252,11 @@ def array_bytes(obj, skip=(cpoe_model.LocalFactors, SymbolicFactor)) -> int:
 
 
 class TestPosterior:
-    def test_precision_pattern_equals_prior_pattern(self, rng):
+    def test_precision_pattern_equals_prior_pattern(self, rng, monkeypatch):
         # the projection's blocks (correlation sets) lie on the prior's
         # (predecessor-plus-self sets), so one layout holds both, and the
         # partial inverse covers every one of them
+        inverses = capture_partial_inverse(monkeypatch)
         for (J, C, gamma) in [(4, 1, 1.0), (4, 2, 0.5), (8, 3, 0.5), (4, 4, 1.0)]:
             model, *_ = make_setup(rng, N=8 * J, J=J, C=C, gamma=gamma)
             g = model.graph
@@ -261,21 +264,27 @@ class TestPosterior:
                      for k in predecessors(g, j, plus_self=True)}
             projection = {(i, k) for psi in g.correlation for i in psi for k in psi}
             assert projection == prior
-            assert all(model.posterior.zbar.has_block(i, k) for i, k in prior)
+            sym, Z = g.symbolic, inverses[-1]
+            assert Z.shape == (sym.n_slots, g.L, g.L)
+            p, q = sym.inv_perm[np.array(sorted(prior))].T
+            slots = sym.slots_of(np.maximum(p, q), np.minimum(p, q))
+            assert np.all(slots >= 0) and np.all(np.isfinite(Z[slots]))
 
     @pytest.mark.parametrize("variant", ["fitc", "pitc"])
-    def test_keeps_only_partial_inverse_and_vectors(self, rng, variant):
+    def test_keeps_only_read_blocks_and_vectors(self, rng, variant):
         # memory contract: besides the factors and the symbolic analysis (both
-        # shared across refits), a posterior holds the partial inverse, O(N + M)
-        # vectors, and V_j^-1 per expert for full residuals only
+        # shared across refits), a posterior holds the partial inverse's blocks
+        # at the correlation sets' slots, mu and V_j^-1 y_j (O(M + N)), and
+        # V_j^-1 per expert for full residuals only
         X = spread_points(64, 2, rng)
         model = CpoeModel(SquaredExponential.create(1.0, [0.2, 0.2]), NoiseSpec.create(0.1),
                           J=8, C=3, gamma=0.5, variant=VariantSpec(variant),
                           seed=0).fit(X, rng.normal(size=64))
         post, g = model.posterior, model.graph
+        assert post.sigma_blocks.shape == (g.symbolic.read_slots.size, g.L, g.L)
         vinv = sum(v.nbytes for v in post.vinv if v is not None)
         assert (vinv > 0) == (variant == "pitc")
-        budget = array_bytes(post.zbar) + 8 * (2 * g.N + 2 * g.M) + vinv
+        budget = post.sigma_blocks.nbytes + 8 * (g.N + g.M) + vinv
         assert array_bytes(post) <= budget
 
     def test_pivot_bump_recorded_and_logged(self, rng, monkeypatch, caplog):
@@ -285,7 +294,7 @@ class TestPosterior:
 
         def fail_once(A):  # the first factorization fails, as on a bad pivot
             if not seen:
-                seen.append(A.to_dense())
+                seen.append(to_dense(A))
                 raise FactorizationError(2)
             return real(A)
         monkeypatch.setattr(cpoe_model, "block_cholesky", fail_once)
@@ -675,7 +684,7 @@ class TestModelLifecycle:
             trainee.set_params(theta)
         served.set_params(served.get_params())
         assert len(calls) == 1
-        assert served.posterior.zbar.symbolic is trainee.posterior.zbar.symbolic
+        assert served.posterior.graph.symbolic is trainee.posterior.graph.symbolic
 
     def test_new_graph_gets_its_own_symbolic_analysis(self, rng, monkeypatch):
         calls = self._count_symbolic(monkeypatch)
