@@ -1,6 +1,8 @@
 """Experiment harness: data loading, timed method sweeps, results CSVs.
 
-Configuration files are flat ``key = value`` text (``#`` comments allowed).
+Configuration files are flat ``key = value`` text (``#`` comments allowed),
+read once into a typed ``ExperimentConfig``: a malformed line, an unknown key
+or a bad value is refused, naming ``file:line``, before any method runs.
 Every result row carries the configuration hash and the repetition seed, so
 runs are exactly reproducible from (data, config, seed).  Timing wraps fit and
 predict separately with wall clocks.
@@ -20,7 +22,7 @@ import csv
 import hashlib
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +49,6 @@ __all__ = [
     "synth_gp_data",
     "run_experiment",
     "build_kernel",
-    "parse_config",
     "main",
 ]
 
@@ -64,7 +65,6 @@ class Dataset:
     x_std: np.ndarray
     y_mean: float
     y_std: float
-    seed: int
 
     @property
     def N(self) -> int:
@@ -120,10 +120,8 @@ def load_csv(path, target_column="last", test_fraction: float = 0.1, seed: int =
     """
     path = Path(path)
     header, data = _read_csv(path)
-    width = len(header)
-
     if target_column == "last":
-        t_idx = width - 1
+        t_idx = len(header) - 1
     elif isinstance(target_column, int) or str(target_column).lstrip("-").isdigit():
         t_idx = int(target_column)
     else:
@@ -141,16 +139,14 @@ def load_csv(path, target_column="last", test_fraction: float = 0.1, seed: int =
     y_train, y_test = y_all[train_idx], y_all[test_idx]
     if standardize:
         X_train, X_test, xm, xs = _standardize(X_train, X_test)
-        y2 = y_train[:, None]
-        y2t = y_test[:, None] if n_test else np.zeros((0, 1))
-        y_train_s, y_test_s, ym, ys = _standardize(y2, y2t)
+        y_train_s, y_test_s, ym, ys = _standardize(y_train[:, None], y_test[:, None])
         y_train, y_test = y_train_s[:, 0], y_test_s[:, 0]
         ym, ys = float(ym[0]), float(ys[0])
     else:
         xm, xs = np.zeros(X_train.shape[1]), np.ones(X_train.shape[1])
         ym, ys = 0.0, 1.0
     return Dataset(X=X_train, y=y_train, X_test=X_test, y_test=y_test,
-                   x_mean=xm, x_std=xs, y_mean=ym, y_std=ys, seed=seed)
+                   x_mean=xm, x_std=xs, y_mean=ym, y_std=ys)
 
 
 def synth_gp_data(kernel: Kernel, N: int, D: int, noise_variance: float, seed: int,
@@ -166,127 +162,158 @@ def synth_gp_data(kernel: Kernel, N: int, D: int, noise_variance: float, seed: i
     f = chol @ rng.normal(size=total)
     y_all = f + np.sqrt(noise_variance) * rng.normal(size=total)
     return Dataset(X=X_all[:N], y=y_all[:N], X_test=X_all[N:], y_test=y_all[N:],
-                   x_mean=np.zeros(D), x_std=np.ones(D), y_mean=0.0, y_std=1.0,
-                   seed=seed)
+                   x_mean=np.zeros(D), x_std=np.ones(D), y_mean=0.0, y_std=1.0)
 
 
 # ---------------------------------------------------------------------------
 # configuration
 
-_DEFAULTS = {
-    "data": "",
-    "target": "last",
-    "test_fraction": "0.1",
-    "standardize": "true",
-    "synthetic": "",
-    "n": "1024",
-    "d": "2",
-    "n_test": "200",
-    "gen_noise_variance": "0.05",
-    "seed": "0",
-    "repetitions": "1",
-    "kernel": "se",
-    "variance": "1.0",
-    "lengthscale": "1.0",
-    "sm_components": "2",
-    "noise_init": "0.1",
-    "j": "8",
-    "gamma": "1.0",
-    "variant": "fitc",
-    "alpha_pep": "1.0",
-    "methods": "fullgp,cpoe:2",
-    "optimize": "none",
-    "learning_rate": "0.01",
-    "epochs": "15",
-    "tolerance": "1e-2",
-    "max_iter": "60",
-    "dense_cap": "8192",
-    "output": "results",
-}
-
-_OPTIMIZE_MODES = ("none", "deterministic", "stochastic")
+_GENERATORS = ("se", "two_se", "se+se")
+_METHODS = ("fullgp", "sgp", "minvar", "gpoe", "cpoe")
+# the names each of these keys allows; VariantSpec checks the variant's
+_CHOICES = {"synthetic": ("", *_GENERATORS), "kernel": (*_GENERATORS, "composite"),
+            "optimize": ("none", "deterministic", "stochastic")}
+_TRUE, _FALSE = ("true", "yes", "1"), ("false", "no", "0")
 
 
-def parse_config(path) -> dict:
-    """Flat ``key = value`` file into a dict over the known keys."""
-    cfg = dict(_DEFAULTS)
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _DEFAULTS:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        cfg[key] = value
-    return cfg
+def _choice(text: str, options) -> str:
+    value = text.lower()
+    if value not in options:
+        raise ValueError(f"{value!r} is not one of {', '.join(map(repr, options))}")
+    return value
 
 
-@dataclass
+def _parse_methods(text: str) -> tuple[tuple[str, int | None], ...]:
+    """``name`` or ``name:k`` tokens, comma separated; only ``sgp`` (inducing
+    points) and ``cpoe`` (degree C) take ``k``, a positive integer."""
+    methods = []
+    for token in filter(None, (t.strip() for t in text.lower().split(","))):
+        name, colon, arg = (t.strip() for t in token.partition(":"))
+        name = _choice(name, _METHODS)
+        if colon and not (name in ("sgp", "cpoe") and arg.isdecimal() and int(arg) > 0):
+            raise ValueError(f"{token!r}: only sgp and cpoe take an argument, an integer k > 0")
+        methods.append((name, int(arg) if colon else None))
+    if not methods:
+        raise ValueError("no method given")
+    return tuple(methods)
+
+
+def _parse_value(key: str, text: str, default):
+    """``text`` as a value of ``key``, typed like the key's default."""
+    if key in _CHOICES:
+        return _choice(text, _CHOICES[key])
+    if key == "variant":
+        return VariantSpec(text.lower()).name
+    if key == "methods":
+        return _parse_methods(text)
+    if isinstance(default, bool):
+        return _choice(text, _TRUE + _FALSE) in _TRUE
+    if isinstance(default, int):
+        value = float(text)
+        if not value.is_integer():
+            raise ValueError(f"{value!r} is not an integer")
+        return int(value)
+    if isinstance(default, float):
+        return float(text)
+    return text
+
+
+def _spelling(value) -> str:
+    """The canonical text of a typed config value, as the hash reads it."""
+    if isinstance(value, tuple):
+        return ", ".join(name if arg is None else f"{name}:{arg}" for name, arg in value)
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    raw: dict = field(default_factory=lambda: dict(_DEFAULTS))
+    """One experiment's settings, a field per key, checked by ``from_file``."""
+
+    data: str = ""                      # training CSV; synthetic data when empty
+    target: str = "last"                # column name, index or "last"
+    test_fraction: float = 0.1
+    standardize: bool = True
+    synthetic: str = ""                 # generator name; se when empty
+    n: int = 1024
+    d: int = 2
+    n_test: int = 200
+    gen_noise_variance: float = 0.05
+    seed: int = 0
+    repetitions: int = 1
+    kernel: str = "se"
+    variance: float = 1.0
+    lengthscale: float = 1.0
+    sm_components: int = 2
+    noise_init: float = 0.1
+    j: int = 8
+    gamma: float = 1.0
+    variant: str = "fitc"
+    alpha_pep: float = 1.0
+    methods: tuple[tuple[str, int | None], ...] = (("fullgp", None), ("cpoe", 2))
+    optimize: str = "none"
+    learning_rate: float = 0.01
+    epochs: int = 15
+    tolerance: float = 1e-2
+    max_iter: int = 60
+    dense_cap: int = 8192
+    output: str = "results"
 
     @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        return cls(parse_config(path))
-
-    def __getitem__(self, key: str) -> str:
-        return self.raw[key]
-
-    def flag(self, key: str) -> bool:
-        return self.raw[key].strip().lower() in ("true", "yes", "1")
-
-    def num(self, key: str) -> float:
-        return float(self.raw[key])
-
-    def integer(self, key: str) -> int:
-        return int(float(self.raw[key]))
-
-    def methods(self) -> list[tuple[str, int | None]]:
-        out = []
-        for token in self.raw["methods"].split(","):
-            token = token.strip().lower()
-            if not token:
+    def from_file(cls, path) -> ExperimentConfig:
+        """Parse and check a flat ``key = value`` file; unset keys keep their
+        defaults.  A malformed line, an unknown key or a value that its key's
+        type or names refuse raises ``ValueError`` naming ``file:line``."""
+        defaults = {f.name: f.default for f in fields(cls)}
+        values, where = {}, {}
+        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
                 continue
-            if ":" in token:
-                name, arg = token.split(":", 1)
-                out.append((name, int(arg)))
-            else:
-                out.append((token, None))
-        return out
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            key, text = (part.strip() for part in line.split("=", 1))
+            if key not in defaults:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            where[key] = f"{path}:{lineno}: {key} = {text!r}"
+            try:
+                values[key] = _parse_value(key, text, defaults[key])
+            except ValueError as exc:
+                raise ValueError(f"{where[key]}: {exc}") from None
+        cfg = cls(**values)
+        try:
+            VariantSpec(cfg.variant, cfg.alpha_pep)  # the name was checked on its line
+        except ValueError as exc:
+            raise ValueError(f"{where['alpha_pep']}: {exc}") from None
+        return cfg
 
     def hash(self) -> str:
-        """Digest of the settings that differ from the defaults, ``output`` aside:
-        the same experiment hashes alike wherever it is written, and a new
-        key with a default leaves existing hashes as they were."""
-        blob = "\n".join(f"{k}={v}" for k, v in sorted(self.raw.items())
-                         if k != "output" and v != _DEFAULTS.get(k))
+        """Digest of the settings that differ from the defaults, ``output`` aside,
+        canonically spelled: the same experiment hashes alike however and
+        wherever it is written, and a new key leaves existing hashes as they were."""
+        blob = "\n".join(f"{f.name}={_spelling(getattr(self, f.name))}"
+                         for f in sorted(fields(self), key=lambda f: f.name)
+                         if f.name != "output" and getattr(self, f.name) != f.default)
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
 def _generator_kernel(name: str, D: int) -> Kernel:
-    """Fixed kernel of a synthetic dataset: ``two_se`` (or ``se+se``), else SE."""
-    if name in ("se+se", "two_se"):
-        # two SE components with shorter/longer lengthscales
-        return (SquaredExponential.create(0.2, [0.125] * D)
-                + SquaredExponential.create(1.1, [0.5] * D))
-    return SquaredExponential.create(1.0, [0.2] * D)
+    """Fixed kernel of a synthetic dataset, by one of the ``_GENERATORS`` names."""
+    if _choice(name, _GENERATORS) == "se":
+        return SquaredExponential.create(1.0, [0.2] * D)
+    # two_se (or se+se): two SE components with shorter/longer lengthscales
+    return (SquaredExponential.create(0.2, [0.125] * D)
+            + SquaredExponential.create(1.1, [0.5] * D))
 
 
 def build_kernel(cfg: ExperimentConfig, D: int) -> Kernel:
     """Kernel structure from the config; initial scales from the config values."""
-    name = cfg["kernel"].strip().lower()
-    v0 = cfg.num("variance")
-    l0 = cfg.num("lengthscale")
-    if name == "se":
+    v0, l0 = cfg.variance, cfg.lengthscale
+    if cfg.kernel == "se":
         return SquaredExponential.create(v0, [l0] * D)
-    if name in ("se+se", "two_se"):
-        return _generator_kernel(name, D)
-    if name == "composite":
+    if cfg.kernel == "composite":
         # two periodic components, a spectral mixture and an SE over all inputs;
         # the first three act on the first (time) column
-        q = cfg.integer("sm_components")
+        q = cfg.sm_components
         sm = SpectralMixture.create(weights=[v0 / q] * q,
                                     means=np.linspace(1.0, float(q), q),
                                     variances=[1.0] * q, active_dims=[0])
@@ -294,36 +321,19 @@ def build_kernel(cfg: ExperimentConfig, D: int) -> Kernel:
                 + Periodic.create(v0, l0, 0.5, active_dims=[0])
                 + sm
                 + SquaredExponential.create(v0, [l0] * D))
-    raise ValueError(f"unknown kernel config {name!r}")
+    return _generator_kernel(cfg.kernel, D)
 
 
 # ---------------------------------------------------------------------------
 # experiment loop
 
 def _dataset_for_rep(cfg: ExperimentConfig, rep_seed: int) -> Dataset:
-    if cfg["data"]:
-        return load_csv(cfg["data"], cfg["target"], cfg.num("test_fraction"),
-                        seed=rep_seed, standardize=cfg.flag("standardize"))
-    D = cfg.integer("d")
-    gen = _generator_kernel(cfg["synthetic"].strip().lower(), D)
-    return synth_gp_data(gen, cfg.integer("n"), D, cfg.num("gen_noise_variance"),
-                         seed=rep_seed, n_test=cfg.integer("n_test"),
-                         cap=cfg.integer("dense_cap"))
-
-
-def _optimizer_config(cfg: ExperimentConfig, rep_seed: int) -> OptimizerConfig:
-    return OptimizerConfig(learning_rate=cfg.num("learning_rate"),
-                           max_epochs=cfg.integer("epochs"), tolerance=cfg.num("tolerance"),
-                           seed=rep_seed, max_iter=cfg.integer("max_iter"))
-
-
-def _expert_term(graph: ExpertGraph, kernel: Kernel, y: np.ndarray, variant: VariantSpec):
-    """``term(j, theta, with_grad)``: expert j's factorized likelihood term."""
-    def term(j, theta, with_grad=True):
-        k2, n2 = split_params(kernel, theta)
-        return stochastic_lml_term(graph, k2, n2, j, y[graph.row_indices[j]],
-                                   variant=variant, with_grad=with_grad)
-    return term
+    if cfg.data:
+        return load_csv(cfg.data, cfg.target, cfg.test_fraction, seed=rep_seed,
+                        standardize=cfg.standardize)
+    gen = _generator_kernel(cfg.synthetic or "se", cfg.d)
+    return synth_gp_data(gen, cfg.n, cfg.d, cfg.gen_noise_variance, seed=rep_seed,
+                         n_test=cfg.n_test, cap=cfg.dense_cap)
 
 
 def _rebuilt(label: str, build):
@@ -356,25 +366,25 @@ def _method(name: str, arg: int | None, cfg: ExperimentConfig, data: Dataset,
     L-BFGS in either optimize mode.  The label names the optimizer trace.
     """
     if name == "fullgp":
-        cap = cfg.integer("dense_cap")
         return _rebuilt("fullgp", lambda theta: FullGp(*split_params(kernel, theta),
-                                                       cap=cap).fit(data.X, data.y))
+                                                       cap=cfg.dense_cap).fit(data.X, data.y))
     if name == "sgp":
         M = arg or min(100, data.N)
         A = data.X[np.random.default_rng(rep_seed).choice(data.N, size=M, replace=False)]
         return _rebuilt(f"sgp_{M}", lambda theta: SparseGp(*split_params(kernel, theta),
                                                            A).fit(data.X, data.y))
     if name in ("minvar", "gpoe"):
-        rows = ExpertGraph.build(data.X, cfg.integer("j"), C=1, gamma=1.0,
+        rows = ExpertGraph.build(data.X, cfg.j, C=1, gamma=1.0,
                                  seed=rep_seed).row_indices
         return _rebuilt(name, lambda theta: ProductOfExperts(*split_params(kernel, theta), rows,
                                                              mode=name).fit(data.X, data.y))
     if name == "cpoe":
         C = arg or 2
-        variant = VariantSpec(cfg["variant"], cfg.num("alpha_pep"))
+        variant = VariantSpec(cfg.variant, cfg.alpha_pep)
         # one model throughout: refits reuse its graph and symbolic analysis
-        model = CpoeModel(kernel, noise, J=cfg.integer("j"), C=C, gamma=cfg.num("gamma"),
+        model = CpoeModel(kernel, noise, J=cfg.j, C=C, gamma=cfg.gamma,
                           variant=variant, seed=rep_seed).fit(data.X, data.y)
+        graph = model.graph
 
         def at(theta):  # refit only where theta moved; the model starts fitted at theta0
             if not np.array_equal(theta, model.get_params()):
@@ -387,8 +397,12 @@ def _method(name: str, arg: int | None, cfg: ExperimentConfig, data: Dataset,
         def fit(theta):
             at(theta)
             return model.predict, model.log_marginal_likelihood()
-        terms = (_expert_term(model.graph, kernel, data.y, variant), model.graph.J)
-        return f"cpoe_{C}", objective, fit, terms
+
+        def term(j, theta, with_grad=True):  # expert j's factorized likelihood term
+            return stochastic_lml_term(graph, *split_params(kernel, theta), j,
+                                       data.y[graph.row_indices[j]], variant=variant,
+                                       with_grad=with_grad)
+        return f"cpoe_{C}", objective, fit, (term, graph.J)
     raise ValueError(f"unknown method {name!r}")
 
 
@@ -402,15 +416,15 @@ def run_method(name: str, arg: int | None, cfg: ExperimentConfig, data: Dataset,
     others by L-BFGS; the fit time includes the optimization.
     """
     kernel = build_kernel(cfg, data.D)
-    noise = NoiseSpec.create(cfg.num("noise_init"))
+    noise = NoiseSpec.create(cfg.noise_init)
     theta = full_params(kernel, noise)
-    mode = cfg["optimize"].strip().lower()
 
     t0 = time.perf_counter()
     label, objective, fit, terms = _method(name, arg, cfg, data, kernel, noise, rep_seed)
-    if mode != "none":
-        config = _optimizer_config(cfg, rep_seed)
-        if mode == "stochastic" and terms is not None:
+    if cfg.optimize != "none":
+        config = OptimizerConfig(learning_rate=cfg.learning_rate, max_epochs=cfg.epochs,
+                                 tolerance=cfg.tolerance, seed=rep_seed, max_iter=cfg.max_iter)
+        if cfg.optimize == "stochastic" and terms is not None:
             res = fit_stochastic(*terms, theta, config,
                                  constant=-0.5 * data.N * np.log(2 * np.pi))
         else:
@@ -435,34 +449,24 @@ def run_method(name: str, arg: int | None, cfg: ExperimentConfig, data: Dataset,
     return report, (mean, var)
 
 
-def run_experiment(config: ExperimentConfig | str):
+def run_experiment(cfg: ExperimentConfig):
     """Run every (method, repetition) cell and persist results/summary/trace CSVs.
 
     Per-method failures are recorded with an ``error`` column and never abort
-    the sweep; an ``optimize`` value outside none | deterministic | stochastic
-    is refused before any method runs.  Returns the list of per-cell result
-    dicts.
+    the sweep.  Returns the list of per-cell result dicts.
     """
-    cfg = ExperimentConfig.from_file(config) if not isinstance(config, ExperimentConfig) else config
-    mode = cfg["optimize"].strip().lower()
-    if mode not in _OPTIMIZE_MODES:
-        raise ValueError(f"unknown optimize value {cfg['optimize']!r}; "
-                         f"expected one of {', '.join(_OPTIMIZE_MODES)}")
-    out_dir = Path(cfg["output"])
+    out_dir = Path(cfg.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     chash = cfg.hash()
-    reps = cfg.integer("repetitions")
-    base_seed = cfg.integer("seed")
+    # exact GP first so its predictions can serve as the KL reference
+    methods = sorted(cfg.methods, key=lambda m: m[0] != "fullgp")
 
     rows = []
     traces: dict[str, object] = {}
-    for rep in range(reps):
-        rep_seed = base_seed + rep
+    for rep in range(cfg.repetitions):
+        rep_seed = cfg.seed + rep
         data = _dataset_for_rep(cfg, rep_seed)
         reference = None
-        methods = cfg.methods()
-        # exact GP first so its predictions can serve as the KL reference
-        methods.sort(key=lambda m: 0 if m[0] == "fullgp" else 1)
         for name, arg in methods:
             label = name if arg is None else f"{name}:{arg}"
             row = {"method": label, "rep": rep, "seed": rep_seed, "config": chash}
@@ -470,11 +474,10 @@ def run_experiment(config: ExperimentConfig | str):
                 report, ref = run_method(name, arg, cfg, data, rep_seed, reference, traces)
                 if ref is not None:
                     reference = ref
-                row.update(dict(zip(MetricReport.header(), report.row())))
-                row["error"] = ""
+                row.update(zip(MetricReport.header(), report.row()), error="")
             except Exception as exc:  # record and continue with the sweep
-                row.update({c: np.nan for c in MetricReport.header()})
-                row["error"] = f"{type(exc).__name__}: {exc}"
+                row.update(dict.fromkeys(MetricReport.header(), np.nan),
+                           error=f"{type(exc).__name__}: {exc}")
             rows.append(row)
 
     header = ["method", "rep", "seed", "config", *MetricReport.header(), "error"]
@@ -487,8 +490,7 @@ def run_experiment(config: ExperimentConfig | str):
         with open(out_dir / f"trace_{label}.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["iteration", "objective", "wall_time", "theta..."])
-            for r in res.trace_rows():
-                w.writerow(r)
+            w.writerows(res.trace_rows())
     return rows
 
 
@@ -501,10 +503,8 @@ def _write_summary(rows, path):
     methods = sorted({r["method"] for r in rows})
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        header = ["method"]
-        for col in _SUMMARY_COLUMNS:
-            header += [f"{col}_mean", f"{col}_std"]
-        w.writerow(header)
+        w.writerow(["method", *(f"{col}_{stat}" for col in _SUMMARY_COLUMNS
+                                for stat in ("mean", "std"))])
         for m in methods:
             vals = [r for r in rows if r["method"] == m and not r["error"]]
             out = [m]
@@ -533,7 +533,7 @@ def main(argv=None) -> int:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic GP dataset CSV")
     p_synth.add_argument("--kernel", default="se",
-                         help="se | two_se | path to a config file with kernel keys")
+                         help="se | two_se | se+se | path to a config file with kernel keys")
     p_synth.add_argument("--n", type=int, default=1024)
     p_synth.add_argument("--d", type=int, default=2)
     p_synth.add_argument("--noise-variance", type=float, default=0.05)
@@ -556,28 +556,27 @@ def main(argv=None) -> int:
         cfg = ExperimentConfig.from_file(args.config)
         rows = run_experiment(cfg)
         failures = [r for r in rows if r["error"]]
-        print(f"wrote {len(rows)} result rows to {cfg['output']}/results.csv "
+        print(f"wrote {len(rows)} result rows to {cfg.output}/results.csv "
               f"({len(failures)} failures)")
         return 0
 
     if args.command == "synth":
         if Path(args.kernel).is_file():
             gen = build_kernel(ExperimentConfig.from_file(args.kernel), args.d)
-        else:
+        else:  # refuses a name that is not a generator's
             gen = _generator_kernel(args.kernel, args.d)
         data = synth_gp_data(gen, args.n, args.d, args.noise_variance, args.seed)
         with open(args.output, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow([f"x{i}" for i in range(args.d)] + ["y"])
-            for row, target in zip(data.X, data.y):
-                w.writerow([*row, target])
+            w.writerows(np.column_stack([data.X, data.y]))
         print(f"wrote {data.N} rows to {args.output}")
         return 0
 
     if args.command == "predict":
         cfg = ExperimentConfig.from_file(args.config)
-        train = load_csv(args.data, cfg["target"], test_fraction=0.0,
-                         seed=cfg.integer("seed"), standardize=cfg.flag("standardize"))
+        train = load_csv(args.data, cfg.target, test_fraction=0.0, seed=cfg.seed,
+                         standardize=cfg.standardize)
         kernel = build_kernel(cfg, train.D)
         model = CpoeModel.load(args.model, train.X, train.y, kernel)
         _, Xq = _read_csv(args.input)

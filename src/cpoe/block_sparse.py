@@ -176,7 +176,7 @@ def symbolic_factor(index_sets, n_blocks: int,
     pattern = {(i, i) for i in range(n_blocks)}
     pattern |= {(int(i), int(j)) for idx in index_sets for i in idx for j in idx}
     if perm is None:
-        perm = fill_reducing_permutation(pattern | {(j, i) for i, j in pattern})
+        perm = fill_reducing_permutation(pattern)
     perm = np.asarray(perm, dtype=int)
     inv_perm = np.empty_like(perm)
     inv_perm[perm] = np.arange(n_blocks)

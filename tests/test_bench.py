@@ -1,6 +1,7 @@
 """Data ingestion, experiment configuration and the sweep harness."""
 
 import csv
+import re
 import subprocess
 import sys
 
@@ -13,7 +14,6 @@ from cpoe.bench import (
     build_kernel,
     load_csv,
     main,
-    parse_config,
     run_experiment,
     synth_gp_data,
 )
@@ -122,22 +122,36 @@ class TestConfig:
         p = tmp_path / "exp.cfg"
         p.write_text("# comment\nmethods = fullgp, cpoe:1, cpoe:2\nj = 4\n")
         cfg = ExperimentConfig.from_file(p)
-        assert cfg.methods() == [("fullgp", None), ("cpoe", 1), ("cpoe", 2)]
-        assert cfg.integer("j") == 4
-        assert cfg.num("gamma") == 1.0  # default
+        assert cfg.methods == (("fullgp", None), ("cpoe", 1), ("cpoe", 2))
+        assert cfg.j == 4
+        assert cfg.gamma == 1.0  # default
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "exp.cfg"
         p.write_text("nonsense = 1\n")
         with pytest.raises(ValueError, match="unknown key"):
-            parse_config(p)
+            ExperimentConfig.from_file(p)
 
     @pytest.mark.parametrize("line", ["objective = map", "plot = true"])
     def test_removed_keys_rejected(self, tmp_path, line):
         p = tmp_path / "exp.cfg"
         p.write_text(f"methods = cpoe:2\n{line}\n")
         with pytest.raises(ValueError, match=f"exp.cfg:2: unknown key '{line.split()[0]}'"):
-            parse_config(p)
+            ExperimentConfig.from_file(p)
+
+    # each value is refused on its own line, after a valid line choosing the
+    # one variant that reads alpha_pep
+    @pytest.mark.parametrize("line", [
+        "j = eight", "j = 8.5", "kernel = sse", "variant = fitcc", "synthetic = sinc",
+        "standardize = ture", "methods = krig, cpoe:1", "methods = cpoe:x",
+        "methods = cpoe:0", "methods = minvar:4", "methods = ,", "alpha_pep = 1.5",
+    ])
+    def test_bad_value_refused_with_file_line_and_key(self, tmp_path, line):
+        p = tmp_path / "exp.cfg"
+        p.write_text(f"variant = pep\n{line}\n")
+        key, value = (part.strip() for part in line.split("="))
+        with pytest.raises(ValueError, match=re.escape(f"exp.cfg:2: {key} = '{value}': ")):
+            ExperimentConfig.from_file(p)
 
     def test_hash_stable_and_sensitive(self, tmp_path):
         p = tmp_path / "exp.cfg"
@@ -147,12 +161,14 @@ class TestConfig:
         p.write_text("j = 8\n")
         h3 = ExperimentConfig.from_file(p).hash()
         assert h1 == h2 != h3
+        assert h1 == "77b7fcd434c8"  # a canonically spelled config keeps its hash
 
     def test_hash_ignores_output_and_explicit_defaults(self, tmp_path):
         p = tmp_path / "exp.cfg"
         hashes = set()
-        for extra in ("", "output = elsewhere\n", "j = 8\n"):
-            p.write_text(f"methods = cpoe:2\n{extra}")
+        for extra in ("", "output = elsewhere\n", "j = 8\n", "j = 8.0\n", "gamma = 1\n",
+                      "methods = fullgp,cpoe:2\n", "standardize = yes\n"):
+            p.write_text(f"n = 64\n{extra}")
             hashes.add(ExperimentConfig.from_file(p).hash())
         assert len(hashes) == 1
 
@@ -191,15 +207,16 @@ class TestRunExperiment:
 
         ran = []
         monkeypatch.setattr(bench, "run_method", lambda *a, **k: ran.append(a))
-        cfg = self._config(tmp_path, f"""
+        p = tmp_path / "exp.cfg"
+        p.write_text(f"""
             synthetic = se
             n = 64
             methods = fullgp, cpoe:2
             optimize = stochastc
             output = {tmp_path}/out
         """)
-        with pytest.raises(ValueError, match="unknown optimize value 'stochastc'"):
-            run_experiment(cfg)
+        with pytest.raises(ValueError, match="exp.cfg:5: optimize = 'stochastc': "):
+            main(["run", "--config", str(p)])
         assert ran == []
         assert not (tmp_path / "out").exists()
 
@@ -261,8 +278,10 @@ class TestRunExperiment:
                 "cov95", "lml", "fit_time", "predict_time", "error"} <= set(rows[0])
         assert rows[0]["seed"] != rows[1]["seed"]
 
-    @pytest.mark.parametrize("optimize", ["none", "deterministic", "stochastic"])
-    def test_every_method_in_every_optimize_mode(self, tmp_path, optimize):
+    @pytest.mark.parametrize("variant, optimize", [
+        pytest.param(variant, optimize, id=optimize if variant == "fitc" else f"pitc-{optimize}")
+        for variant in ("fitc", "pitc") for optimize in ("none", "deterministic", "stochastic")])
+    def test_every_method_in_every_optimize_mode(self, tmp_path, variant, optimize):
         epochs = 2
         cfg = self._config(tmp_path, f"""
             synthetic = se
@@ -271,6 +290,7 @@ class TestRunExperiment:
             n_test = 40
             j = 4
             gamma = 0.5
+            variant = {variant}
             optimize = {optimize}
             max_iter = 5
             epochs = {epochs}
@@ -455,6 +475,12 @@ class TestCli:
         assert out.returncode == 0
         assert "synth" in out.stdout and "run" in out.stdout
 
+    def test_synth_refuses_unknown_generator(self, tmp_path):
+        out = tmp_path / "data.csv"
+        with pytest.raises(ValueError, match=r"'sinc' is not one of 'se', 'two_se', 'se\+se'"):
+            main(["synth", "--kernel", "sinc", "--n", "8", "--output", str(out)])
+        assert not out.exists()
+
     def test_synth_accepts_kernel_config_file(self, tmp_path):
         kcfg = tmp_path / "kernel.cfg"
         kcfg.write_text("kernel = se\nvariance = 2.0\nlengthscale = 0.3\n")
@@ -486,7 +512,7 @@ class TestHarnessOverhead:
         cfg = ExperimentConfig.from_file(cfg_path)
         t0 = time.perf_counter()
         data_time = 0.0
-        _dataset_for_rep(cfg, cfg.integer("seed"))
+        _dataset_for_rep(cfg, cfg.seed)
         data_time = time.perf_counter() - t0
 
         t0 = time.perf_counter()
