@@ -620,21 +620,15 @@ def prior_kl_difference(model_C: "CpoeModel", model_C2: "CpoeModel"):
         tr1 = sum(float(np.sum(e.D)) for e in f1.experts)
         tr2 = sum(float(np.sum(e.D)) for e in f2.experts)
         d_proj = (tr1 - tr2) / (2.0 * sigma2)
-    elif variant.full_residual:
-        floor = 1e-12 * float(np.mean(f1.kernel.diag(model_C.graph.X)))
-        d_proj = 0.0
-        for e1, e2 in zip(f1.experts, f2.experts):
-            eye = np.eye(e1.vbar.shape[0])
-            d_proj += 0.5 * (np.linalg.slogdet(e1.vbar + floor * eye)[1]
-                             - np.linalg.slogdet(e2.vbar + floor * eye)[1])
     else:
-        # diagonal residual; entries below the floor are deterministic in both
-        # models (e.g. gamma = 1) and contribute nothing
+        # the residual's diagonal entries, or a full residual's eigenvalues;
+        # those below the floor (e.g. at the inducing inputs, which are data
+        # points) are deterministic in both models and contribute nothing
         floor = 1e-12 * float(np.mean(f1.kernel.diag(model_C.graph.X)))
         d_proj = 0.0
         for e1, e2 in zip(f1.experts, f2.experts):
-            v1 = np.maximum(e1.vbar, floor)
-            v2 = np.maximum(e2.vbar, floor)
+            v1, v2 = (np.maximum(np.linalg.eigvalsh(e.vbar) if e.vbar.ndim == 2 else e.vbar,
+                                 floor) for e in (e1, e2))
             d_proj += 0.5 * float(np.sum(np.log(v1) - np.log(v2)))
     return float(d_prior), float(d_proj)
 
@@ -653,7 +647,8 @@ class CpoeModel:
     A fitted model is immutable for prediction purposes; refitting with new
     hyperparameters reuses the graph and its symbolic analysis.  A loaded
     model serves predictions from the saved per-expert state and builds its
-    factors and posterior on first use.
+    factors and posterior on first use; only :meth:`fit` and
+    :meth:`set_params` drop the serving state.
     """
 
     def __init__(self, kernel: Kernel, noise: NoiseSpec, J: int, C: int,
@@ -697,11 +692,13 @@ class CpoeModel:
     def _refit(self) -> None:
         # until the new posterior exists, nothing describes the current parameters
         self._posterior = self._serving = None
+        self._posterior = self._assemble()
+
+    def _assemble(self) -> CpoePosterior:
         factors = build_local_factors(self.graph, self.kernel, self.noise, self.variant)
         # no name holds the prior precision: the posterior's assembly drops it
         # once factorized
-        self._posterior = assemble_posterior(factors, assemble_prior_precision(factors),
-                                             self.y)
+        return assemble_posterior(factors, assemble_prior_precision(factors), self.y)
 
     @property
     def factors(self) -> LocalFactors | None:
@@ -711,7 +708,7 @@ class CpoeModel:
     @property
     def posterior(self) -> CpoePosterior | None:
         if self._posterior is None and self.graph is not None:
-            self._refit()
+            self._posterior = self._assemble()  # a loaded model keeps its serving state
         return self._posterior
 
     @property

@@ -5,6 +5,11 @@ Every positive hyperparameter (amplitude, lengthscale, period, spectral weight,
 are always taken with respect to the unconstrained values, with the chain rule
 through the transform already applied.
 
+Every ``log_*`` dataclass field of a kernel is a parameter, read in declaration
+order: a scalar field is one entry of the vector, an array field one per element.
+:class:`Kernel` packs and unpacks the vector for all of them, so a new kernel
+declares its fields and writes ``create``, ``__call__``, ``diag`` and ``grad_stack``.
+
 A model's full parameter vector is the kernel's unconstrained parameters
 followed by one reserved slot for the log observation-noise variance
 (:class:`NoiseSpec`).  The noise never enters the kernel, so a kernel's
@@ -15,6 +20,7 @@ stacked over parameters, in ``grad_stack``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,21 +99,42 @@ def _lags(X1, X2, active_dims, name: str) -> np.ndarray:
     return t1[:, 0][:, None] - t2[:, 0][None, :]
 
 
+@functools.cache
+def _param_fields(cls) -> tuple[str, ...]:
+    """A kernel class's parameter fields: its ``log_*`` fields, in declaration order."""
+    return tuple(f.name for f in dataclasses.fields(cls) if f.name.startswith("log_"))
+
+
 @dataclass(frozen=True)
 class Kernel:
-    """Base class: immutable spec, pure evaluation, stacked parameter gradients."""
+    """Base class: immutable spec, pure evaluation, stacked parameter gradients;
+    every ``log_*`` field is a parameter, read in declaration order."""
 
-    @property
+    @functools.cached_property
     def n_params(self) -> int:
-        raise NotImplementedError
+        values = [getattr(self, name) for name in _param_fields(type(self))]
+        return sum(v.size if isinstance(v, np.ndarray) else 1 for v in values)
 
     def get_params(self) -> np.ndarray:
         """Unconstrained (log-space) parameter vector."""
-        raise NotImplementedError
+        return np.concatenate([np.ravel(getattr(self, name))
+                               for name in _param_fields(type(self))], dtype=float)
 
     def with_params(self, params: np.ndarray) -> "Kernel":
         """New spec with the given unconstrained parameter vector."""
-        raise NotImplementedError
+        params = np.asarray(params, dtype=float)
+        if params.size != self.n_params:
+            raise ValueError(f"expected {self.n_params} parameters, got {params.size}")
+        values, start = {}, 0
+        for name in _param_fields(type(self)):
+            old = getattr(self, name)
+            if isinstance(old, np.ndarray) and old.ndim:
+                values[name] = params[start:start + old.size].copy()
+                start += old.size
+            else:
+                values[name] = float(params[start])
+                start += 1
+        return dataclasses.replace(self, **values)
 
     def __call__(self, X1: np.ndarray, X2: np.ndarray | None = None,
                  out: np.ndarray | None = None) -> np.ndarray:
@@ -186,8 +213,7 @@ class SquaredExponential(Kernel):
     @classmethod
     def create(cls, variance: float = 1.0, lengthscales=1.0,
                active_dims=None) -> "SquaredExponential":
-        ls = np.atleast_1d(np.asarray(lengthscales, dtype=float))
-        return cls(np.log(variance), np.log(ls),
+        return cls(np.log(variance), np.log(np.asarray(lengthscales, dtype=float)),
                    None if active_dims is None else tuple(active_dims))
 
     @property
@@ -197,20 +223,6 @@ class SquaredExponential(Kernel):
     @property
     def lengthscales(self) -> np.ndarray:
         return np.exp(self.log_lengthscales)
-
-    @property
-    def n_params(self) -> int:
-        return 1 + self.log_lengthscales.size
-
-    def get_params(self) -> np.ndarray:
-        return np.concatenate([[self.log_variance], self.log_lengthscales])
-
-    def with_params(self, params) -> "SquaredExponential":
-        params = np.asarray(params, dtype=float)
-        if params.size != self.n_params:
-            raise ValueError(f"expected {self.n_params} parameters, got {params.size}")
-        return dataclasses.replace(self, log_variance=float(params[0]),
-                                   log_lengthscales=params[1:].copy())
 
     def _sq_dist(self, X1, X2, out, terms=None):
         """sum_d (x_d - x'_d)^2 / l_d^2 into ``out``, one input dimension at a time.
@@ -249,8 +261,7 @@ class SquaredExponential(Kernel):
         return self._from_sq_dist(self._sq_dist(X1, X2, out))
 
     def diag(self, X):
-        X = _as2d(X)
-        return np.full(X.shape[0], self.variance)
+        return np.full(_as2d(X).shape[0], self.variance)
 
     def grad_stack(self, X1, X2=None, out=None):
         X1, X2 = _check_pair(X1, X2)
@@ -289,21 +300,6 @@ class Periodic(Kernel):
     def period(self) -> float:
         return float(np.exp(self.log_period))
 
-    @property
-    def n_params(self) -> int:
-        return 3
-
-    def get_params(self) -> np.ndarray:
-        return np.array([self.log_variance, self.log_lengthscale, self.log_period])
-
-    def with_params(self, params) -> "Periodic":
-        params = np.asarray(params, dtype=float)
-        if params.size != 3:
-            raise ValueError(f"expected 3 parameters, got {params.size}")
-        return dataclasses.replace(self, log_variance=float(params[0]),
-                                   log_lengthscale=float(params[1]),
-                                   log_period=float(params[2]))
-
     def __call__(self, X1, X2=None, out=None):
         X1, X2 = _check_pair(X1, X2)
         r = _lags(X1, X2, self.active_dims, "periodic")
@@ -311,8 +307,7 @@ class Periodic(Kernel):
         return np.multiply(self.variance, np.exp(-2.0 * s * s / self.lengthscale**2), out=out)
 
     def diag(self, X):
-        X = _as2d(X)
-        return np.full(X.shape[0], self.variance)
+        return np.full(_as2d(X).shape[0], self.variance)
 
     def grad_stack(self, X1, X2=None, out=None):
         X1, X2 = _check_pair(X1, X2)
@@ -349,8 +344,7 @@ class SpectralMixture(Kernel):
 
     @classmethod
     def create(cls, weights, means, variances, active_dims=None) -> "SpectralMixture":
-        return cls(np.log(np.atleast_1d(weights)), np.log(np.atleast_1d(means)),
-                   np.log(np.atleast_1d(variances)),
+        return cls(np.log(weights), np.log(means), np.log(variances),
                    None if active_dims is None else tuple(active_dims))
 
     @property
@@ -369,22 +363,6 @@ class SpectralMixture(Kernel):
     def variances(self) -> np.ndarray:
         return np.exp(self.log_variances)
 
-    @property
-    def n_params(self) -> int:
-        return 3 * self.n_components
-
-    def get_params(self) -> np.ndarray:
-        return np.concatenate([self.log_weights, self.log_means, self.log_variances])
-
-    def with_params(self, params) -> "SpectralMixture":
-        params = np.asarray(params, dtype=float)
-        if params.size != self.n_params:
-            raise ValueError(f"expected {self.n_params} parameters, got {params.size}")
-        q = self.n_components
-        return dataclasses.replace(self, log_weights=params[:q].copy(),
-                                   log_means=params[q:2 * q].copy(),
-                                   log_variances=params[2 * q:].copy())
-
     def _component(self, tau, q):
         decay = np.exp(-2.0 * np.pi**2 * tau**2 * self.variances[q])
         return decay, np.cos(2.0 * np.pi * tau * self.means[q])
@@ -400,8 +378,7 @@ class SpectralMixture(Kernel):
         return K
 
     def diag(self, X):
-        X = _as2d(X)
-        return np.full(X.shape[0], float(self.weights.sum()))
+        return np.full(_as2d(X).shape[0], float(self.weights.sum()))
 
     def grad_stack(self, X1, X2=None, out=None):
         X1, X2 = _check_pair(X1, X2)
@@ -455,10 +432,7 @@ class SumKernel(Kernel):
         return out
 
     def diag(self, X):
-        d = self.terms[0].diag(X)
-        for t in self.terms[1:]:
-            d = d + t.diag(X)
-        return d
+        return sum(t.diag(X) for t in self.terms)
 
     def grad_stack(self, X1, X2=None, out=None):
         X1, X2 = _check_pair(X1, X2)

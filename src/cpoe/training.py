@@ -158,6 +158,8 @@ def fit_deterministic(objective, theta0: np.ndarray, config: OptimizerConfig,
             if state["n"] == 1:
                 raise ArithmeticError("objective non-finite at the starting point")
             return failed(f"non-finite value {val}")
+        # L-BFGS may end on a failed line-search step: the best evaluated
+        # point, kept here, is what the fit returns
         if val > state["best"][0]:
             state["best"] = (float(val), np.asarray(theta).copy())
         state["last"] = (np.asarray(theta).copy(), float(val))
@@ -182,9 +184,6 @@ def fit_deterministic(objective, theta0: np.ndarray, config: OptimizerConfig,
                             options={"maxiter": config.max_iter, "ftol": 1e-12,
                                      "gtol": 1e-6})
     best_val, best_theta = state["best"]
-    # L-BFGS may end on a failed line-search step; keep the best evaluated point
-    if -res.fun > best_val:
-        best_val, best_theta = float(-res.fun), np.asarray(res.x).copy()
     return FitResult(theta=best_theta, value=best_val, trace=trace,
                      converged=bool(res.success), message=str(res.message),
                      n_evaluations=state["n"], failures=failures)

@@ -1,5 +1,6 @@
 """Factors, prior/posterior precision, marginal likelihood and its gradient."""
 
+import dataclasses
 import logging
 import os
 import tempfile
@@ -611,9 +612,12 @@ class TestPriorKl:
         assert dp == pytest.approx(0.0, abs=1e-12)
         assert dproj == pytest.approx(0.0, abs=1e-12)
 
-    def test_stepwise_nonnegative(self, rng):
+    @pytest.mark.parametrize("variant", ["fitc", "pitc", "pep_b"])
+    def test_stepwise_nonnegative(self, rng, variant):
+        # at gamma = 1 a full residual is singular: its eigenvalues below the
+        # floor count as deterministic in both models, as diagonal entries do
         for gamma in (0.5, 1.0):
-            models = self._models(rng, gamma)
+            models = self._models(rng, gamma, variant=VariantSpec(variant))
             for C in range(1, 8):
                 dp, dproj = prior_kl_difference(models[C], models[C + 1])
                 assert dp >= -1e-10
@@ -648,6 +652,28 @@ class TestPriorKl:
             prior_kl_difference(models[1], other)
         with pytest.raises(ValueError):
             prior_kl_difference(models[4], models[2])  # C must not exceed C2
+
+    @pytest.mark.parametrize("refusal", ["partition", "hyperparameters", "nesting"])
+    def test_each_shared_graph_refusal(self, rng, refusal):
+        models = self._models(rng, 0.5)
+        m2, graph = models[2], models[3].graph
+        kern, noise = m2.kernel, m2.noise
+        if refusal == "partition":  # gamma = 1 keeps twice the inducing points
+            graph = ExpertGraph.build(graph.X, 8, C=3, gamma=1.0, seed=0)
+            message = "share partition, gamma and inducing counts"
+        elif refusal == "hyperparameters":
+            kern = SquaredExponential.create(1.0, [0.1, 0.1])
+            message = "share hyperparameters"
+        else:  # expert 7 drops its C = 2 predecessor from its C = 3 set
+            kept = m2.graph.correlation[7, 0]
+            correlation = graph.correlation.copy()
+            correlation[7] = [p for p in range(7) if p != kept][:2] + [7]
+            graph = dataclasses.replace(graph, correlation=correlation)
+            message = "predecessor sets are not nested at expert 7"
+        other = CpoeModel(kern, noise, J=8, C=3, gamma=graph.gamma, seed=0)
+        other.fit(graph.X, m2.y, graph=graph)
+        with pytest.raises(ValueError, match=message):
+            prior_kl_difference(m2, other)
 
 
 class TestModelLifecycle:
@@ -839,6 +865,20 @@ class TestModelLifecycle:
         theta = model.get_params() + 0.1
         assert (loaded.set_params(theta).log_marginal_likelihood()
                 == model.set_params(theta).log_marginal_likelihood())
+
+    def test_loaded_model_keeps_its_serving_state(self, rng, tmp_path):
+        # the likelihood builds a posterior; the eigenbases read from the file
+        # stay what prediction serves from
+        model, loaded, _, _, _, _ = self._loaded(rng, tmp_path)
+        served = loaded.serving
+        assert loaded.log_marginal_likelihood() == model.log_marginal_likelihood()
+        assert loaded.serving is served
+        Xs = np.random.default_rng(1).uniform(0, 1, (30, 2))
+        full, back = (predict_arrays(m, Xs, return_locals=True) for m in (model, loaded))
+        for a, b in zip(full[:2] + full[2], back[:2] + back[2]):
+            np.testing.assert_array_equal(b, a)
+        loaded.set_params(loaded.get_params())
+        assert loaded.serving is not served
 
     def _rewritten(self, path, tmp_path, **changes):
         """A copy of the saved file with fields replaced (None drops a field)."""

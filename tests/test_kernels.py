@@ -1,4 +1,7 @@
-"""Kernel evaluations, diagonals, derivatives and the jitter policy."""
+"""Kernel evaluations, diagonals, derivatives, the parameter vector and the
+jitter policy."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -239,6 +242,61 @@ class TestOutArgument:
             np.testing.assert_array_equal(buf, k.grad_stack(A, X))
 
 
+def log_fields(k):
+    """A kernel's ``log_*`` field values in declaration order; a sum's, term by term."""
+    if isinstance(k, SumKernel):
+        return [v for t in k.terms for v in log_fields(t)]
+    return [getattr(k, f.name) for f in dataclasses.fields(k) if f.name.startswith("log_")]
+
+
+def same_kernel(a, b):
+    if isinstance(a, SumKernel):
+        return (type(b) is SumKernel and len(a.terms) == len(b.terms)
+                and all(same_kernel(s, t) for s, t in zip(a.terms, b.terms)))
+    return type(a) is type(b) and all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name)) if f.name.startswith("log_")
+        else getattr(a, f.name) == getattr(b, f.name) for f in dataclasses.fields(a))
+
+
+CONTRACT_KERNELS = {
+    "se-ard": SquaredExponential.create(1.3, [0.5, 0.8], active_dims=[0, 2]),
+    "periodic": Periodic.create(0.7, 0.9, 1.3, active_dims=[1]),
+    "sm2": SpectralMixture.create([0.5, 1.1], [0.8, 2.0], [0.4, 1.5], active_dims=[0]),
+    "sm3": SpectralMixture.create([0.5, 1.1, 0.2], [0.8, 2.0, 3.0], [0.4, 1.5, 0.9]),
+    "sum": (SquaredExponential.create(2.0, [0.4, 0.7])
+            + Periodic.create(0.5, 1.1, 0.8, active_dims=[1])
+            + SpectralMixture.create([0.3, 0.6], [1.2, 0.5], [0.2, 0.7], active_dims=[0])),
+}
+
+
+@pytest.mark.parametrize("k", CONTRACT_KERNELS.values(), ids=CONTRACT_KERNELS.keys())
+class TestParameterVector:
+    """The vector is the ``log_*`` fields concatenated in declaration order."""
+
+    def test_vector_concatenates_log_fields(self, k):
+        theta = k.get_params()
+        np.testing.assert_array_equal(theta, np.concatenate([np.ravel(v) for v in log_fields(k)]))
+        assert theta.dtype == np.float64 and k.n_params == theta.size
+
+    def test_roundtrip_gives_the_kernel(self, k):
+        new = k.with_params(k.get_params())
+        assert same_kernel(new, k)
+        for old, value in zip(log_fields(k), log_fields(new)):
+            assert type(value) is (np.ndarray if np.ndim(old) else float)
+
+    def test_new_kernel_owns_its_values(self, k):
+        theta = k.get_params()
+        new = k.with_params(theta)
+        theta += 1.0
+        assert same_kernel(new, k)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_wrong_size_refused(self, k, extra):
+        n = k.n_params
+        with pytest.raises(ValueError, match=f"^expected {n} parameters, got {n + extra}$"):
+            k.with_params(np.zeros(n + extra))
+
+
 class TestJitterPolicy:
     def test_psd_after_jitter_on_duplicates(self, rng):
         # exact duplicates make the Gram singular; the policy must recover
@@ -273,3 +331,9 @@ class TestNoiseAndParams:
         k2, n2 = split_params(k, theta)
         np.testing.assert_allclose(k2.get_params(), k.get_params())
         assert n2.variance == pytest.approx(0.2)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_split_params_refuses_wrong_size(self, extra):
+        k = SquaredExponential.create(1.5, [0.4, 0.9])
+        with pytest.raises(ValueError, match=f"^expected 4 parameters, got {4 + extra}$"):
+            split_params(k, np.zeros(4 + extra))
