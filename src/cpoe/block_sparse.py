@@ -26,6 +26,7 @@ cliques of the filled graph.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -52,31 +53,53 @@ class FactorizationError(np.linalg.LinAlgError):
         super().__init__(message or f"non-positive-definite pivot at block {block_index}")
 
 
-def fill_reducing_permutation(pattern: set[tuple[int, int]]) -> np.ndarray:
+def fill_reducing_permutation(pattern, n_blocks: int | None = None) -> np.ndarray:
     """Minimum-degree elimination order for a symmetric block adjacency.
 
-    ``pattern`` is a set of ``(i, j)`` block pairs.  Operates purely on the
-    block graph.  Ties break toward the lowest block index, so the result is
-    deterministic.
+    ``pattern`` is an iterable of ``(i, j)`` block pairs over ``n_blocks``
+    blocks (by default one more than the largest index).  Operates purely on
+    the block graph.  Ties break toward the lowest block index, so the result
+    is deterministic.  A heap keyed ``(degree, block)`` gets a new entry for a
+    block whenever its degree changes, and an entry whose degree is no longer
+    its block's is skipped, so each step takes the least live key.
     """
-    n = max((max(i, j) for i, j in pattern), default=-1) + 1
+    pairs = [(int(i), int(j)) for i, j in pattern]
+    n = (max((max(p) for p in pairs), default=-1) + 1) if n_blocks is None else n_blocks
     adj: list[set[int]] = [set() for _ in range(n)]
-    for i, j in pattern:
+    for i, j in pairs:
         if i != j:
             adj[i].add(j)
             adj[j].add(i)
-    alive = set(range(n))
+    heap = [(len(a), u) for u, a in enumerate(adj)]
+    heapq.heapify(heap)
+    alive = [True] * n
     order = []
-    while alive:
+    while heap:
         # eliminated blocks leave their neighbors' sets, so these are degrees
-        v = min(alive, key=lambda u: (len(adj[u]), u))
+        degree, v = heapq.heappop(heap)
+        if not alive[v] or degree != len(adj[v]):
+            continue
         order.append(v)
-        alive.remove(v)
+        alive[v] = False
         nbrs = adj[v]
         for u in nbrs:  # eliminating v joins its remaining neighbors into a clique
-            adj[u] |= nbrs - {u}
+            adj[u] |= nbrs
+            adj[u].discard(u)
             adj[u].discard(v)
+            heapq.heappush(heap, (len(adj[u]), u))
     return np.asarray(order, dtype=int)
+
+
+def _by_size(sets) -> dict[int, tuple[list[int], np.ndarray]]:
+    """The index sets grouped by size: each size's positions in ``sets`` and
+    its sets stacked, one row each."""
+    if isinstance(sets, np.ndarray) and sets.ndim == 2:
+        return {sets.shape[1]: (list(range(len(sets))), sets.astype(int))} if len(sets) else {}
+    positions: dict[int, list[int]] = {}
+    for k, idx in enumerate(sets):
+        positions.setdefault(len(idx), []).append(k)
+    return {n: (ks, np.array([sets[k] for k in ks], dtype=int).reshape(len(ks), n))
+            for n, ks in positions.items()}
 
 
 @dataclass(frozen=True)
@@ -145,11 +168,7 @@ class SymbolicFactor:
         """The slots of the dense matrix over each set of original block
         indices in ``sets``; sets of one size are looked up together."""
         out: list[IndexSlots | None] = [None] * len(sets)
-        by_size: dict[int, list[int]] = {}
-        for k, idx in enumerate(sets):
-            by_size.setdefault(len(idx), []).append(k)
-        for n, ks in by_size.items():
-            idx = np.array([sets[k] for k in ks], dtype=int).reshape(len(ks), n)
+        for n, (ks, idx) in _by_size(sets).items():
             a, b = np.tril_indices(n)
             p, q = self.inv_perm[idx[:, a]], self.inv_perm[idx[:, b]]
             flip = p < q  # the stored block is the pair's transpose
@@ -173,65 +192,71 @@ def symbolic_factor(index_sets, n_blocks: int,
     set.  The slots of each index set are kept, in order, as ``index_sets``
     of the result, and the slots any of them holds as ``read_slots``.
     """
-    pattern = {(i, i) for i in range(n_blocks)}
-    pattern |= {(int(i), int(j)) for idx in index_sets for i in idx for j in idx}
+    J = n_blocks
+    # the pattern's off-diagonal pairs, once each, as i * J + k with i > k
+    pair_keys = [np.empty(0, dtype=np.int64)]
+    for n, (_, idx) in _by_size(index_sets).items():
+        a, b = np.tril_indices(n, -1)
+        x, y = idx[:, a].ravel(), idx[:, b].ravel()
+        pair_keys.append(np.maximum(x, y) * J + np.minimum(x, y))
+    pair_keys = np.unique(np.concatenate(pair_keys))
+    hi, lo = np.divmod(pair_keys[pair_keys // J != pair_keys % J], J)
     if perm is None:
-        perm = fill_reducing_permutation(pattern)
+        perm = fill_reducing_permutation(zip(hi.tolist(), lo.tolist()), J)
     perm = np.asarray(perm, dtype=int)
     inv_perm = np.empty_like(perm)
-    inv_perm[perm] = np.arange(n_blocks)
+    inv_perm[perm] = np.arange(J)
 
     # permuted strictly-lower column structures of A
-    col_struct: list[set[int]] = [set() for _ in range(n_blocks)]
-    for (i, j) in pattern:
-        pi, pj = int(inv_perm[i]), int(inv_perm[j])
-        if pi > pj:
-            col_struct[pj].add(pi)
-        elif pj > pi:
-            col_struct[pi].add(pj)
+    pi, pk = inv_perm[hi], inv_perm[lo]
+    col_struct: list[set[int]] = [set() for _ in range(J)]
+    for j, i in zip(np.minimum(pi, pk).tolist(), np.maximum(pi, pk).tolist()):
+        col_struct[j].add(i)
     # each column hands its remaining structure to its elimination-tree parent
-    for j in range(n_blocks):
+    for j in range(J):
         s = col_struct[j]
         if s:
             p = min(s)
             col_struct[p] |= s - {p}
 
-    lower_cols = [sorted(s) for s in col_struct]
-    lower_rows: list[list[int]] = [[] for _ in range(n_blocks)]
-    for j, rows in enumerate(lower_cols):
-        for i in rows:  # columns ascend, so each row comes out sorted
-            lower_rows[i].append(j)
-    J = n_blocks
-    keys = sorted([i * J + j for j, rows in enumerate(lower_cols) for i in rows]
-                  + [i * J + i for i in range(J)])
-    slot = {key: s for s, key in enumerate(keys)}
-    # L[i, j] -= L[i, k] L[j, k]^T over the k < j stored in rows i and j; for
-    # i == j, that is each block of row i with itself
-    update_ptr, update_pairs = _csr([
-        [(slot[i * J + k], slot[j * J + k]) for k in lower_rows[j] if i * J + k in slot]
-        for i, j in (divmod(key, J) for key in keys)])
-    # the rows S_j of each column form a clique of the filled graph
-    col_ptr, col_slots = _csr([[slot[i * J + j] for i in rows]
-                               for j, rows in enumerate(lower_cols)])
-    clique_ptr, clique_slots = _csr([[slot[i * J + k] if i >= k else slot[k * J + i]
-                                      for i in rows for k in rows] for rows in lower_cols])
-    sym = SymbolicFactor(perm=perm, inv_perm=inv_perm, keys=np.asarray(keys, dtype=np.int64),
-                         diag=np.asarray([slot[i * J + i] for i in range(J)], dtype=np.int32),
-                         update_ptr=update_ptr, update_pairs=update_pairs.reshape(-1, 2),
+    # the lower entries column by column, rows ascending
+    sizes = np.array([len(s) for s in col_struct], dtype=np.int64)
+    col_ptr = np.concatenate([[0], np.cumsum(sizes)])
+    col_of = np.repeat(np.arange(J), sizes)
+    row_of = np.fromiter((i for s in col_struct for i in sorted(s)), dtype=np.int64,
+                         count=int(col_ptr[-1]))
+    diag_keys = np.arange(J, dtype=np.int64) * (J + 1)
+    keys = np.sort(np.concatenate([row_of * J + col_of, diag_keys]))
+    col_slots = np.searchsorted(keys, row_of * J + col_of).astype(np.int32)
+    # the rows S_j of each column form a clique of the filled graph: every
+    # pair (a, c) of entries of one column, row-major, and the slot of its
+    # block; each entry a is repeated once per entry c of its column
+    reps = sizes[col_of]
+    a = np.repeat(np.arange(row_of.size), reps)
+    c = col_ptr[col_of[a]] + np.arange(a.size) - np.repeat(np.cumsum(reps) - reps, reps)
+    ri, rc = row_of[a], row_of[c]
+    clique_slots = np.searchsorted(keys, np.maximum(ri, rc) * J + np.minimum(ri, rc))
+    # L[i, j] -= L[i, k] L[j, k]^T over the k < j stored in rows i and j: one
+    # pair of column-k entries with i >= j each; the pairs come column by
+    # column, so a stable sort by slot leaves each slot's k ascending
+    low = ri >= rc
+    target = clique_slots[low]
+    order = np.argsort(target, kind="stable")
+    update_ptr = np.concatenate([[0], np.cumsum(np.bincount(target, minlength=keys.size))])
+    sym = SymbolicFactor(perm=perm, inv_perm=inv_perm, keys=keys,
+                         diag=np.searchsorted(keys, diag_keys).astype(np.int32),
+                         update_ptr=update_ptr,
+                         update_pairs=np.stack([col_slots[a[low]][order],
+                                                col_slots[c[low]][order]], axis=1),
                          col_ptr=col_ptr, col_slots=col_slots,
-                         clique_ptr=clique_ptr, clique_slots=clique_slots)
+                         clique_ptr=np.concatenate([[0], np.cumsum(sizes ** 2)]),
+                         clique_slots=clique_slots.astype(np.int32))
     sets = sym.index_slots(index_sets)
     sym.read_slots = np.unique(np.concatenate([np.empty(0, dtype=np.int64)]
                                               + [w.slots for w in sets]))
     sym.index_sets = [replace(w, read=np.searchsorted(sym.read_slots, w.slots))
                       for w in sets]
     return sym
-
-
-def _csr(lists: list[list]) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets and concatenated entries, as int32 slots, of a list of lists."""
-    ptr = np.cumsum([0] + [len(x) for x in lists], dtype=np.int64)
-    return ptr, np.array([x for xs in lists for x in xs], dtype=np.int32)
 
 
 @dataclass

@@ -56,7 +56,7 @@ from .block_sparse import (
     block_cholesky,
     partial_inverse,
 )
-from .expert_graph import ExpertGraph
+from .expert_graph import ExpertGraph, split_rows
 from .kernels import (
     Kernel,
     NoiseSpec,
@@ -838,8 +838,7 @@ class CpoeModel:
             raise ValueError(f"{path}: {exc}") from None
         kernel2, noise = split_params(kernel, theta)
         graph = ExpertGraph.from_layout(X, J, C, gamma, seed, ordering,
-                                        [np.flatnonzero(assignment == j) for j in range(J)],
-                                        inducing_index)
+                                        split_rows(assignment, J), inducing_index)
         model = cls(kernel2, noise, J=J, C=C, gamma=gamma, variant=variant, seed=seed)
         model.graph, model.y = graph, y
         model._serving = serving

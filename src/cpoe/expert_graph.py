@@ -13,16 +13,31 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .block_sparse import SymbolicFactor, symbolic_factor
 
 __all__ = [
     "ExpertGraph",
     "kd_partition",
+    "split_rows",
     "order_partitions",
     "select_inducing",
     "correlation_sets",
 ]
+
+
+def split_rows(owner: np.ndarray, n: int) -> list[np.ndarray]:
+    """The rows of each of ``n`` groups, ascending, from a row -> group map:
+    one stable argsort, cut at the group sizes.  The map is sorted in the
+    narrowest unsigned type that holds ``n - 1``, for which numpy's stable
+    sort is a radix sort."""
+    owner = np.asarray(owner)
+    counts = np.bincount(owner, minlength=n)
+    if counts.size != n:
+        raise ValueError(f"row -> group map holds group {owner.max()}, outside [0, {n})")
+    order = np.argsort(owner.astype(np.min_scalar_type(max(n - 1, 0))), kind="stable")
+    return np.split(order, np.cumsum(counts)[:-1])
 
 
 def kd_partition(X: np.ndarray, J: int) -> np.ndarray:
@@ -30,7 +45,10 @@ def kd_partition(X: np.ndarray, J: int) -> np.ndarray:
 
     Recursive median splits on the dimension of widest spread; ``J`` must be a
     power of two and cell sizes differ by at most one.  Returns an integer
-    array of cell ids in [0, J).
+    array of cell ids in [0, J).  The tree is split one level at a time: the
+    rows of every cell of a level lie contiguous in one array, and one sort
+    orders every cell along its dimension, ties kept in the cell's order; a
+    cell's first ``ceil(n / 2)`` rows go left.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -40,24 +58,51 @@ def kd_partition(X: np.ndarray, J: int) -> np.ndarray:
         raise ValueError(f"J must be a power of two, got {J}")
     if N < J:
         raise ValueError(f"need at least J={J} rows, got {N}")
+    D = X.shape[1]
+    # rank[r * D + d]: the rank of X[r, d] among the distinct values of column d
+    rank = np.stack([np.unique(x, return_inverse=True)[1].reshape(-1) for x in X.T],
+                    axis=1).ravel()
+    rows, place = np.arange(N), np.arange(N)
+    starts = np.array([0, N])  # cell c holds rows[starts[c]:starts[c + 1]]
+    while starts.size <= J:
+        lo, sizes = starts[:-1], np.diff(starts)
+        cell, base = np.repeat(np.arange(sizes.size), sizes), np.repeat(lo, sizes)
+        Xr = X.take(rows, axis=0)
+        dim = np.argmax(np.maximum.reduceat(Xr, lo) - np.minimum.reduceat(Xr, lo), axis=1)
+        # one sort of distinct integer keys (cell, rank, place in the cell),
+        # each below 2 N^2 (so exact in int64 for N < 2^31); the place keeps
+        # ties in the cell's order
+        width = int(sizes.max())
+        key = (cell * N + rank.take(rows * D + dim.take(cell))) * width + (place - base)
+        rows = rows.take(base + np.sort(key) % width)
+        cuts = np.empty(2 * sizes.size + 1, dtype=int)
+        cuts[0::2], cuts[1::2] = starts, lo + (sizes + 1) // 2
+        starts = cuts
     assignment = np.empty(N, dtype=int)
-    next_cell = 0
-
-    def split(rows: np.ndarray, cells: int):
-        nonlocal next_cell
-        if cells == 1:
-            assignment[rows] = next_cell
-            next_cell += 1
-            return
-        spread = X[rows].max(axis=0) - X[rows].min(axis=0)
-        dim = int(np.argmax(spread))
-        order = rows[np.argsort(X[rows, dim], kind="stable")]
-        cut = (len(rows) + 1) // 2
-        split(order[:cut], cells // 2)
-        split(order[cut:], cells // 2)
-
-    split(np.arange(N), J)
+    assignment[rows] = np.repeat(np.arange(J), np.diff(starts))
     return assignment
+
+
+def _tie_radius(d):
+    """The k-d tree distance within which a candidate may tie, by the exact
+    norm, the nearest candidate at tree distance ``d``: the two distances
+    differ by rounding, relative to the distance, but for squares that
+    underflow.  Candidates within it are ranked by the norm."""
+    return d * (1 + 1e-9) + 1e-150
+
+
+def _nearest_left(d: np.ndarray, i: np.ndarray, left: np.ndarray,
+                  complete: bool) -> np.ndarray | None:
+    """The cells of a neighbor list, ``i`` at ascending tree distances ``d``,
+    that are left and may be the nearest such by the norm; None when the list
+    may miss one (``complete`` says it holds every cell)."""
+    alive = left[i]
+    if not alive.any():
+        return None
+    radius = _tie_radius(d[alive.argmax()])
+    if not complete and d[-1] <= radius:
+        return None
+    return i[alive & (d <= radius)]
 
 
 def order_partitions(centers: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -65,19 +110,42 @@ def order_partitions(centers: np.ndarray, rng: np.random.Generator) -> np.ndarra
 
     Appends the unvisited cell whose center is closest (Euclidean) to the most
     recently added cell's center; ties break toward the lowest cell index.
+    Each step reads the last center's 16 nearest centers, found for all
+    centers by one k-d tree query.  When that list may miss the nearest cell
+    left, the step queries a tree over the cells left, rebuilt whenever half
+    of its cells have been visited, for a doubling number of neighbors.
+    Candidates whose tree distances cannot tell them apart are ranked by
+    ``np.linalg.norm`` of the center differences.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     J = centers.shape[0]
     if J == 1:
         return np.array([0])
     start = int(rng.integers(J))
+    K = min(J, 16)
+    dist, nbr = cKDTree(centers).query(centers, k=K)
+    left = np.ones(J, dtype=bool)
+    left[start] = False
     ordering = [start]
-    remaining = np.delete(np.arange(J), start)  # ascending, so ties go to the lowest index
-    while remaining.size:
-        dists = np.linalg.norm(centers[remaining] - centers[ordering[-1]], axis=1)
-        k = int(np.argmin(dists))  # argmin takes the first minimum
-        ordering.append(int(remaining[k]))
-        remaining = np.delete(remaining, k)
+    ids = tree = None  # the cells left when the tree over them was built
+    for n_left in range(J - 1, 0, -1):
+        last = ordering[-1]
+        found, k = _nearest_left(dist[last], nbr[last], left, K == J), K
+        while found is None:
+            if ids is None or 2 * n_left <= ids.size:
+                ids = np.flatnonzero(left)
+                tree = cKDTree(centers[ids])
+            k = min(k, ids.size)
+            d, i = tree.query(centers[last], k=k)
+            found = _nearest_left(np.atleast_1d(d), ids[np.atleast_1d(i)], left,
+                                  k == ids.size)
+            k *= 2
+        nxt = int(found[0])
+        if found.size > 1:  # ascending, so argmin's first minimum is the lowest index
+            found = np.sort(found)
+            nxt = int(found[np.argmin(np.linalg.norm(centers[found] - centers[last], axis=1))])
+        ordering.append(nxt)
+        left[nxt] = False
     return np.asarray(ordering, dtype=int)
 
 
@@ -109,6 +177,11 @@ def correlation_sets(centers: np.ndarray, C: int) -> np.ndarray:
     to its own (ties to the lowest position), then ``j`` itself.  Returns a
     ``(J, C)`` integer array, each row sorted ascending, so the predecessor
     set of ``j`` is the leading prefix ``[:min(j, C-1)]`` of its row.
+
+    The predecessors come from one k-d tree query of every center's ``k``
+    nearest, ``k`` doubled for the positions whose list may miss one; the
+    candidates the tree's distances cannot tell apart are ranked by
+    ``np.linalg.norm`` of the center differences, ties to the lowest position.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     J = centers.shape[0]
@@ -116,10 +189,26 @@ def correlation_sets(centers: np.ndarray, C: int) -> np.ndarray:
         raise ValueError(f"C must be in [1, {J}], got {C}")
     out = np.empty((J, C), dtype=int)
     out[:C - 1] = np.arange(C)
-    for j in range(C - 1, J):
-        d = np.linalg.norm(centers[:j] - centers[j], axis=1)
-        out[j, :-1] = np.sort(np.argsort(d, kind="stable")[:C - 1])  # stable: ties to lowest
-        out[j, -1] = j
+    out[C - 1:, -1] = np.arange(C - 1, J)
+    if C == 1:
+        return out
+    tree = cKDTree(centers)
+    todo, k = np.arange(C - 1, J), min(J, 4 * C)
+    while todo.size:
+        d, i = tree.query(centers[todo], k=k)
+        earlier = i < todo[:, None]
+        seen = np.cumsum(earlier, axis=1)
+        radius = _tie_radius(d[np.arange(todo.size), np.argmax(seen >= C - 1, axis=1)])
+        # the list holds every candidate once one it leaves out lies beyond the radius
+        done = (k == J) | ((seen[:, -1] >= C - 1) & (d[:, -1] > radius))
+        rows, i = todo[done], i[done]
+        candidate = earlier[done] & (d[done] <= radius[done, None])
+        # one row per (position, candidate) pair, as the loop over earlier centers read them
+        diff = (centers[i] - centers[rows, None]).reshape(-1, centers.shape[1])
+        norm = np.linalg.norm(diff, axis=1).reshape(i.shape)
+        rank = np.lexsort((i, norm, ~candidate), axis=-1)[:, :C - 1]
+        out[rows, :-1] = np.sort(np.take_along_axis(i, rank, axis=1), axis=1)
+        todo, k = todo[~done], min(2 * k, J)
     return out
 
 
@@ -187,22 +276,17 @@ class ExpertGraph:
             warnings.warn(f"C={C} exceeds J={J}; clamping to J", stacklevel=2)
             C = J
         rng = np.random.default_rng(seed)
-        cell_of_row = kd_partition(X, J)
-        cells = [np.flatnonzero(cell_of_row == c) for c in range(J)]
+        cells = split_rows(kd_partition(X, J), J)
         L = int(np.floor(gamma * min(len(c) for c in cells)))
         if L == 0:
             raise ValueError(f"gamma={gamma} gives zero inducing points per expert")
 
-        cell_inducing_idx = []
-        for c in range(J):
-            _, idx = select_inducing(X[cells[c]], gamma, rng)
-            # equal inducing counts across experts: truncate cells one larger
-            cell_inducing_idx.append(idx[:L])
-        cell_centers = np.stack([X[cells[c]][cell_inducing_idx[c]].mean(axis=0)
-                                 for c in range(J)])
-        ordering = order_partitions(cell_centers, rng)
+        # equal inducing counts across experts: truncate cells one larger
+        inducing = np.stack([select_inducing(X[rows], gamma, rng)[1][:L] for rows in cells])
+        centers = X[np.stack([rows[idx] for rows, idx in zip(cells, inducing)])].mean(axis=1)
+        ordering = order_partitions(centers, rng)
         return cls.from_layout(X, J, C, gamma, seed, ordering, [cells[c] for c in ordering],
-                               [cell_inducing_idx[c] for c in ordering])
+                               inducing[ordering])
 
     @classmethod
     def from_layout(cls, X: np.ndarray, J: int, C: int, gamma: float, seed: int,

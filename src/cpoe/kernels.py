@@ -108,7 +108,8 @@ def _param_fields(cls) -> tuple[str, ...]:
 @dataclass(frozen=True)
 class Kernel:
     """Base class: immutable spec, pure evaluation, stacked parameter gradients;
-    every ``log_*`` field is a parameter, read in declaration order."""
+    every ``log_*`` field is a parameter, read in declaration order.  Kernels
+    compare and hash by class and fields (subclasses declare ``eq=False``)."""
 
     @functools.cached_property
     def n_params(self) -> int:
@@ -135,6 +136,22 @@ class Kernel:
                 values[name] = float(params[start])
                 start += 1
         return dataclasses.replace(self, **values)
+
+    def _identity(self) -> tuple:
+        """The class and every field's value; an array field as its shape and
+        elements, so two kernels compare as ``np.array_equal`` compares the
+        arrays, and equal kernels hash alike (``-0.0`` as ``0.0``)."""
+        values = (getattr(self, f.name) for f in dataclasses.fields(self))
+        return (type(self),) + tuple((v.shape, tuple(v.ravel().tolist()))
+                                     if isinstance(v, np.ndarray) else v for v in values)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Kernel):
+            return NotImplemented
+        return self._identity() == other._identity()
+
+    def __hash__(self) -> int:
+        return hash(self._identity())
 
     def __call__(self, X1: np.ndarray, X2: np.ndarray | None = None,
                  out: np.ndarray | None = None) -> np.ndarray:
@@ -194,7 +211,7 @@ def _check_pair(X1, X2):
     return X1, X2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SquaredExponential(Kernel):
     """SE kernel with one lengthscale per (active) input dimension.
 
@@ -271,7 +288,7 @@ class SquaredExponential(Kernel):
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Periodic(Kernel):
     """Exp-sine-squared kernel on the (single) active dimension.
 
@@ -321,7 +338,7 @@ class Periodic(Kernel):
                          K * 2.0 * np.sin(2.0 * arg) * arg / ell2], out=out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralMixture(Kernel):
     """Gaussian spectral-mixture kernel on the (single) active dimension.
 
@@ -394,7 +411,7 @@ class SpectralMixture(Kernel):
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SumKernel(Kernel):
     """Sum of kernels; the parameter vector concatenates the summands'."""
 

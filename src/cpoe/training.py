@@ -129,7 +129,9 @@ def fit_deterministic(objective, theta0: np.ndarray, config: OptimizerConfig,
     ``ValueError``, or returns a non-finite value, is answered with ``1e12``
     and a zero gradient, logged at WARNING and kept in
     :attr:`FitResult.failures`.  The start point is evaluated once, for the
-    trace and as L-BFGS's first point.
+    trace and as L-BFGS's first point.  When no evaluation succeeds, the
+    result keeps ``theta0``, is not converged, and its message names the
+    first failure.
     """
     theta0 = np.asarray(theta0, dtype=float).copy()
     t_start = time.perf_counter()
@@ -184,8 +186,13 @@ def fit_deterministic(objective, theta0: np.ndarray, config: OptimizerConfig,
                             options={"maxiter": config.max_iter, "ftol": 1e-12,
                                      "gtol": 1e-6})
     best_val, best_theta = state["best"]
+    converged, message = bool(res.success), str(res.message)
+    if state["last"] is None:  # every evaluation failed: theta0 is no optimum
+        converged = False
+        message = (f"no objective evaluation succeeded in {state['n']}; the first "
+                   f"failed with {failures[0][1]}")
     return FitResult(theta=best_theta, value=best_val, trace=trace,
-                     converged=bool(res.success), message=str(res.message),
+                     converged=converged, message=message,
                      n_evaluations=state["n"], failures=failures)
 
 

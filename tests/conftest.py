@@ -86,6 +86,99 @@ def transition_noise(e):
 
 
 # ---------------------------------------------------------------------------
+# the set-up stages as first written: plain loops, quadratic in J, kept as the
+# oracles the vectorised stages must match bit for bit
+
+def loop_kd_partition(X, J):
+    """Recursive median splits, one stable argsort per cell."""
+    X = np.asarray(X, dtype=float)
+    assignment = np.empty(X.shape[0], dtype=int)
+    next_cell = 0
+
+    def split(rows, cells):
+        nonlocal next_cell
+        if cells == 1:
+            assignment[rows] = next_cell
+            next_cell += 1
+            return
+        spread = X[rows].max(axis=0) - X[rows].min(axis=0)
+        order = rows[np.argsort(X[rows, int(np.argmax(spread))], kind="stable")]
+        cut = (len(rows) + 1) // 2
+        split(order[:cut], cells // 2)
+        split(order[cut:], cells // 2)
+
+    split(np.arange(X.shape[0]), J)
+    return assignment
+
+
+def loop_order_partitions(centers, start):
+    """The greedy walk from ``start``: one norm over the remaining centers a step."""
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    ordering = [start]
+    remaining = np.delete(np.arange(centers.shape[0]), start)
+    while remaining.size:
+        dists = np.linalg.norm(centers[remaining] - centers[ordering[-1]], axis=1)
+        k = int(np.argmin(dists))
+        ordering.append(int(remaining[k]))
+        remaining = np.delete(remaining, k)
+    return np.asarray(ordering, dtype=int)
+
+
+def loop_correlation_sets(centers, C):
+    """One norm and one stable argsort over the earlier centers per position."""
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    J = centers.shape[0]
+    out = np.empty((J, C), dtype=int)
+    out[:C - 1] = np.arange(C)
+    for j in range(C - 1, J):
+        d = np.linalg.norm(centers[:j] - centers[j], axis=1)
+        out[j, :-1] = np.sort(np.argsort(d, kind="stable")[:C - 1])
+        out[j, -1] = j
+    return out
+
+
+def loop_min_degree(pattern):
+    """Minimum degree by a scan of the live blocks per step."""
+    n = max((max(i, j) for i, j in pattern), default=-1) + 1
+    adj = [set() for _ in range(n)]
+    for i, j in pattern:
+        if i != j:
+            adj[i].add(j)
+            adj[j].add(i)
+    alive, order = set(range(n)), []
+    while alive:
+        v = min(alive, key=lambda u: (len(adj[u]), u))
+        order.append(v)
+        alive.remove(v)
+        for u in adj[v]:
+            adj[u] |= adj[v] - {u}
+            adj[u].discard(v)
+    return np.asarray(order, dtype=int)
+
+
+def scan_split_rows(owner, n):
+    """The rows of each group, one full scan of the map per group."""
+    return [np.flatnonzero(np.asarray(owner) == j) for j in range(n)]
+
+
+def loop_build(X, J, C, gamma, seed):
+    """``ExpertGraph.build``'s layout from the loops: ordering, rows and inducing
+    subsets per position, centers one cell at a time, and correlation sets."""
+    from cpoe.expert_graph import select_inducing
+
+    X = np.asarray(X, dtype=float)
+    rng = np.random.default_rng(seed)
+    cells = scan_split_rows(loop_kd_partition(X, J), J)
+    L = int(np.floor(gamma * min(len(c) for c in cells)))
+    idx = [select_inducing(X[c], gamma, rng)[1][:L] for c in cells]
+    centers = np.stack([X[c][i].mean(axis=0) for c, i in zip(cells, idx)])
+    ordering = loop_order_partitions(centers, int(rng.integers(J)))
+    A = X[np.stack([cells[c][idx[c]] for c in ordering])]
+    return (ordering, [cells[c] for c in ordering], np.stack([idx[c] for c in ordering]),
+            loop_correlation_sets(A.mean(axis=1), C))
+
+
+# ---------------------------------------------------------------------------
 # dense converters of the flat block layout
 
 def pair_sets(pattern):

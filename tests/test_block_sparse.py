@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import from_dense, pair_sets, to_dense
+from conftest import from_dense, loop_min_degree, pair_sets, to_dense
 from cpoe import ExpertGraph
 from cpoe.block_sparse import (
     BlockSparseMatrix,
@@ -139,6 +139,19 @@ class TestFillReducingPermutation:
 
     def test_single_block(self):
         np.testing.assert_array_equal(fill_reducing_permutation({(0, 0)}), [0])
+
+    @given(st.integers(1, 80), st.floats(0.0, 0.5), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_heap_matches_scan_on_random_patterns(self, J, density, seed):
+        # sparse patterns tie degrees often; the heap must break every tie as
+        # the scan over the live blocks does
+        r = np.random.default_rng(seed)
+        pattern = {(i, i) for i in range(J)}
+        pattern |= {(i, j) for i in range(J) for j in range(i) if r.uniform() < density}
+        np.testing.assert_array_equal(fill_reducing_permutation(pattern),
+                                      loop_min_degree(pattern))
+        off = [(i, j) for i, j in pattern if i != j]
+        np.testing.assert_array_equal(fill_reducing_permutation(off, J), loop_min_degree(pattern))
 
 
 class TestBlockCholesky:

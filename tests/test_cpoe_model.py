@@ -1017,6 +1017,13 @@ class TestModelLifecycle:
             path, again = os.path.join(tmp, "model.npz"), os.path.join(tmp, "again.npz")
             model.save(path)
             loaded = CpoeModel.load(path, X, y, kern)
+            # the graph load rebuilds is the saved one, array for array
+            assert len(loaded.graph.row_indices) == J
+            for a, b in zip(loaded.graph.row_indices, model.graph.row_indices):
+                np.testing.assert_array_equal(a, b)
+            for name in ("ordering", "inducing_index", "correlation"):
+                np.testing.assert_array_equal(getattr(loaded.graph, name),
+                                              getattr(model.graph, name))
             fitted, back = (predict_arrays(m, Xs, add_noise=True, return_locals=True)
                             for m in (model, loaded))
             for a, b in zip(fitted[:2] + fitted[2], back[:2] + back[2]):

@@ -5,13 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import predecessors
+from conftest import (
+    loop_build,
+    loop_correlation_sets,
+    loop_kd_partition,
+    loop_order_partitions,
+    predecessors,
+    scan_split_rows,
+)
+from cpoe import expert_graph
 from cpoe.expert_graph import (
     ExpertGraph,
     correlation_sets,
     kd_partition,
     order_partitions,
     select_inducing,
+    split_rows,
 )
 
 
@@ -313,3 +322,108 @@ class TestGraphBuild:
         np.testing.assert_array_equal(g1.ordering, g2.ordering)
         for j in range(4):
             np.testing.assert_array_equal(g1.inducing_index[j], g2.inducing_index[j])
+
+
+def draw_centers(r, J, D, kind):
+    """``J`` centers in ``D`` dimensions: uniform, on a 1/4 grid (ties), exact
+    duplicates of a few points, or two far-apart clusters in position order,
+    whose first members see only later positions among their nearest."""
+    if kind == "grid":
+        return np.round(r.uniform(0, 1, (J, D)) * 4) / 4
+    if kind == "duplicates":
+        return r.uniform(0, 1, (max(1, J // 8), D))[r.integers(0, max(1, J // 8), J)]
+    if kind == "clusters":
+        out = r.uniform(0, 1, (J, D))
+        out[J // 2:] += 100.0
+        return out
+    return r.uniform(0, 1, (J, D))
+
+
+CENTER_KINDS = st.sampled_from(["uniform", "grid", "duplicates", "clusters"])
+# small sets, and sets large enough that some positions' first lists miss
+EXPERT_COUNTS = st.one_of(st.integers(1, 40), st.integers(200, 1024))
+
+
+class TestStagesMatchLoopOracles:
+    """The vectorised set-up stages against the plain loops they replaced."""
+
+    @given(EXPERT_COUNTS, st.integers(1, 5), st.integers(1, 6), CENTER_KINDS,
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_correlation_sets(self, J, D, C, kind, seed):
+        centers = draw_centers(np.random.default_rng(seed), J, D, kind)
+        C = min(C, J)
+        np.testing.assert_array_equal(correlation_sets(centers, C),
+                                      loop_correlation_sets(centers, C))
+
+    @given(EXPERT_COUNTS, st.integers(1, 5), CENTER_KINDS, st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_order_partitions(self, J, D, kind, seed):
+        centers = draw_centers(np.random.default_rng(seed), J, D, kind)
+        start = int(np.random.default_rng(seed).integers(J))
+        np.testing.assert_array_equal(order_partitions(centers, np.random.default_rng(seed)),
+                                      loop_order_partitions(centers, start))
+
+    @given(st.integers(0, 6), st.integers(1, 5), st.integers(1, 4), st.integers(0, 300),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_kd_partition_with_repeated_coordinates(self, log2_J, D, levels, extra, seed):
+        # coordinates drawn from a few levels repeat within and across columns
+        J = 2 ** log2_J
+        r = np.random.default_rng(seed)
+        X = r.integers(0, levels, (J + extra, D)).astype(float)
+        np.testing.assert_array_equal(kd_partition(X, J), loop_kd_partition(X, J))
+
+    @given(st.integers(1, 64), st.integers(0, 500), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_split_rows(self, n, extra, seed):
+        owner = np.random.default_rng(seed).integers(0, n, n + extra)
+        got, want = split_rows(owner, n), scan_split_rows(owner, n)
+        assert len(got) == n
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    @given(st.integers(0, 7), st.integers(1, 4), st.integers(1, 6), st.sampled_from([0.25, 1.0]),
+           st.booleans(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_build(self, log2_J, D, C, gamma, repeated, seed):
+        J = 2 ** log2_J
+        r = np.random.default_rng(seed)
+        X = r.uniform(0, 1, (8 * J + int(r.integers(0, J + 1)), D))
+        if repeated:
+            X = np.round(X * 3) / 3
+        g = ExpertGraph.build(X, J, min(C, J), gamma, seed=seed)
+        ordering, rows, inducing, correlation = loop_build(X, J, min(C, J), gamma, seed)
+        np.testing.assert_array_equal(g.ordering, ordering)
+        assert len(g.row_indices) == J
+        for a, b in zip(g.row_indices, rows):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(g.inducing_index, inducing)
+        np.testing.assert_array_equal(g.correlation, correlation)
+
+    def test_split_rows_refuses_group_outside_range(self):
+        with pytest.raises(ValueError, match=r"group 3, outside \[0, 3\)"):
+            split_rows(np.array([0, 3, 1]), 3)
+
+    def test_doubling_branches_run(self, monkeypatch):
+        # two clusters: the first positions of the second see only later
+        # positions among their nearest, so correlation_sets doubles its count;
+        # the greedy walk's last steps find all 16 listed neighbors visited
+        ks = []
+
+        class Spy(expert_graph.cKDTree):
+            def query(self, x, k=1, **kw):
+                ks.append((np.ndim(x), k, self.n))
+                return super().query(x, k=k, **kw)
+
+        monkeypatch.setattr(expert_graph, "cKDTree", Spy)
+        centers = draw_centers(np.random.default_rng(0), 512, 2, "clusters")
+        np.testing.assert_array_equal(correlation_sets(centers, 4),
+                                      loop_correlation_sets(centers, 4))
+        assert max(k for ndim, k, _ in ks if ndim == 2) > 16
+        ks.clear()
+        start = int(np.random.default_rng(1).integers(512))
+        np.testing.assert_array_equal(order_partitions(centers, np.random.default_rng(1)),
+                                      loop_order_partitions(centers, start))
+        assert any(ndim == 1 for ndim, _, _ in ks)  # queries on the tree of cells left

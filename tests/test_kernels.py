@@ -297,6 +297,51 @@ class TestParameterVector:
             k.with_params(np.zeros(n + extra))
 
 
+EQUALITY_KERNELS = {
+    "se": lambda dims: SquaredExponential.create(1.0, [0.5, 0.6], active_dims=dims),
+    "periodic": lambda dims: Periodic.create(0.7, 0.9, 1.3, active_dims=dims and dims[:1]),
+    "sm": lambda dims: SpectralMixture.create([0.5, 1.1], [0.8, 2.0], [0.4, 1.5],
+                                              active_dims=dims and dims[:1]),
+    "sum": lambda dims: (SquaredExponential.create(2.0, [0.4, 0.7], active_dims=dims)
+                         + Periodic.create(0.5, 1.1, 0.8, active_dims=dims and dims[1:])),
+}
+
+
+@pytest.mark.parametrize("dims", [None, [0, 2]], ids=["all-dims", "active-dims"])
+@pytest.mark.parametrize("make", EQUALITY_KERNELS.values(), ids=EQUALITY_KERNELS.keys())
+class TestEqualityAndHash:
+    """Kernels compare by class and field values, and equal kernels hash alike."""
+
+    def test_roundtrip_equal_with_equal_hash(self, make, dims):
+        k = make(dims)
+        new = k.with_params(k.get_params())
+        assert new == k and not new != k
+        assert hash(new) == hash(k)
+        assert make(dims) == k and len({k, new, make(dims)}) == 1
+
+    def test_any_parameter_change_differs(self, make, dims):
+        k = make(dims)
+        theta = k.get_params()
+        for i in range(theta.size):
+            moved = theta.copy()
+            moved[i] = np.nextafter(moved[i], np.inf)
+            assert k.with_params(moved) != k, i
+
+    def test_other_active_dims_or_class_differ(self, make, dims):
+        k = make(dims)
+        other = make([1, 3] if dims is None else None)
+        assert other != k
+        wrapped = SumKernel((k,))
+        assert wrapped != k and wrapped == SumKernel((make(dims),))
+        assert k != NoiseSpec() and k != "kernel"
+
+    def test_negative_zero_parameter(self, make, dims):
+        k = make(dims)
+        zero, negative = np.zeros(k.n_params), np.full(k.n_params, -0.0)
+        assert k.with_params(zero) == k.with_params(negative)
+        assert hash(k.with_params(zero)) == hash(k.with_params(negative))
+
+
 class TestJitterPolicy:
     def test_psd_after_jitter_on_duplicates(self, rng):
         # exact duplicates make the Gram singular; the policy must recover

@@ -81,6 +81,21 @@ class TestDeterministic:
         np.testing.assert_allclose(res.theta, target, atol=1e-8)
         assert res.converged
 
+    def test_no_successful_evaluation_is_not_converged(self):
+        calls = []
+
+        def objective(theta):
+            calls.append(theta)
+            raise np.linalg.LinAlgError(f"pivot {len(calls)} not positive definite")
+
+        theta0 = np.array([0.3, -0.4])
+        res = fit_deterministic(objective, theta0, OptimizerConfig(max_iter=5))
+        assert not res.converged
+        assert res.message == (f"no objective evaluation succeeded in {len(calls)}; the first "
+                               "failed with LinAlgError: pivot 1 not positive definite")
+        np.testing.assert_array_equal(res.theta, theta0)
+        assert res.value == -np.inf and len(res.failures) == res.n_evaluations == len(calls)
+
     def test_objective_never_below_start(self, rng):
         X = spread_points(48, 2, rng)
         kern = SquaredExponential.create(0.5, [0.3, 0.3])
