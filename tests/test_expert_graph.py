@@ -414,16 +414,16 @@ class TestStagesMatchLoopOracles:
 
         class Spy(expert_graph.cKDTree):
             def query(self, x, k=1, **kw):
-                ks.append((np.ndim(x), k, self.n))
+                ks.append((np.ndim(x), k))
                 return super().query(x, k=k, **kw)
 
         monkeypatch.setattr(expert_graph, "cKDTree", Spy)
         centers = draw_centers(np.random.default_rng(0), 512, 2, "clusters")
         np.testing.assert_array_equal(correlation_sets(centers, 4),
                                       loop_correlation_sets(centers, 4))
-        assert max(k for ndim, k, _ in ks if ndim == 2) > 16
+        assert max(k for ndim, k in ks if ndim == 2) > 16
         ks.clear()
         start = int(np.random.default_rng(1).integers(512))
         np.testing.assert_array_equal(order_partitions(centers, np.random.default_rng(1)),
                                       loop_order_partitions(centers, start))
-        assert any(ndim == 1 for ndim, _, _ in ks)  # queries on the tree of cells left
+        assert any(ndim == 1 for ndim, _ in ks)  # queries on the tree of cells left

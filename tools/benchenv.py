@@ -21,7 +21,9 @@ def cpu_model() -> str:
 
 def environment(checkout: str) -> dict:
     """CPU, core count, Python, numpy and scipy versions, and the checkout's
-    directory and git head (None outside a git checkout)."""
+    git head (None outside a git checkout), directory name and the length of
+    its absolute path: medians have been seen to move with the directory a
+    checkout runs from."""
     import numpy
     import scipy
 
@@ -30,4 +32,5 @@ def environment(checkout: str) -> dict:
     return {"cpu": cpu_model(), "nproc": len(os.sched_getaffinity(0)),
             "python": platform.python_version(), "numpy": numpy.__version__,
             "scipy": scipy.__version__, "git_head": head,
-            "checkout": os.path.abspath(checkout)}
+            "checkout": os.path.basename(os.path.abspath(checkout)),
+            "checkout_path_length": len(os.path.abspath(checkout))}

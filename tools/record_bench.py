@@ -15,7 +15,7 @@ per workload, every run (seed, place in the rotation, metrics, samples,
 ``correct``, attempted and failed operations) and, per end-to-end metric, the
 median and quartiles over the runs, with ``correct`` over all runs and the
 failed share of operations; and the environment: CPU model, numpy and scipy
-versions, the runs' BLAS threads, git head and checkout directory.
+versions, the runs' BLAS threads, git head and checkout directory name.
 """
 
 from __future__ import annotations
@@ -100,8 +100,11 @@ def main(argv=None) -> int:
 
     for label, checkout in zip(args.label, checkouts):
         env = environment(checkout)
-        env["blas_threads"] = sorted({json.dumps(r["blas_threads"], sort_keys=True)
-                                      for rs in runs[label].values() for r in rs})
+        env["blas_threads"] = []  # each distinct report of the runs
+        for rs in runs[label].values():
+            for r in rs:
+                if r["blas_threads"] not in env["blas_threads"]:
+                    env["blas_threads"].append(r["blas_threads"])
         record = {"label": label, "seconds": args.seconds, "seeds": args.seeds,
                   "rotated_with": [lb for lb in args.label if lb != label],
                   "environment": env,

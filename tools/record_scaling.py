@@ -19,8 +19,8 @@ median wall time is kept:
   ``load`` made before it did).
 
 With them go the fill counts per expert (factor slots, Cholesky update pairs,
-partial-inverse clique slots) and, per stage, the least-squares slope of log
-time against log J over the ``J`` values given.
+partial-inverse clique slots) and the least-squares slope against log J, over
+the ``J`` values given, of the log of each stage's time and of each count.
 """
 
 from __future__ import annotations
@@ -89,11 +89,11 @@ def stage_times(J: int, seed: int, repeats: int) -> dict:
     return {"J": J, "N": X.shape[0], "seconds": out, "per_expert": counts}
 
 
-def slopes(rows: list[dict]) -> dict:
-    """Least-squares slope of log time against log J, per stage."""
+def slopes(rows: list[dict], field: str) -> dict:
+    """Least-squares slope of the log of each entry of ``field`` against log J."""
     logJ = np.log([r["J"] for r in rows])
-    return {name: float(np.polyfit(logJ, np.log([r["seconds"][name] for r in rows]), 1)[0])
-            for name in rows[0]["seconds"]}
+    return {name: float(np.polyfit(logJ, np.log([r[field][name] for r in rows]), 1)[0])
+            for name in rows[0][field]}
 
 
 def main(argv=None) -> int:
@@ -124,7 +124,8 @@ def main(argv=None) -> int:
                                                "inputs": "uniform 2-D",
                                                "repeats": args.repeats},
               "environment": environment(checkout),
-              "stages": rows, "loglog_slope": slopes(rows)}
+              "stages": rows, "loglog_slope": slopes(rows, "seconds"),
+              "per_expert_loglog_slope": slopes(rows, "per_expert")}
     path = os.path.join(args.out, f"BENCH_scaling_{args.label}.json")
     with open(path, "w") as fh:
         json.dump(record, fh, indent=1)
