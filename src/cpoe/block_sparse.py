@@ -93,8 +93,6 @@ def fill_reducing_permutation(pattern, n_blocks: int | None = None) -> np.ndarra
 def _by_size(sets) -> dict[int, tuple[list[int], np.ndarray]]:
     """The index sets grouped by size: each size's positions in ``sets`` and
     its sets stacked, one row each."""
-    if isinstance(sets, np.ndarray) and sets.ndim == 2:
-        return {sets.shape[1]: (list(range(len(sets))), sets.astype(int))} if len(sets) else {}
     positions: dict[int, list[int]] = {}
     for k, idx in enumerate(sets):
         positions.setdefault(len(idx), []).append(k)

@@ -46,9 +46,10 @@ def kd_partition(X: np.ndarray, J: int) -> np.ndarray:
     Recursive median splits on the dimension of widest spread; ``J`` must be a
     power of two and cell sizes differ by at most one.  Returns an integer
     array of cell ids in [0, J).  The tree is split one level at a time: the
-    rows of every cell of a level lie contiguous in one array, and one sort
-    orders every cell along its dimension, ties kept in the cell's order; a
-    cell's first ``ceil(n / 2)`` rows go left.
+    rows of every cell of a level lie contiguous in one array, and one
+    stable lexsort by (cell, coordinate) orders every cell along its
+    dimension, ties kept in the cell's order; a cell's first ``ceil(n / 2)``
+    rows go left.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -58,23 +59,15 @@ def kd_partition(X: np.ndarray, J: int) -> np.ndarray:
         raise ValueError(f"J must be a power of two, got {J}")
     if N < J:
         raise ValueError(f"need at least J={J} rows, got {N}")
-    D = X.shape[1]
-    # rank[r * D + d]: the rank of X[r, d] among the distinct values of column d
-    rank = np.stack([np.unique(x, return_inverse=True)[1].reshape(-1) for x in X.T],
-                    axis=1).ravel()
-    rows, place = np.arange(N), np.arange(N)
+    rows = np.arange(N)
     starts = np.array([0, N])  # cell c holds rows[starts[c]:starts[c + 1]]
     while starts.size <= J:
         lo, sizes = starts[:-1], np.diff(starts)
-        cell, base = np.repeat(np.arange(sizes.size), sizes), np.repeat(lo, sizes)
+        # cell ids in the narrowest unsigned type, which numpy radix-sorts
+        cell = np.repeat(np.arange(sizes.size, dtype=np.min_scalar_type(J)), sizes)
         Xr = X.take(rows, axis=0)
         dim = np.argmax(np.maximum.reduceat(Xr, lo) - np.minimum.reduceat(Xr, lo), axis=1)
-        # one sort of distinct integer keys (cell, rank, place in the cell),
-        # each below 2 N^2 (so exact in int64 for N < 2^31); the place keeps
-        # ties in the cell's order
-        width = int(sizes.max())
-        key = (cell * N + rank.take(rows * D + dim.take(cell))) * width + (place - base)
-        rows = rows.take(base + np.sort(key) % width)
+        rows = rows.take(np.lexsort((Xr[np.arange(N), dim.take(cell)], cell)))
         cuts = np.empty(2 * sizes.size + 1, dtype=int)
         cuts[0::2], cuts[1::2] = starts, lo + (sizes + 1) // 2
         starts = cuts
@@ -169,6 +162,33 @@ def select_inducing(X_j: np.ndarray, gamma: float, rng: np.random.Generator):
     return X_j[idx], idx
 
 
+# neighbor entries per k-d tree query of correlation_sets: heavily tied
+# centers double k up to J, and each batch's arrays stay this size still
+_QUERY_ENTRIES = 1 << 18
+
+
+def _nearest_earlier(out: np.ndarray, tree: cKDTree, centers: np.ndarray,
+                     todo: np.ndarray, k: int) -> np.ndarray:
+    """Rank the ``k`` nearest centers of each position in ``todo``; write the
+    predecessors of those whose list holds every candidate into ``out``, and
+    return the others."""
+    J, C = out.shape
+    d, i = tree.query(centers[todo], k=k)
+    earlier = i < todo[:, None]
+    seen = np.cumsum(earlier, axis=1)
+    radius = _tie_radius(d[np.arange(todo.size), np.argmax(seen >= C - 1, axis=1)])
+    # the list holds every candidate once one it leaves out lies beyond the radius
+    done = (k == J) | ((seen[:, -1] >= C - 1) & (d[:, -1] > radius))
+    rows, i = todo[done], i[done]
+    candidate = earlier[done] & (d[done] <= radius[done, None])
+    # one row per (position, candidate) pair, as the loop over earlier centers read them
+    diff = (centers[i] - centers[rows, None]).reshape(-1, centers.shape[1])
+    norm = np.linalg.norm(diff, axis=1).reshape(i.shape)
+    rank = np.lexsort((i, norm, ~candidate), axis=-1)[:, :C - 1]
+    out[rows, :-1] = np.sort(np.take_along_axis(i, rank, axis=1), axis=1)
+    return todo[~done]
+
+
 def correlation_sets(centers: np.ndarray, C: int) -> np.ndarray:
     """Size-``C`` correlation sets over experts ordered like their ``centers``.
 
@@ -178,10 +198,11 @@ def correlation_sets(centers: np.ndarray, C: int) -> np.ndarray:
     ``(J, C)`` integer array, each row sorted ascending, so the predecessor
     set of ``j`` is the leading prefix ``[:min(j, C-1)]`` of its row.
 
-    The predecessors come from one k-d tree query of every center's ``k``
-    nearest, ``k`` doubled for the positions whose list may miss one; the
-    candidates the tree's distances cannot tell apart are ranked by
-    ``np.linalg.norm`` of the center differences, ties to the lowest position.
+    The predecessors come from k-d tree queries of every center's ``k``
+    nearest, in batches of at most ``_QUERY_ENTRIES // k`` positions, ``k``
+    doubled for the positions whose list may miss one; the candidates the
+    tree's distances cannot tell apart are ranked by ``np.linalg.norm`` of
+    the center differences, ties to the lowest position.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     J = centers.shape[0]
@@ -195,20 +216,10 @@ def correlation_sets(centers: np.ndarray, C: int) -> np.ndarray:
     tree = cKDTree(centers)
     todo, k = np.arange(C - 1, J), min(J, 4 * C)
     while todo.size:
-        d, i = tree.query(centers[todo], k=k)
-        earlier = i < todo[:, None]
-        seen = np.cumsum(earlier, axis=1)
-        radius = _tie_radius(d[np.arange(todo.size), np.argmax(seen >= C - 1, axis=1)])
-        # the list holds every candidate once one it leaves out lies beyond the radius
-        done = (k == J) | ((seen[:, -1] >= C - 1) & (d[:, -1] > radius))
-        rows, i = todo[done], i[done]
-        candidate = earlier[done] & (d[done] <= radius[done, None])
-        # one row per (position, candidate) pair, as the loop over earlier centers read them
-        diff = (centers[i] - centers[rows, None]).reshape(-1, centers.shape[1])
-        norm = np.linalg.norm(diff, axis=1).reshape(i.shape)
-        rank = np.lexsort((i, norm, ~candidate), axis=-1)[:, :C - 1]
-        out[rows, :-1] = np.sort(np.take_along_axis(i, rank, axis=1), axis=1)
-        todo, k = todo[~done], min(2 * k, J)
+        step = max(1, _QUERY_ENTRIES // k)
+        todo = np.concatenate([_nearest_earlier(out, tree, centers, todo[s:s + step], k)
+                               for s in range(0, todo.size, step)])
+        k = min(2 * k, J)
     return out
 
 

@@ -1,5 +1,7 @@
 """Partitioning, ordering, inducing selection and index-set construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -405,6 +407,29 @@ class TestStagesMatchLoopOracles:
     def test_split_rows_refuses_group_outside_range(self):
         with pytest.raises(ValueError, match=r"group 3, outside \[0, 3\)"):
             split_rows(np.array([0, 3, 1]), 3)
+
+    @pytest.mark.parametrize("kind", ["constant", "grid", "duplicates"])
+    def test_correlation_sets_in_small_query_batches(self, monkeypatch, kind):
+        # batches of a few positions each, and ties that double k up to J
+        monkeypatch.setattr(expert_graph, "_QUERY_ENTRIES", 500)
+        r = np.random.default_rng(3)
+        centers = np.zeros((300, 2)) if kind == "constant" else draw_centers(r, 300, 2, kind)
+        for C in (2, 4, 6):
+            np.testing.assert_array_equal(correlation_sets(centers, C),
+                                          loop_correlation_sets(centers, C))
+
+    def test_correlation_sets_memory_bounded_when_every_center_ties(self):
+        # no position's list is complete before k = J; one query of every
+        # position at k = J held about 300 MiB here
+        centers = np.zeros((2048, 2))
+        tracemalloc.start()
+        try:
+            got = correlation_sets(centers, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(got, loop_correlation_sets(centers, 3))
+        assert peak < 40 * 2 ** 20
 
     def test_doubling_branches_run(self, monkeypatch):
         # two clusters: the first positions of the second see only later
